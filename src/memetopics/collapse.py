@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -220,12 +222,38 @@ def collapse_pbm(state: CollapseState, backend: BackendConfig | LlmGateway) -> C
     return state
 
 
+def _similarity(shared: int, size_a: int, size_b: int) -> float:
+    return shared / min(size_a, size_b)
+
+
 def topic_similarity(a: TopicWordSet, b: TopicWordSet) -> float:
     """Shared-word fraction of two topic word sets, in [0, 1]."""
     if not a.words or not b.words:
         raise ValueError("topic similarity is undefined for an empty word set")
     set_a, set_b = set(a.words), set(b.words)
-    return len(set_a & set_b) / min(len(set_a), len(set_b))
+    return _similarity(len(set_a & set_b), len(set_a), len(set_b))
+
+
+def _most_similar_pair(word_sets: dict[str, set[str]]) -> tuple[str, str] | None:
+    """The (a, b) pair, a < b, of highest similarity; ties go to the smallest
+    pair. Only pairs sharing a word are scored, found through a word ->
+    labels index; None when no two topics share a word."""
+    holders: dict[str, list[str]] = {}
+    for label in sorted(word_sets):
+        for word in word_sets[label]:
+            holders.setdefault(word, []).append(label)
+    shared: Counter[tuple[str, str]] = Counter()
+    for labels in holders.values():
+        if len(labels) > 1:
+            shared.update(combinations(labels, 2))
+    best_sim = 0.0
+    best_pair: tuple[str, str] | None = None
+    for pair, count in shared.items():
+        sim = _similarity(count, len(word_sets[pair[0]]), len(word_sets[pair[1]]))
+        if sim > best_sim or (sim == best_sim and pair < best_pair):
+            best_sim = sim
+            best_pair = pair
+    return best_pair
 
 
 def _merge_orientation(state: CollapseState, a: str, b: str) -> tuple[str, str]:
@@ -244,11 +272,13 @@ def collapse_wsm(
 ) -> CollapseState:
     """Word-similarity collapse.
 
-    Re-derives the c-TF-IDF table after every merge (merging changes the
-    class documents, hence the word sets), merges the highest-similarity
-    pair, and stops at K topics. Nothing is routed to Miscellaneous here;
-    if no pair shares any word, the two least frequent topics merge and the
-    step is logged as a zero-similarity merge.
+    Builds the c-TF-IDF table once and updates it in place after every
+    merge (CtfidfTable.merge), then re-ranks every topic's top words, since
+    the class count moves every weight. Each step merges the pair of
+    highest similarity, ties going to the lexicographically smallest pair,
+    and the collapse stops at K topics. Nothing is routed to Miscellaneous
+    here; if no pair shares any word, the two least frequent topics merge
+    and the step is logged as a zero-similarity merge.
     """
     state = state.copy()
     if state.non_reserved_count() < state.k_target:
@@ -257,24 +287,14 @@ def collapse_wsm(
             state.non_reserved_count(),
             state.k_target,
         )
+    if state.non_reserved_count() <= state.k_target:
         return state
-    while state.non_reserved_count() > state.k_target:
-        table = ctfidf_from_clusters(state.topics, corpus)
-        word_sets = {label: top_words(table, label, top_n_words) for label in state.topics}
-        labels = sorted(state.topics)
-        best_sim = 0.0
-        best_pair: tuple[str, str] | None = None
-        for i, label_a in enumerate(labels):
-            if not word_sets[label_a].words:
-                continue
-            for label_b in labels[i + 1 :]:
-                if not word_sets[label_b].words:
-                    continue
-                sim = topic_similarity(word_sets[label_a], word_sets[label_b])
-                # Iteration order makes ties resolve to the smallest pair.
-                if sim > best_sim:
-                    best_sim = sim
-                    best_pair = (label_a, label_b)
+    table = ctfidf_from_clusters(state.topics, corpus)
+    while True:
+        word_sets = {
+            label: set(top_words(table, label, top_n_words).words) for label in state.topics
+        }
+        best_pair = _most_similar_pair(word_sets)
         if best_pair is None:
             order = _frequency_order(state)
             source, target = _merge_orientation(state, order[-1], order[-2])
@@ -284,7 +304,9 @@ def collapse_wsm(
             method = "wsm"
         state.topics[target] |= state.topics.pop(source)
         state.merge_log.append((source, target, method))
-    return state
+        if state.non_reserved_count() == state.k_target:
+            return state
+        table.merge(source, target, state.topics[target], corpus)
 
 
 def save_merge_log(state: CollapseState, path: str | Path) -> None:

@@ -14,6 +14,7 @@ strategies read from this table.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -45,6 +46,27 @@ class CtfidfTable:
                         f"{self.df[word]}\t{self.weights[cls][word]:.10g}\n"
                     )
 
+    def merge(self, source: str, target: str, members: Iterable[str], corpus: Corpus) -> None:
+        """Fold class `source` into `target` in place; `members` is the union
+        of both classes' documents.
+
+        Only the merged class is recounted, from its members, so a document
+        both classes held counts once. Document frequencies and the class
+        count are adjusted; the class count moves every idf, so all weights
+        are recomputed. Afterwards the table equals a fresh
+        ctfidf_from_clusters() over the merged clusters.
+        """
+        for cls in (source, target):
+            for word in self.class_tf.pop(cls):
+                self.df[word] -= 1
+        counts = _class_counts(members, corpus)
+        for word in counts:
+            self.df[word] += 1
+        self.class_tf[target] = counts
+        self.classes.remove(source)
+        self.num_classes = len(self.classes)
+        self.weights = _weigh(self.class_tf, self.df, self.num_classes)
+
 
 @dataclass
 class TopicWordSet:
@@ -53,6 +75,25 @@ class TopicWordSet:
     topic: str
     words: list[str]
     cap: int
+
+
+def _class_counts(doc_ids: Iterable[str], corpus: Corpus) -> dict[str, int]:
+    """Term counts of one class document: its members' tokens, concatenated."""
+    counts: Counter[str] = Counter()
+    for doc_id in doc_ids:
+        counts.update(corpus.document(doc_id).tokens)
+    return dict(counts)
+
+
+def _weigh(
+    class_tf: Mapping[str, Mapping[str, int]], df: Mapping[str, int], num_classes: int
+) -> dict[str, dict[str, float]]:
+    """The weight formula of the module docstring, for every (class, word)."""
+    idf = {word: math.log(1.0 + (1.0 + num_classes) / (1.0 + n)) for word, n in df.items()}
+    return {
+        cls: {word: tf * idf[word] for word, tf in counts.items()}
+        for cls, counts in class_tf.items()
+    }
 
 
 def ctfidf_from_clusters(clusters: Mapping[str, Iterable[str]], corpus: Corpus) -> CtfidfTable:
@@ -64,28 +105,19 @@ def ctfidf_from_clusters(clusters: Mapping[str, Iterable[str]], corpus: Corpus) 
     if not clusters:
         raise ValueError("c-TF-IDF needs at least one class")
     classes = sorted(clusters)
-    class_tf: dict[str, dict[str, int]] = {}
-    for cls in classes:
-        counts: Counter[str] = Counter()
-        for doc_id in clusters[cls]:
-            counts.update(corpus.document(doc_id).tokens)
-        class_tf[cls] = dict(counts)
+    class_tf = {cls: _class_counts(clusters[cls], corpus) for cls in classes}
 
     df: Counter[str] = Counter()
     for cls in classes:
         df.update(class_tf[cls].keys())
 
     num_classes = len(classes)
-    idf = {word: math.log(1.0 + (1.0 + num_classes) / (1.0 + n)) for word, n in df.items()}
-    weights = {
-        cls: {word: tf * idf[word] for word, tf in class_tf[cls].items()} for cls in classes
-    }
     return CtfidfTable(
         classes=classes,
         class_tf=class_tf,
         df=dict(df),
         num_classes=num_classes,
-        weights=weights,
+        weights=_weigh(class_tf, df, num_classes),
     )
 
 
@@ -116,5 +148,5 @@ def top_words(table: CtfidfTable, topic: str, k: int) -> TopicWordSet:
     of them."""
     if topic not in table.weights:
         raise KeyError(f"unknown topic {topic!r}")
-    ranked = sorted(table.weights[topic].items(), key=lambda item: (-item[1], item[0]))
-    return TopicWordSet(topic=topic, words=[word for word, _ in ranked[:k]], cap=k)
+    ranked = heapq.nsmallest(k, table.weights[topic].items(), key=lambda item: (-item[1], item[0]))
+    return TopicWordSet(topic=topic, words=[word for word, _ in ranked], cap=k)

@@ -116,8 +116,8 @@ class LlmOutcome:
     """Result of one completion attempt.
 
     status "ok" means a nonempty reply came back; whether it parses is the
-    caller's judgement. "refused" marks moderation blocks, "transport_error"
-    exhausted retries, and "unparseable" is set by callers after parsing.
+    caller's judgement. "refused" marks moderation blocks and
+    "transport_error" exhausted retries.
     """
 
     status: str
@@ -253,7 +253,15 @@ class LlmGateway:
                     for line in f:
                         if not line.strip():
                             continue
-                        entry = json.loads(line)
+                        try:
+                            entry = json.loads(line)
+                        except json.JSONDecodeError:
+                            # Only the last line can lack its newline: a
+                            # record cut short by a crash mid-write.
+                            if line.endswith("\n"):
+                                raise
+                            log.warning("skipping torn last line of replay cache %s", path)
+                            continue
                         index[entry["hash"]] = entry
             self._replay_index = index
         return self._replay_index
@@ -272,7 +280,12 @@ class LlmGateway:
         )
 
     def _maybe_record(self, exchange: ChatExchange, outcome: LlmOutcome) -> None:
+        """Append the outcome to the cache when recording. Only answers are
+        recorded: a transport error is transient, and a replay must not
+        serve it forever."""
         if not (self.cfg.record and self.cfg.cache_path):
+            return
+        if outcome.status not in ("ok", "refused"):
             return
         entry = {
             "hash": canonical_request_hash(exchange, self.cfg.model_name),

@@ -246,10 +246,21 @@ def stage_generate(cfg: RunConfig, outdir: Path) -> tuple[list, TokenUsage]:
     return assignments, gateway.total_usage
 
 
-def stage_collapse(cfg: RunConfig, outdir: Path) -> tuple[CollapseState, TokenUsage]:
+def stage_collapse(
+    cfg: RunConfig, outdir: Path, start: CollapseState | None = None
+) -> tuple[CollapseState, TokenUsage]:
+    """Collapse the generated topics to cfg.k and write the clusters, the
+    merge log and the collapse summary.
+
+    start, when given, is the same assignments' state already collapsed to
+    a larger K; the collapse continues from it, since neither method's
+    merge order depends on K.
+    """
     assignments = generation_mod.load_assignments(outdir / ASSIGNMENTS_FILE)
     state = CollapseState.from_assignments(assignments, k_target=cfg.k, window=cfg.window)
     misc_before = len(state.misc)
+    if start is not None:
+        state = dataclasses.replace(start, k_target=cfg.k)
     if cfg.collapse_method == "pbm":
         gateway = LlmGateway(cfg.backend)
         state = collapse_pbm(state, gateway)
@@ -394,39 +405,46 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
 
 def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
-    """One evaluation per K, reusing a single generation pass.
+    """One evaluation per K, reusing a single generation pass and a single
+    collapse trajectory.
 
     Preprocessing and generation are K-independent, so they run once in
     the sweep root; each K gets its own subdirectory for the collapse,
-    representation, and evaluation stages. Emits sweep.csv with one row
-    per successful K; failures are recorded and the sweep continues.
+    representation, and evaluation stages. The merge order does not depend
+    on K either, so the K values run in descending order and each collapse
+    continues from the previous K's state. Emits sweep.csv with one row per
+    successful K, in the order given; failures are recorded and the sweep
+    continues.
     """
     if not k_values:
         raise ValueError("k_values must not be empty")
     root = Path(cfg.output_dir)
+    sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     root.mkdir(parents=True, exist_ok=True)
     stage_preprocess(cfg, root)
     stage_generate(cfg, root)
 
-    rows: list[dict] = []
+    reports: dict[int, dict] = {}
     errors: dict[str, str] = {}
-    for k in k_values:
-        subdir = root / f"k_{k}"
+    state: CollapseState | None = None
+    for k in sorted(sub_cfgs, reverse=True):
+        sub_cfg = sub_cfgs[k]
+        subdir = Path(sub_cfg.output_dir)
         subdir.mkdir(exist_ok=True)
         for name in (PROCESSED_CORPUS_FILE, ASSIGNMENTS_FILE):
             shutil.copyfile(root / name, subdir / name)
-        sub_cfg = dataclasses.replace(cfg, k=k, output_dir=str(subdir))
         try:
-            stage_collapse(sub_cfg, subdir)
+            state, _ = stage_collapse(sub_cfg, subdir, start=state)
             stage_represent(sub_cfg, subdir)
-            report = stage_evaluate(sub_cfg, subdir)
+            reports[k] = stage_evaluate(sub_cfg, subdir)
         except Exception as exc:
             log.warning("sweep point K=%d failed: %s", k, exc)
             errors[str(k)] = str(exc)
-            continue
-        rows.append(
-            {"k": k, "mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
-        )
+    rows = [
+        {"k": k, "mean_npmi": reports[k]["mean_npmi"], "diversity": reports[k]["diversity"]}
+        for k in k_values
+        if k in reports
+    ]
 
     with open(root / "sweep.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["k", "mean_npmi", "diversity"])

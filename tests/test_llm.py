@@ -195,6 +195,50 @@ def test_recorded_refusal_replays_as_refusal(tmp_path):
     assert complete(exchange("bad thing"), replay_cfg).status == "refused"
 
 
+def test_transport_error_is_not_recorded(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cfg = http_cfg(cache_path=str(cache), record=True)
+    failing = LlmGateway(cfg, transport=CountingTransport([(404, "nope")]), sleep=lambda s: None)
+    assert failing.complete(exchange("flaky")).status == "transport_error"
+    answering = CountingTransport([(200, http_body("['Later']"))])
+    LlmGateway(cfg, transport=answering, sleep=lambda s: None).complete(exchange("flaky"))
+
+    entries = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert [e["response"]["status"] for e in entries] == ["ok"]
+    replay_cfg = BackendConfig(kind="replay", model_name="test-model", cache_path=str(cache))
+    assert complete(exchange("flaky"), replay_cfg).text == "['Later']"
+
+
+def recorded_cache(tmp_path, *queries):
+    cache = tmp_path / "cache.jsonl"
+    cfg = mock_backend(default="['R']", cache_path=str(cache), record=True)
+    for query in queries:
+        complete(exchange(query), cfg)
+    return cache
+
+
+def test_replay_skips_torn_last_line(tmp_path, caplog):
+    cache = recorded_cache(tmp_path, "kept", "torn")
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text(lines[0] + lines[1][: len(lines[1]) // 2], encoding="utf-8")
+    cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
+    gateway = LlmGateway(cfg)
+    with caplog.at_level("WARNING", logger="memetopics.llm"):
+        assert gateway.complete(exchange("kept")).text == "['R']"
+    assert "torn last line" in caplog.text
+    with pytest.raises(ReplayMissError):
+        gateway.complete(exchange("torn"))
+
+
+def test_replay_rejects_malformed_middle_line(tmp_path):
+    cache = recorded_cache(tmp_path, "first", "second")
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text(lines[0][:20] + "\n" + lines[1], encoding="utf-8")
+    cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
+    with pytest.raises(json.JSONDecodeError):
+        complete(exchange("second"), cfg)
+
+
 # -- http backend -------------------------------------------------------------
 
 

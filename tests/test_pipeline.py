@@ -1,10 +1,13 @@
 """Staged pipeline runs, manifests, sweeps, and the command line."""
 
+import dataclasses
 import json
 
 import pytest
 
 from memetopics.cli import main
+from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
+from memetopics.generation import load_assignments
 from memetopics.llm import BackendConfig, load_mock_rules
 from memetopics.pipeline import (
     PipelineStageError,
@@ -283,6 +286,100 @@ def test_sweep_continues_past_failures(tmp_path):
     assert [row["k"] for row in rows] == [2, 99]
     errors = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())["errors"]
     assert errors == {}
+
+
+SWEEP_ARTIFACTS = ("clusters.json", "merge_log.jsonl", "representations.json", "report.json")
+
+
+def recording_fixture_config(tmp_path, outdir, cache, **kwargs):
+    """The bundled fixture on the scripted mock backend, recording into cache."""
+    backend = BackendConfig(
+        kind="mock",
+        model_name="mock-model",
+        mock_rules=load_mock_rules(FIXTURES_DIR / "mock_rules.json"),
+        mock_default="[]",
+        cache_path=str(cache),
+        record=True,
+    )
+    return fixture_config(tmp_path, outdir, backend=backend, **kwargs)
+
+
+def collapse_entries(cache):
+    entries = [json.loads(line) for line in cache.read_text().splitlines()]
+    return [e for e in entries if COLLAPSE_QUESTION in e["request"]["query"]]
+
+
+def topics_before_collapse(outdir):
+    assignments = load_assignments(outdir / "assignments.jsonl")
+    return len(CollapseState.from_assignments(assignments, k_target=1).topics)
+
+
+@pytest.mark.parametrize("method,representation", [("pbm", "llm"), ("wsm", "ctfidf")])
+def test_sweep_points_match_single_runs(tmp_path, method, representation):
+    cache = tmp_path / "sweep_cache.jsonl"
+    cfg = recording_fixture_config(
+        tmp_path, "sweep", cache, collapse_method=method, representation_method=representation
+    )
+    sweep(cfg, [3, 5, 8])
+    root = tmp_path / "sweep"
+    for k in (3, 5, 8):
+        single = run_pipeline(
+            recording_fixture_config(
+                tmp_path,
+                f"single_{k}",
+                tmp_path / f"single_{k}.jsonl",
+                collapse_method=method,
+                representation_method=representation,
+                k=k,
+            )
+        )
+        for name in SWEEP_ARTIFACTS:
+            assert (root / f"k_{k}" / name).read_bytes() == (single / name).read_bytes(), (k, name)
+    if method == "pbm":
+        # One trajectory down to min(K), not one collapse per K.
+        assert len(collapse_entries(cache)) == topics_before_collapse(root) - 3
+
+
+def test_sweep_replay_miss_fails_the_same_points_as_single_runs(tmp_path):
+    recorded = tmp_path / "recorded.jsonl"
+    sweep(recording_fixture_config(tmp_path, "recording", recorded), [3, 5, 8])
+    # Drop the first merge past K=8, so K=8 succeeds and K=5, K=3 miss.
+    missing = collapse_entries(recorded)[topics_before_collapse(tmp_path / "recording") - 8]
+    trimmed = tmp_path / "trimmed.jsonl"
+    trimmed.write_text(
+        "".join(
+            line + "\n"
+            for line in recorded.read_text().splitlines()
+            if json.loads(line)["hash"] != missing["hash"]
+        )
+    )
+    backend = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(trimmed))
+    cfg = fixture_config(tmp_path, "sweep", backend=backend)
+
+    rows = sweep(cfg, [3, 8, 5])
+    expected = {}
+    for k in (3, 8, 5):
+        try:
+            run_pipeline(dataclasses.replace(cfg, k=k, output_dir=str(tmp_path / f"single_{k}")))
+        except PipelineStageError as exc:
+            assert exc.stage == "collapse"
+            expected[str(k)] = str(exc.cause)
+    errors = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())["errors"]
+    assert sorted(expected) == ["3", "5"]
+    assert errors == expected
+    assert [row["k"] for row in rows] == [8]
+
+
+def test_sweep_rows_follow_the_given_order(tmp_path):
+    cfg = tiny_config(tmp_path, outdir="sweep")
+    assert [row["k"] for row in sweep(cfg, [1, 3, 2, 1])] == [1, 3, 2, 1]
+
+
+def test_sweep_rejects_bad_k_before_any_work(tmp_path):
+    cfg = tiny_config(tmp_path, outdir="sweep")
+    with pytest.raises(ValueError):
+        sweep(cfg, [2, 0])
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_requires_k_values(tmp_path):
