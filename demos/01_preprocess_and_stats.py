@@ -39,7 +39,7 @@ cfg = PreprocessConfig(stopwords=default_stopwords())
 processed = preprocess(corpus, cfg)
 doc = processed.documents[0]
 print(f"  tokens after preprocessing:  {list(doc.tokens)}")
-print(f"vocabulary size: {len(processed.vocabulary)}")
+print(f"vocabulary size: {len(processed.doc_freq)}")
 
 # URLs, @usernames, and punctuation-only tokens disappear too:
 from memetopics import Corpus, MemeDocument

@@ -45,7 +45,6 @@ from .llm import (
     ReplayMissError,
     TokenUsage,
     canonical_request_hash,
-    complete,
 )
 from .pipeline import RunConfig, run_pipeline, sweep
 from .representation import (
@@ -86,7 +85,6 @@ __all__ = [
     "coherence",
     "collapse_pbm",
     "collapse_wsm",
-    "complete",
     "cooccurrence_counts",
     "ctfidf_from_clusters",
     "default_stopwords",

@@ -16,17 +16,7 @@ import sys
 from pathlib import Path
 
 from .llm import load_mock_rules
-from .pipeline import (
-    PipelineStageError,
-    RunConfig,
-    run_pipeline,
-    stage_collapse,
-    stage_evaluate,
-    stage_generate,
-    stage_preprocess,
-    stage_represent,
-    sweep,
-)
+from .pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
 
 log = logging.getLogger(__name__)
 
@@ -161,15 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sweep complete: {len(rows)} of {len(k_values)} K values succeeded")
             print(f"results: {outdir / 'sweep.csv'}")
         else:
-            outdir.mkdir(parents=True, exist_ok=True)
-            stage_fn = {
-                "preprocess": stage_preprocess,
-                "generate": stage_generate,
-                "collapse": stage_collapse,
-                "represent": stage_represent,
-                "evaluate": stage_evaluate,
-            }[args.command]
-            stage_fn(cfg, outdir)
+            run_stage(cfg, args.command)
             print(f"{args.command} complete: artifacts in {outdir}")
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)

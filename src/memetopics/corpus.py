@@ -3,7 +3,7 @@
 A meme arrives flattened to text: an image caption from a captioning model
 plus the text superimposed on the image. This module loads those records
 from JSONL or CSV, cleans them into token lists, and exposes the counts
-(vocabulary, document frequencies, co-occurrences) that the weighting and
+(document frequencies, co-occurrences) that the weighting and
 evaluation stages consume.
 """
 
@@ -62,23 +62,27 @@ class PreprocessConfig:
 
 @dataclass
 class Corpus:
-    """A collection of meme documents plus derived statistics.
+    """A collection of meme documents plus the statistics derived from them.
 
-    vocabulary/doc_freq/total_docs are empty until preprocess() runs; they
-    are recomputed from scratch on every preprocess call.
+    doc_freq (the number of documents holding each token) and total_docs
+    are computed from the documents on construction, the one place they
+    are counted; a corpus not yet preprocessed has no tokens, so its
+    doc_freq is empty.
     """
 
     documents: list[MemeDocument]
-    vocabulary: dict[str, int] = field(default_factory=dict)
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    total_docs: int = 0
+    doc_freq: dict[str, int] = field(init=False)
+    total_docs: int = field(init=False)
 
     def __post_init__(self) -> None:
         self._index = {doc.id: doc for doc in self.documents}
         if len(self._index) != len(self.documents):
             raise CorpusFormatError("duplicate document ids in corpus")
-        if not self.total_docs:
-            self.total_docs = len(self.documents)
+        doc_freq: Counter[str] = Counter()
+        for doc in self.documents:
+            doc_freq.update(set(doc.tokens))
+        self.doc_freq = dict(doc_freq)
+        self.total_docs = len(self.documents)
 
     def document(self, doc_id: str) -> MemeDocument:
         try:
@@ -209,18 +213,8 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> Corpus:
     assigned topics from their raw text. Idempotent, and deterministic for
     a fixed input corpus and config.
     """
-    documents = [
-        replace(doc, tokens=tuple(tokenize(doc.raw_text, cfg))) for doc in corpus.documents
-    ]
-    doc_freq: Counter[str] = Counter()
-    for doc in documents:
-        doc_freq.update(set(doc.tokens))
-    vocabulary = {word: idx for idx, word in enumerate(sorted(doc_freq))}
     return Corpus(
-        documents=documents,
-        vocabulary=vocabulary,
-        doc_freq=dict(doc_freq),
-        total_docs=len(documents),
+        [replace(doc, tokens=tuple(tokenize(doc.raw_text, cfg))) for doc in corpus.documents]
     )
 
 
@@ -304,13 +298,4 @@ def load_processed(path: str | Path) -> Corpus:
                     tokens=tuple(record["tokens"]),
                 )
             )
-    doc_freq: Counter[str] = Counter()
-    for doc in documents:
-        doc_freq.update(set(doc.tokens))
-    vocabulary = {word: idx for idx, word in enumerate(sorted(doc_freq))}
-    return Corpus(
-        documents=documents,
-        vocabulary=vocabulary,
-        doc_freq=dict(doc_freq),
-        total_docs=len(documents),
-    )
+    return Corpus(documents)

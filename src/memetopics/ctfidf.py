@@ -18,7 +18,6 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import Corpus
@@ -34,17 +33,6 @@ class CtfidfTable:
     df: dict[str, int]
     num_classes: int
     weights: dict[str, dict[str, float]]
-
-    def write_tsv(self, path: str | Path) -> None:
-        """Dump (class, word, tf, df, weight) rows for inspection."""
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("class\tword\ttf\tdf\tweight\n")
-            for cls in self.classes:
-                for word in sorted(self.class_tf[cls]):
-                    f.write(
-                        f"{cls}\t{word}\t{self.class_tf[cls][word]}\t"
-                        f"{self.df[word]}\t{self.weights[cls][word]:.10g}\n"
-                    )
 
     def merge(self, source: str, target: str, members: Iterable[str], corpus: Corpus) -> None:
         """Fold class `source` into `target` in place; `members` is the union
@@ -70,11 +58,10 @@ class CtfidfTable:
 
 @dataclass
 class TopicWordSet:
-    """Up to `cap` words of one topic, ranked by weight then alphabetically."""
+    """The heaviest words of one topic, ranked by weight then alphabetically."""
 
     topic: str
     words: list[str]
-    cap: int
 
 
 def _class_counts(doc_ids: Iterable[str], corpus: Corpus) -> dict[str, int]:
@@ -121,22 +108,18 @@ def ctfidf_from_clusters(clusters: Mapping[str, Iterable[str]], corpus: Corpus) 
     )
 
 
-def build_ctfidf(
-    assignments: Iterable[TopicAssignment],
-    corpus: Corpus,
-    include_reserved: bool = False,
-) -> CtfidfTable:
+def build_ctfidf(assignments: Iterable[TopicAssignment], corpus: Corpus) -> CtfidfTable:
     """Group generated assignments into clusters and weight them.
 
     The Miscellaneous/Inappropriate failure buckets are not topics and stay
-    out of the class set unless include_reserved is passed.
+    out of the class set.
     """
     clusters: dict[str, set[str]] = {}
     for assignment in assignments:
         if assignment.provenance != "generated":
             continue
         for label in assignment.topics:
-            if not include_reserved and label.casefold() in RESERVED_LABELS:
+            if label.casefold() in RESERVED_LABELS:
                 continue
             clusters.setdefault(label, set()).add(assignment.doc_id)
     return ctfidf_from_clusters(clusters, corpus)
@@ -149,4 +132,4 @@ def top_words(table: CtfidfTable, topic: str, k: int) -> TopicWordSet:
     if topic not in table.weights:
         raise KeyError(f"unknown topic {topic!r}")
     ranked = heapq.nsmallest(k, table.weights[topic].items(), key=lambda item: (-item[1], item[0]))
-    return TopicWordSet(topic=topic, words=[word for word, _ in ranked], cap=k)
+    return TopicWordSet(topic=topic, words=[word for word, _ in ranked])

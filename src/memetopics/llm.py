@@ -1,7 +1,7 @@
 """Chat-completion gateway with http, mock, and record/replay backends.
 
 All prompting stages talk to one interface: build a ChatExchange, call
-complete(), get an LlmOutcome. The http backend speaks the common
+LlmGateway.complete(), get an LlmOutcome. The http backend speaks the common
 chat-completions JSON wire shape with retry and a sliding-window rate
 limit; the mock backend answers from a substring rule table; the replay
 backend serves recorded responses keyed by a canonical request hash, so
@@ -209,6 +209,7 @@ class LlmGateway:
         self._cache_lock = threading.Lock()
         self._usage_lock = threading.Lock()
         self._replay_index: dict[str, dict] | None = None
+        self._tail_checked = False
         self.total_usage = TokenUsage(0, 0)
 
     # -- public API ---------------------------------------------------------
@@ -306,6 +307,9 @@ class LlmGateway:
             "timestamp": time.time(),
         }
         with self._cache_lock:
+            if not self._tail_checked:
+                _cut_torn_tail(Path(self.cfg.cache_path))
+                self._tail_checked = True
             with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
                 f.write(json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n")
 
@@ -375,11 +379,23 @@ class LlmGateway:
         return LlmOutcome("ok", text, tokens)
 
 
-def complete(exchange: ChatExchange, cfg: BackendConfig,
-             transport: Transport | None = None) -> LlmOutcome:
-    """One-shot completion. For repeated calls build an LlmGateway so the
-    rate limiter and replay index persist across requests."""
-    return LlmGateway(cfg, transport=transport).complete(exchange)
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate a last line that lacks its newline, a record cut short by a
+    crash mid-write, so the next append starts a line of its own."""
+    try:
+        f = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with f:
+        size = f.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        f.seek(size - 1)
+        if f.read(1) == b"\n":
+            return
+        f.seek(0)
+        f.truncate(f.read().rfind(b"\n") + 1)
+    log.warning("cut torn last line of replay cache %s before recording", path)
 
 
 def as_gateway(backend: "BackendConfig | LlmGateway") -> LlmGateway:

@@ -1,8 +1,11 @@
-"""End-to-end orchestration with staged on-disk artifacts.
+"""End-to-end orchestration: staged runs, manifests and K sweeps.
 
-A run executes preprocess -> generate -> collapse -> represent -> evaluate,
-writing each stage's output into the run directory so the expensive
-prompting stages are resumable and replayable. The manifest records the
+A run executes preprocess -> generate -> collapse -> represent -> evaluate.
+Each stage writes its artifact into the run directory, so a run can be
+inspected and replayed, and hands it to the next stage in memory; the
+artifacts are read back from disk only by a lone stage command
+(run_stage). One driver runs the stages for run_pipeline, sweep and
+run_stage and is the only writer of the manifest. The manifest records the
 configuration digest, token usage, failure routing counts, a merge-log
 summary, and the final metrics; it carries no timestamps, so identical
 inputs produce identical bytes.
@@ -15,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -28,17 +30,21 @@ from .collapse import CollapseState, collapse_pbm, collapse_wsm
 from .corpus import Corpus, PreprocessConfig, default_stopwords, load_stopwords
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
-from .generation import (
-    DemonstrationSet,
-    generate_topics,
-    provenance_counts,
-)
+from .generation import DemonstrationSet, TopicAssignment, generate_topics, provenance_counts
 from .llm import BackendConfig, LlmGateway, TokenUsage, load_mock_rules
 from .representation import TopicRepresentation, represent_ctfidf, represent_llm
 
 log = logging.getLogger(__name__)
 
-STAGES = ("preprocess", "generate", "collapse", "represent", "evaluate")
+# stage -> (the artifacts it reads, the artifact it makes), by argument name.
+_FLOW = {
+    "preprocess": ((), "corpus"),
+    "generate": (("corpus",), "assignments"),
+    "collapse": (("corpus", "assignments"), "state"),
+    "represent": (("corpus", "state"), "representations"),
+    "evaluate": (("corpus", "representations"), "report"),
+}
+STAGES = tuple(_FLOW)
 
 PROCESSED_CORPUS_FILE = "corpus_processed.jsonl"
 ASSIGNMENTS_FILE = "assignments.jsonl"
@@ -202,61 +208,51 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _update_manifest(outdir: Path, updates: dict) -> dict:
-    path = outdir / MANIFEST_FILE
-    manifest: dict = {}
-    if path.exists():
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    manifest.update(updates)
-    _write_json(path, manifest)
-    return manifest
-
-
-def _usage_dict(usage: TokenUsage) -> dict:
-    return {"prompt": usage.prompt, "completion": usage.completion}
-
-
 # -- stages ------------------------------------------------------------------
+#
+# Each stage takes the artifacts it reads as arguments, writes the artifact it
+# makes into outdir, and returns (artifact, token usage or None, manifest
+# entries).
 
 
-def stage_preprocess(cfg: RunConfig, outdir: Path) -> Corpus:
+def stage_preprocess(cfg: RunConfig, outdir: Path) -> tuple[Corpus, None, dict]:
     raw = corpus_mod.load_corpus(cfg.corpus_path, cfg.corpus_format)
     processed = corpus_mod.preprocess(raw, cfg.preprocess_config())
     corpus_mod.save_processed(processed, outdir / PROCESSED_CORPUS_FILE)
-    return processed
+    return processed, None, {}
 
 
-def stage_generate(cfg: RunConfig, outdir: Path) -> tuple[list, TokenUsage]:
-    corpus = corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
+def stage_generate(
+    cfg: RunConfig, outdir: Path, corpus: Corpus
+) -> tuple[list[TopicAssignment], TokenUsage, dict]:
     gateway = LlmGateway(cfg.backend)
     assignments = generate_topics(corpus, cfg.demonstrations(), gateway)
     generation_mod.save_assignments(assignments, outdir / ASSIGNMENTS_FILE)
+    routing = provenance_counts(assignments)
     # A meme can carry several labels, so both counts are reported.
-    _update_manifest(
-        outdir,
-        {
-            "generation_summary": {
-                "documents": len(assignments),
-                "labels_assigned": sum(len(a.topics) for a in assignments),
-                "provenance": provenance_counts(assignments),
-            }
-        },
-    )
-    return assignments, gateway.total_usage
+    summary = {
+        "documents": len(assignments),
+        "labels_assigned": sum(len(a.topics) for a in assignments),
+        "provenance": routing,
+    }
+    entries = {"generation_summary": summary, "failure_counts": routing}
+    return assignments, gateway.total_usage, entries
 
 
 def stage_collapse(
-    cfg: RunConfig, outdir: Path, start: CollapseState | None = None
-) -> tuple[CollapseState, TokenUsage]:
-    """Collapse the generated topics to cfg.k and write the clusters, the
-    merge log and the collapse summary.
+    cfg: RunConfig,
+    outdir: Path,
+    corpus: Corpus,
+    assignments: list[TopicAssignment],
+    start: CollapseState | None = None,
+) -> tuple[CollapseState, TokenUsage, dict]:
+    """Collapse the generated topics to cfg.k and write the clusters and
+    the merge log.
 
     start, when given, is the same assignments' state already collapsed to
     a larger K; the collapse continues from it, since neither method's
     merge order depends on K.
     """
-    assignments = generation_mod.load_assignments(outdir / ASSIGNMENTS_FILE)
     state = CollapseState.from_assignments(assignments, k_target=cfg.k, window=cfg.window)
     misc_before = len(state.misc)
     if start is not None:
@@ -266,142 +262,151 @@ def stage_collapse(
         state = collapse_pbm(state, gateway)
         usage = gateway.total_usage
     else:
-        corpus = corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
         state = collapse_wsm(state, corpus)
         usage = TokenUsage(0, 0)
     collapse_mod.save_clusters(state, outdir / CLUSTERS_FILE)
     collapse_mod.save_merge_log(state, outdir / MERGE_LOG_FILE)
-    _update_manifest(
-        outdir,
-        {
-            "collapse_summary": {
-                "method": cfg.collapse_method,
-                "merges": sum(
-                    1 for _, target, _ in state.merge_log if target != generation_mod.MISCELLANEOUS
-                ),
-                "misc_routed_topics": sum(
-                    1 for _, target, _ in state.merge_log if target == generation_mod.MISCELLANEOUS
-                ),
-                "misc_routed_docs": len(state.misc) - misc_before,
-                "zero_similarity_merges": sum(
-                    1 for _, _, method in state.merge_log if method == "wsm-zero"
-                ),
-                "final_topics": state.non_reserved_count(),
-            }
-        },
-    )
-    return state, usage
-
-
-def stage_represent(cfg: RunConfig, outdir: Path) -> tuple[list[TopicRepresentation], TokenUsage]:
-    clusters = collapse_mod.load_clusters(outdir / CLUSTERS_FILE)
-    corpus = corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
-    topic_clusters = {
-        label: ids
-        for label, ids in clusters.items()
-        if label.casefold() not in generation_mod.RESERVED_LABELS
+    targets = [target for _, target, _ in state.merge_log]
+    summary = {
+        "method": cfg.collapse_method,
+        "merges": sum(target != generation_mod.MISCELLANEOUS for target in targets),
+        "misc_routed_topics": targets.count(generation_mod.MISCELLANEOUS),
+        "misc_routed_docs": len(state.misc) - misc_before,
+        "zero_similarity_merges": sum(method == "wsm-zero" for _, _, method in state.merge_log),
+        "final_topics": state.non_reserved_count(),
     }
-    table = ctfidf_from_clusters(topic_clusters, corpus)
-    reps: list[TopicRepresentation] = []
-    usage = TokenUsage(0, 0)
+    return state, usage, {"collapse_summary": summary}
+
+
+def stage_represent(
+    cfg: RunConfig, outdir: Path, corpus: Corpus, state: CollapseState
+) -> tuple[list[TopicRepresentation], TokenUsage, dict]:
+    """Represent every topic of the collapsed state; the reserved clusters
+    are not topics."""
+    table = ctfidf_from_clusters(state.topics, corpus)
     if cfg.representation_method == "llm":
         gateway = LlmGateway(cfg.backend)
-        for topic in sorted(topic_clusters):
-            reps.append(represent_llm(topic, table, gateway))
+        reps = [represent_llm(topic, table, gateway) for topic in sorted(state.topics)]
         usage = gateway.total_usage
     else:
-        for topic in sorted(topic_clusters):
-            reps.append(represent_ctfidf(table, topic))
+        reps = [represent_ctfidf(table, topic) for topic in sorted(state.topics)]
+        usage = TokenUsage(0, 0)
     representation_mod.save_representations(reps, outdir / REPRESENTATIONS_FILE)
-    fallbacks = sorted(rep.topic for rep in reps if rep.fallback)
-    _update_manifest(
-        outdir,
-        {
-            "representation_summary": {
-                "method": cfg.representation_method,
-                "backfilled_words": sum(rep.backfilled for rep in reps),
-                "dropped_words": sum(rep.dropped for rep in reps),
-                "llm_fallback_topics": fallbacks,
-            }
-        },
-    )
-    return reps, usage
+    summary = {
+        "method": cfg.representation_method,
+        "backfilled_words": sum(rep.backfilled for rep in reps),
+        "dropped_words": sum(rep.dropped for rep in reps),
+        "llm_fallback_topics": sorted(rep.topic for rep in reps if rep.fallback),
+    }
+    return reps, usage, {"representation_summary": summary}
 
 
-def stage_evaluate(cfg: RunConfig, outdir: Path) -> dict:
-    corpus = corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
-    reps = representation_mod.load_representations(outdir / REPRESENTATIONS_FILE)
-    report = coherence(reps, corpus, epsilon=cfg.epsilon)
-    payload = report.to_dict()
-    payload["config_digest"] = cfg.config_digest()
-    _write_json(outdir / REPORT_FILE, payload)
-    return payload
+def stage_evaluate(
+    cfg: RunConfig, outdir: Path, corpus: Corpus, representations: list[TopicRepresentation]
+) -> tuple[dict, None, dict]:
+    report = coherence(representations, corpus, epsilon=cfg.epsilon).to_dict()
+    report["config_digest"] = cfg.config_digest()
+    _write_json(outdir / REPORT_FILE, report)
+    metrics = {"mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
+    return report, None, {"metrics": metrics}
 
 
 # -- orchestration -----------------------------------------------------------
 
 
+def _run_stages(
+    cfg: RunConfig, outdir: Path, stages: Sequence[str], artifacts: dict, manifest: dict
+) -> dict:
+    """Run `stages` in order in outdir, handing each the artifacts it reads
+    and adding the one it makes to `artifacts`, which is returned.
+
+    The only writer of manifest.json. `manifest` is written first; after
+    each stage it gains the stage in stages_completed, the stage's token
+    usage and its entries. When a stage raises, everything written so far
+    stays on disk, the manifest names the failed stage and the error, and
+    PipelineStageError propagates.
+    """
+    manifest.setdefault("stages_completed", [])
+    manifest.setdefault("token_usage", {})
+    _write_json(outdir / MANIFEST_FILE, manifest)
+    for stage in stages:
+        reads, makes = _FLOW[stage]
+        inputs = {name: artifacts[name] for name in reads}
+        if stage == "collapse":
+            # A sweep continues the collapse of the previous, larger K.
+            inputs["start"] = artifacts.get("state")
+        # Looked up at call time, so a wrapper set on the module sees the call.
+        stage_fn = globals()[f"stage_{stage}"]
+        try:
+            artifact, usage, entries = stage_fn(cfg, outdir, **inputs)
+        except Exception as exc:
+            manifest.update(failed_stage=stage, error=str(exc))
+            _write_json(outdir / MANIFEST_FILE, manifest)
+            raise PipelineStageError(stage, exc) from exc
+        artifacts[makes] = artifact
+        manifest["stages_completed"].append(stage)
+        if usage is not None:
+            manifest["token_usage"][stage] = usage._asdict()
+        manifest.update(entries)
+        _write_json(outdir / MANIFEST_FILE, manifest)
+    return artifacts
+
+
+def _run_header(cfg: RunConfig) -> dict:
+    return {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": cfg.config_digest()}
+
+
 def run_pipeline(cfg: RunConfig) -> Path:
-    """Execute every stage in order and assemble the manifest.
+    """Execute every stage in order and assemble the manifest, replacing
+    any manifest left over in the directory.
 
     On a stage failure, everything written so far stays on disk, the
     manifest marks the failed stage, and PipelineStageError propagates.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "variant": cfg.variant(),
-        "config": cfg.to_dict(),
-        "config_digest": cfg.config_digest(),
-        "stages_completed": [],
-        "token_usage": {},
-    }
-    # A fresh run replaces any manifest left over in the directory.
-    _write_json(outdir / MANIFEST_FILE, manifest)
-
-    stage_fns = {
-        "preprocess": lambda: stage_preprocess(cfg, outdir),
-        "generate": lambda: stage_generate(cfg, outdir),
-        "collapse": lambda: stage_collapse(cfg, outdir),
-        "represent": lambda: stage_represent(cfg, outdir),
-        "evaluate": lambda: stage_evaluate(cfg, outdir),
-    }
-    for stage in STAGES:
-        try:
-            result = stage_fns[stage]()
-        except Exception as exc:
-            _update_manifest(outdir, {"failed_stage": stage, "error": str(exc)})
-            raise PipelineStageError(stage, exc) from exc
-        manifest["stages_completed"].append(stage)
-        if stage == "generate":
-            assignments, usage = result
-            manifest["token_usage"]["generate"] = _usage_dict(usage)
-            manifest["failure_counts"] = provenance_counts(assignments)
-        elif stage == "collapse":
-            _, usage = result
-            manifest["token_usage"]["collapse"] = _usage_dict(usage)
-        elif stage == "represent":
-            _, usage = result
-            manifest["token_usage"]["represent"] = _usage_dict(usage)
-        elif stage == "evaluate":
-            manifest["metrics"] = {
-                "mean_npmi": result["mean_npmi"],
-                "diversity": result["diversity"],
-            }
-        _update_manifest(
-            outdir,
-            {
-                "stages_completed": manifest["stages_completed"],
-                "token_usage": manifest["token_usage"],
-                **(
-                    {"failure_counts": manifest["failure_counts"]}
-                    if "failure_counts" in manifest
-                    else {}
-                ),
-                **({"metrics": manifest["metrics"]} if "metrics" in manifest else {}),
-            },
-        )
+    _run_stages(cfg, outdir, STAGES, {}, _run_header(cfg))
     return outdir
+
+
+def _load_state(path: Path) -> CollapseState:
+    """The collapsed state a clusters file records."""
+    clusters = collapse_mod.load_clusters(path)
+    misc = clusters.pop(generation_mod.MISCELLANEOUS, set())
+    inappropriate = clusters.pop(generation_mod.INAPPROPRIATE, set())
+    return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+
+
+def run_stage(cfg: RunConfig, stage: str):
+    """Run one stage on the artifacts earlier stages left in cfg.output_dir
+    and return the artifact it makes.
+
+    The only code that reads artifacts back from disk. preprocess starts a
+    fresh manifest and every later stage continues the one on disk, so the
+    five stages run one at a time leave the manifest run_pipeline writes.
+    """
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    loaders = {
+        "corpus": lambda: corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE),
+        "assignments": lambda: generation_mod.load_assignments(outdir / ASSIGNMENTS_FILE),
+        "state": lambda: _load_state(outdir / CLUSTERS_FILE),
+        "representations": lambda: representation_mod.load_representations(
+            outdir / REPRESENTATIONS_FILE
+        ),
+    }
+    reads, makes = _FLOW[stage]
+    artifacts = {name: loaders[name]() for name in reads}
+    path = outdir / MANIFEST_FILE
+    if stage == "preprocess" or not path.exists():
+        manifest = _run_header(cfg)
+    else:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        # Running a stage again supersedes an earlier failure.
+        manifest.pop("failed_stage", None)
+        manifest.pop("error", None)
+    return _run_stages(cfg, outdir, (stage,), artifacts, manifest)[makes]
 
 
 def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
@@ -410,36 +415,33 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
 
     Preprocessing and generation are K-independent, so they run once in
     the sweep root; each K gets its own subdirectory for the collapse,
-    representation, and evaluation stages. The merge order does not depend
-    on K either, so the K values run in descending order and each collapse
-    continues from the previous K's state. Emits sweep.csv with one row per
-    successful K, in the order given; failures are recorded and the sweep
-    continues.
+    representation, and evaluation stages, which read the root's corpus
+    and assignments in memory. The merge order does not depend on K
+    either, so the K values run in descending order and each collapse
+    continues from the last K whose collapse succeeded. Emits sweep.csv
+    with one row per successful K, in the order given; failures are
+    recorded and the sweep continues.
     """
     if not k_values:
         raise ValueError("k_values must not be empty")
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     root.mkdir(parents=True, exist_ok=True)
-    stage_preprocess(cfg, root)
-    stage_generate(cfg, root)
+    artifacts = _run_stages(cfg, root, ("preprocess", "generate"), {}, {})
 
     reports: dict[int, dict] = {}
     errors: dict[str, str] = {}
-    state: CollapseState | None = None
     for k in sorted(sub_cfgs, reverse=True):
         sub_cfg = sub_cfgs[k]
         subdir = Path(sub_cfg.output_dir)
         subdir.mkdir(exist_ok=True)
-        for name in (PROCESSED_CORPUS_FILE, ASSIGNMENTS_FILE):
-            shutil.copyfile(root / name, subdir / name)
         try:
-            state, _ = stage_collapse(sub_cfg, subdir, start=state)
-            stage_represent(sub_cfg, subdir)
-            reports[k] = stage_evaluate(sub_cfg, subdir)
-        except Exception as exc:
-            log.warning("sweep point K=%d failed: %s", k, exc)
-            errors[str(k)] = str(exc)
+            _run_stages(sub_cfg, subdir, ("collapse", "represent", "evaluate"), artifacts, {})
+        except PipelineStageError as exc:
+            log.warning("sweep point K=%d failed: %s", k, exc.cause)
+            errors[str(k)] = str(exc.cause)
+        else:
+            reports[k] = artifacts["report"]
     rows = [
         {"k": k, "mean_npmi": reports[k]["mean_npmi"], "diversity": reports[k]["diversity"]}
         for k in k_values

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,19 +15,11 @@ FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
 def corpus_from_tokens(pairs: list[tuple[str, list[str]]]) -> Corpus:
     """Build an already-processed corpus straight from (id, tokens) pairs."""
-    documents = [
-        MemeDocument(id=doc_id, caption=" ".join(tokens), overlay_text="", tokens=tuple(tokens))
-        for doc_id, tokens in pairs
-    ]
-    doc_freq: Counter[str] = Counter()
-    for doc in documents:
-        doc_freq.update(set(doc.tokens))
-    vocabulary = {word: idx for idx, word in enumerate(sorted(doc_freq))}
     return Corpus(
-        documents=documents,
-        vocabulary=vocabulary,
-        doc_freq=dict(doc_freq),
-        total_docs=len(documents),
+        [
+            MemeDocument(id=doc_id, caption=" ".join(tokens), overlay_text="", tokens=tuple(tokens))
+            for doc_id, tokens in pairs
+        ]
     )
 
 

@@ -89,7 +89,7 @@ def test_set_overlap_similarity_properties():
     with criterion("set-overlap similarity properties"):
         start = time.perf_counter()
         twenty = [f"w{i}" for i in range(20)]
-        ws = lambda words: TopicWordSet(topic="t", words=list(words), cap=20)
+        ws = lambda words: TopicWordSet(topic="t", words=list(words))
 
         assert topic_similarity(ws(twenty), ws(twenty)) == 1.0
         assert topic_similarity(ws(twenty), ws([f"x{i}" for i in range(20)])) == 0.0

@@ -168,7 +168,7 @@ def test_pbm_deterministic_across_runs():
 
 
 def word_set(topic, words):
-    return TopicWordSet(topic=topic, words=list(words), cap=20)
+    return TopicWordSet(topic=topic, words=list(words))
 
 
 def test_similarity_identical_sets():

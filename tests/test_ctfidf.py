@@ -142,16 +142,6 @@ def test_build_from_assignments_skips_failures_and_reserved():
     assert table.class_tf["Sports"] == {"x": 1, "z": 1}
 
 
-def test_tsv_dump(tmp_path):
-    corpus = corpus_from_tokens([("d1", ["x", "y", "x"])])
-    table = ctfidf_from_clusters({"a": {"d1"}}, corpus)
-    path = tmp_path / "table.tsv"
-    table.write_tsv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "class\tword\ttf\tdf\tweight"
-    assert lines[1].startswith("a\tx\t2\t1\t")
-
-
 # -- ranked word selection ----------------------------------------------------
 
 

@@ -1,8 +1,12 @@
 """Gateway behavior: wire shape, hashing, mock, replay, retry, rate limit."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memetopics.llm import (
     BackendConfig,
@@ -11,7 +15,6 @@ from memetopics.llm import (
     RateLimiter,
     ReplayMissError,
     canonical_request_hash,
-    complete,
     load_mock_rules,
 )
 
@@ -96,15 +99,15 @@ def test_hash_covers_demonstration_order():
 
 def test_mock_rule_matches_substring():
     cfg = mock_backend(rules=[("obama", "['Politics']")], default="['Other']")
-    outcome = complete(exchange("a photo of obama outside"), cfg)
+    outcome = LlmGateway(cfg).complete(exchange("a photo of obama outside"))
     assert outcome.status == "ok"
     assert outcome.text == "['Politics']"
 
 
 def test_mock_is_pure_function_of_exchange():
     cfg = mock_backend(rules=[("x", "['X']")], default="['D']")
-    first = complete(exchange("about x"), cfg)
-    second = complete(exchange("about x"), cfg)
+    first = LlmGateway(cfg).complete(exchange("about x"))
+    second = LlmGateway(cfg).complete(exchange("about x"))
     assert (first.status, first.text, first.token_usage) == (
         second.status,
         second.text,
@@ -114,18 +117,18 @@ def test_mock_is_pure_function_of_exchange():
 
 def test_mock_first_matching_rule_wins():
     cfg = mock_backend(rules=[("spec", "['First']"), ("s", "['Second']")])
-    assert complete(exchange("specific"), cfg).text == "['First']"
+    assert LlmGateway(cfg).complete(exchange("specific")).text == "['First']"
 
 
 def test_mock_scripted_refusal_detected():
     cfg = mock_backend(rules=[("nasty", "I cannot help with that request.")])
-    outcome = complete(exchange("something nasty here"), cfg)
+    outcome = LlmGateway(cfg).complete(exchange("something nasty here"))
     assert outcome.status == "refused"
 
 
 def test_mock_counts_tokens():
     cfg = mock_backend(default="['A', 'B']")
-    outcome = complete(exchange("three word query"), cfg)
+    outcome = LlmGateway(cfg).complete(exchange("three word query"))
     assert outcome.token_usage.prompt > 0
     assert outcome.token_usage.completion == 2
 
@@ -138,10 +141,10 @@ def test_record_then_replay_roundtrip(tmp_path):
     recording = mock_backend(
         rules=[("alpha", "['One']")], cache_path=str(cache), record=True
     )
-    recorded = complete(exchange("query alpha"), recording)
+    recorded = LlmGateway(recording).complete(exchange("query alpha"))
 
     replaying = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
-    replayed = complete(exchange("query alpha"), replaying)
+    replayed = LlmGateway(replaying).complete(exchange("query alpha"))
     assert replayed.status == recorded.status
     assert replayed.text == recorded.text
     assert replayed.token_usage == recorded.token_usage
@@ -149,10 +152,8 @@ def test_record_then_replay_roundtrip(tmp_path):
 
 def test_replay_makes_zero_network_calls(tmp_path):
     cache = tmp_path / "cache.jsonl"
-    complete(
-        exchange("anything"),
-        mock_backend(default="['R']", cache_path=str(cache), record=True),
-    )
+    recording = mock_backend(default="['R']", cache_path=str(cache), record=True)
+    LlmGateway(recording).complete(exchange("anything"))
     transport = CountingTransport([])
     cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
     outcome = LlmGateway(cfg, transport=transport).complete(exchange("anything"))
@@ -166,7 +167,7 @@ def test_replay_miss_names_hash(tmp_path):
     cfg = BackendConfig(kind="replay", model_name="m", cache_path=str(cache))
     ex = exchange("never recorded")
     with pytest.raises(ReplayMissError) as err:
-        complete(ex, cfg)
+        LlmGateway(cfg).complete(ex)
     assert canonical_request_hash(ex, "m") in str(err.value)
 
 
@@ -178,7 +179,7 @@ def test_replay_requires_cache_path():
 def test_cache_entry_shape(tmp_path):
     cache = tmp_path / "cache.jsonl"
     cfg = mock_backend(default="['Z']", cache_path=str(cache), record=True)
-    complete(exchange("shape check", turns=DEMO_TURNS[:2]), cfg)
+    LlmGateway(cfg).complete(exchange("shape check", turns=DEMO_TURNS[:2]))
     entry = json.loads(cache.read_text().splitlines()[0])
     assert set(entry) == {"hash", "model", "request", "response", "timestamp"}
     assert entry["request"]["query"] == "shape check"
@@ -190,9 +191,9 @@ def test_recorded_refusal_replays_as_refusal(tmp_path):
     cfg = mock_backend(
         rules=[("bad", "I cannot help with that.")], cache_path=str(cache), record=True
     )
-    complete(exchange("bad thing"), cfg)
+    LlmGateway(cfg).complete(exchange("bad thing"))
     replay_cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
-    assert complete(exchange("bad thing"), replay_cfg).status == "refused"
+    assert LlmGateway(replay_cfg).complete(exchange("bad thing")).status == "refused"
 
 
 def test_transport_error_is_not_recorded(tmp_path):
@@ -206,14 +207,14 @@ def test_transport_error_is_not_recorded(tmp_path):
     entries = [json.loads(line) for line in cache.read_text().splitlines()]
     assert [e["response"]["status"] for e in entries] == ["ok"]
     replay_cfg = BackendConfig(kind="replay", model_name="test-model", cache_path=str(cache))
-    assert complete(exchange("flaky"), replay_cfg).text == "['Later']"
+    assert LlmGateway(replay_cfg).complete(exchange("flaky")).text == "['Later']"
 
 
 def recorded_cache(tmp_path, *queries):
     cache = tmp_path / "cache.jsonl"
     cfg = mock_backend(default="['R']", cache_path=str(cache), record=True)
     for query in queries:
-        complete(exchange(query), cfg)
+        LlmGateway(cfg).complete(exchange(query))
     return cache
 
 
@@ -236,7 +237,58 @@ def test_replay_rejects_malformed_middle_line(tmp_path):
     cache.write_text(lines[0][:20] + "\n" + lines[1], encoding="utf-8")
     cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
     with pytest.raises(json.JSONDecodeError):
-        complete(exchange("second"), cfg)
+        LlmGateway(cfg).complete(exchange("second"))
+
+
+def test_recording_cuts_torn_last_line(tmp_path, caplog):
+    cache = recorded_cache(tmp_path, "kept", "torn")
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text(lines[0] + lines[1][: len(lines[1]) // 2], encoding="utf-8")
+    with caplog.at_level("WARNING", logger="memetopics.llm"):
+        recorded_cache(tmp_path, "resumed")
+    assert "torn last line" in caplog.text
+    cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
+    gateway = LlmGateway(cfg)
+    assert gateway.complete(exchange("kept")).text == "['R']"
+    assert gateway.complete(exchange("resumed")).text == "['R']"
+    with pytest.raises(ReplayMissError):
+        gateway.complete(exchange("torn"))
+
+
+def record(cache, queries):
+    """Record each query through one gateway; each answer names its query."""
+    rules = [(query, f"['{query}']") for query in queries]
+    gateway = LlmGateway(mock_backend(rules=rules, cache_path=str(cache), record=True))
+    for query in queries:
+        gateway.complete(exchange(query))
+
+
+@settings(max_examples=60, deadline=None)
+@given(before=st.integers(1, 4), after=st.integers(0, 3), point=st.integers(0, 9999))
+def test_recording_resumes_after_a_cut_at_any_byte(before, after, point):
+    first = [f"first{i}" for i in range(before)]
+    resumed = [f"resumed{i}" for i in range(after)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "cache.jsonl"
+        record(cache, first)
+        recorded = cache.read_bytes()
+        # Entries carry a timestamp, so the cache length varies from run to
+        # run; point picks the same relative offset, any byte of a short cache.
+        cut = point * (len(recorded) + 1) // 10000
+        cache.write_bytes(recorded[:cut])
+        record(cache, resumed)
+
+        lines = recorded.splitlines(keepends=True)
+        ends = [sum(len(line) for line in lines[: i + 1]) for i in range(len(lines))]
+        complete = [query for query, end in zip(first, ends) if end <= cut]
+        gateway = LlmGateway(
+            BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
+        )
+        for query in complete + resumed:
+            assert gateway.complete(exchange(query)).text == f"['{query}']"
+        for query in first[len(complete) :]:
+            with pytest.raises(ReplayMissError):
+                gateway.complete(exchange(query))
 
 
 # -- http backend -------------------------------------------------------------

@@ -5,21 +5,15 @@ import json
 
 import pytest
 
+from memetopics import collapse as collapse_mod
+from memetopics import corpus as corpus_mod
+from memetopics import generation as generation_mod
+from memetopics import representation as representation_mod
 from memetopics.cli import main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
 from memetopics.generation import load_assignments
 from memetopics.llm import BackendConfig, load_mock_rules
-from memetopics.pipeline import (
-    PipelineStageError,
-    RunConfig,
-    run_pipeline,
-    stage_collapse,
-    stage_evaluate,
-    stage_generate,
-    stage_preprocess,
-    stage_represent,
-    sweep,
-)
+from memetopics.pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
 
 from conftest import FIXTURES_DIR, write_jsonl
 
@@ -209,33 +203,66 @@ def test_fixture_politics_representation_headed_by_dominant_terms(tmp_path):
 
 def test_stages_chain_individually(tmp_path):
     cfg = tiny_config(tmp_path)
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    stage_preprocess(cfg, outdir)
-    assignments, usage = stage_generate(cfg, outdir)
+    manifest_path = tmp_path / "out" / "manifest.json"
+    run_stage(cfg, "preprocess")
+    assignments = run_stage(cfg, "generate")
     assert len(assignments) == 8
-    assert usage.prompt > 0
-    state, _ = stage_collapse(cfg, outdir)
+    assert json.loads(manifest_path.read_text())["token_usage"]["generate"]["prompt"] > 0
+    state = run_stage(cfg, "collapse")
     assert state.non_reserved_count() == 2
-    reps, _ = stage_represent(cfg, outdir)
+    reps = run_stage(cfg, "represent")
     assert len(reps) == 2
-    report = stage_evaluate(cfg, outdir)
+    report = run_stage(cfg, "evaluate")
     assert "mean_npmi" in report
+    # One stage at a time leaves the manifest of a whole run.
+    staged = manifest_path.read_bytes()
+    run_pipeline(cfg)
+    assert manifest_path.read_bytes() == staged
 
 
 def test_stage_collapse_records_summary(tmp_path):
     cfg = fixture_config(tmp_path, "out")
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    stage_preprocess(cfg, outdir)
-    stage_generate(cfg, outdir)
-    stage_collapse(cfg, outdir)
-    manifest = json.loads((outdir / "manifest.json").read_text())
+    for stage in ("preprocess", "generate", "collapse"):
+        run_stage(cfg, stage)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     summary = manifest["collapse_summary"]
     assert summary["final_topics"] == 5
     assert summary["merges"] == 4
     assert summary["misc_routed_topics"] == 1
     assert summary["misc_routed_docs"] == 1
+
+
+def test_lone_stage_failure_is_marked_until_the_stage_runs_again(tmp_path):
+    cfg = tiny_config(tmp_path)
+    run_stage(cfg, "preprocess")
+    run_stage(cfg, "generate")
+    missing = BackendConfig(kind="replay", model_name="m", cache_path=str(tmp_path / "none"))
+    with pytest.raises(PipelineStageError):
+        run_stage(dataclasses.replace(cfg, collapse_method="pbm", k=1, backend=missing), "collapse")
+    manifest_path = tmp_path / "out" / "manifest.json"
+    assert json.loads(manifest_path.read_text())["failed_stage"] == "collapse"
+    run_stage(cfg, "collapse")
+    manifest = json.loads(manifest_path.read_text())
+    assert "failed_stage" not in manifest and "error" not in manifest
+    assert manifest["stages_completed"] == ["preprocess", "generate", "collapse"]
+
+
+def test_run_and_sweep_read_no_artifact_back(tmp_path, monkeypatch):
+    # Stages hand their artifacts on in memory; only run_stage reads them.
+    def read_back(*args, **kwargs):
+        raise AssertionError("artifact read back from disk")
+
+    for module, name in (
+        (corpus_mod, "load_processed"),
+        (generation_mod, "load_assignments"),
+        (collapse_mod, "load_clusters"),
+        (representation_mod, "load_representations"),
+    ):
+        monkeypatch.setattr(module, name, read_back)
+    run_pipeline(fixture_config(tmp_path, "run"))
+    cfg = fixture_config(tmp_path, "sweep", collapse_method="wsm", representation_method="ctfidf")
+    assert [row["k"] for row in sweep(cfg, [3, 5])] == [3, 5]
+    assert json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())["errors"] == {}
 
 
 # -- sweep --------------------------------------------------------------------
@@ -368,6 +395,22 @@ def test_sweep_replay_miss_fails_the_same_points_as_single_runs(tmp_path):
     assert sorted(expected) == ["3", "5"]
     assert errors == expected
     assert [row["k"] for row in rows] == [8]
+
+    # The root keeps the K-independent artifacts; each K directory only its own.
+    root = tmp_path / "sweep"
+    assert sorted(p.name for p in root.iterdir()) == [
+        "assignments.jsonl", "corpus_processed.jsonl", "k_3", "k_5", "k_8",
+        "manifest.json", "sweep.csv", "sweep_manifest.json",
+    ]
+    assert sorted(p.name for p in (root / "k_8").iterdir()) == sorted(
+        SWEEP_ARTIFACTS + ("manifest.json",)
+    )
+    manifest = json.loads((root / "k_8" / "manifest.json").read_text())
+    assert manifest["stages_completed"] == ["collapse", "represent", "evaluate"]
+    for k in ("3", "5"):
+        assert [p.name for p in (root / f"k_{k}").iterdir()] == ["manifest.json"]
+        manifest = json.loads((root / f"k_{k}" / "manifest.json").read_text())
+        assert (manifest["failed_stage"], manifest["error"]) == ("collapse", expected[k])
 
 
 def test_sweep_rows_follow_the_given_order(tmp_path):
