@@ -14,6 +14,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -70,6 +71,17 @@ class DemonstrationSet:
     def n(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def turns(self) -> tuple[tuple[str, str], ...]:
+        """The demonstrations as user/assistant turns, built once and shared
+        by every prompt."""
+        turns: list[tuple[str, str]] = []
+        for demo in self.items:
+            query = GENERATION_USER_TEMPLATE.format(caption=demo.caption, text=demo.overlay_text)
+            turns.append(("user", query))
+            turns.append(("assistant", format_topic_list(demo.topics)))
+        return tuple(turns)
+
     def take(self, n: int) -> "DemonstrationSet":
         """First n demonstrations, for ablations over the demonstration count."""
         if not 1 <= n <= len(self.items):
@@ -123,14 +135,8 @@ def build_generation_prompt(doc: MemeDocument, demos: DemonstrationSet) -> ChatE
     then the meme's own caption/text as the final user turn."""
     if demos.n < 1:
         raise ValueError("at least one demonstration is required")
-    turns: list[tuple[str, str]] = []
-    for demo in demos.items:
-        turns.append(
-            ("user", GENERATION_USER_TEMPLATE.format(caption=demo.caption, text=demo.overlay_text))
-        )
-        turns.append(("assistant", format_topic_list(demo.topics)))
     query = GENERATION_USER_TEMPLATE.format(caption=doc.caption, text=doc.overlay_text)
-    return ChatExchange(system=GENERATION_SYSTEM, turns=tuple(turns), query=query)
+    return ChatExchange(system=GENERATION_SYSTEM, turns=demos.turns, query=query)
 
 
 def parse_topic_list(reply: str) -> list[str]:
@@ -201,26 +207,24 @@ def generate_topics(
     Refusals become Inappropriate, transport failures and unparseable
     replies become Miscellaneous, everything else carries its parsed
     labels. The result has exactly one assignment per document, in corpus
-    order.
+    order. The prompts go out through gateway.map, so over http several
+    are in flight at once; the result is the same as one at a time.
     """
     gateway = as_gateway(backend)
-    assignments: list[TopicAssignment] = []
-    for doc in corpus.documents:
-        exchange = build_generation_prompt(doc, demos)
-        outcome = gateway.complete(exchange)
+
+    def assign(doc: MemeDocument) -> TopicAssignment:
+        outcome = gateway.complete(build_generation_prompt(doc, demos))
         if outcome.status == "refused":
-            assignments.append(TopicAssignment(doc.id, (), "inappropriate"))
-            continue
+            return TopicAssignment(doc.id, (), "inappropriate")
         if outcome.status != "ok":
-            assignments.append(TopicAssignment(doc.id, (), "miscellaneous"))
-            continue
+            return TopicAssignment(doc.id, (), "miscellaneous")
         try:
             labels = parse_topic_list(outcome.text)
         except TopicParseError:
-            assignments.append(TopicAssignment(doc.id, (), "miscellaneous"))
-            continue
-        assignments.append(TopicAssignment(doc.id, _sanitize_labels(labels), "generated"))
-    return assignments
+            return TopicAssignment(doc.id, (), "miscellaneous")
+        return TopicAssignment(doc.id, _sanitize_labels(labels), "generated")
+
+    return gateway.map(assign, corpus.documents)
 
 
 def provenance_counts(assignments: Iterable[TopicAssignment]) -> dict[str, int]:

@@ -6,6 +6,11 @@ chat-completions JSON wire shape with retry and a sliding-window rate
 limit; the mock backend answers from a substring rule table; the replay
 backend serves recorded responses keyed by a canonical request hash, so
 pipelines re-run byte-identically with zero network calls.
+
+A stage that prompts once per item fans its calls out through
+LlmGateway.map: over http up to MAX_IN_FLIGHT requests run at once, with
+results in input order; mock and replay answer without waiting on
+anything, so they run one call at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +37,13 @@ _POLICY_MARKERS = ("content_policy", "content_filter", "content management polic
 DEFAULT_REFUSAL_PHRASES = ("i cannot", "i can't", "i am sorry", "i'm sorry")
 
 Transport = Callable[[str, dict, dict, float], tuple[int, object]]
+
+# Requests one http fan-out keeps in flight. requests_per_minute stays the
+# throttle: throughput is about min(MAX_IN_FLIGHT / latency, rpm / 60).
+MAX_IN_FLIGHT = 8
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
 class ReplayMissError(LookupError):
@@ -196,7 +209,9 @@ class LlmGateway:
     """One configured backend plus its rate limiter, cache, and usage totals.
 
     Safe for concurrent complete() calls: the limiter, the cache writer,
-    and the usage counters serialize internally.
+    and the usage counters serialize internally. A run shares one gateway
+    across its stages, so one limiter gates every request of the run and
+    the replay index is read once. map() fans calls out over http.
     """
 
     def __init__(self, cfg: BackendConfig, transport: Transport | None = None,
@@ -229,6 +244,36 @@ class LlmGateway:
                 self.total_usage.completion + outcome.token_usage.completion,
             )
         return outcome
+
+    def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
+        """[fn(item) for item in items], with calls overlapping over http.
+
+        Over http at most MAX_IN_FLIGHT calls run at once, started in input
+        order; the results come back in input order. Once a call raises, no
+        further call starts, and the exception of the earliest item that
+        raised propagates. Other backends call fn one item at a time.
+        """
+        if self.cfg.kind != "http":
+            return [fn(item) for item in items]
+        failed = threading.Event()
+
+        def call(item: _Item) -> _Result | None:
+            # Items start in input order, so one skipped here comes after
+            # the item that raised, and its result is never read.
+            if failed.is_set():
+                return None
+            try:
+                return fn(item)
+            except BaseException:
+                failed.set()
+                raise
+
+        pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="llm")
+        try:
+            futures = [pool.submit(call, item) for item in items]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     # -- mock ---------------------------------------------------------------
 
@@ -263,16 +308,17 @@ class LlmGateway:
                                 raise
                             log.warning("skipping torn last line of replay cache %s", path)
                             continue
-                        index[entry["hash"]] = entry
+                        # The request is not kept: a run shares its gateway,
+                        # so the index lives as long as the run does.
+                        index[entry["hash"]] = entry["response"]
             self._replay_index = index
         return self._replay_index
 
     def _complete_replay(self, exchange: ChatExchange) -> LlmOutcome:
         digest = canonical_request_hash(exchange, self.cfg.model_name)
-        entry = self._load_replay_index().get(digest)
-        if entry is None:
+        response = self._load_replay_index().get(digest)
+        if response is None:
             raise ReplayMissError(digest)
-        response = entry["response"]
         usage = response.get("usage", {})
         return LlmOutcome(
             status=response["status"],
@@ -304,7 +350,6 @@ class LlmGateway:
                     "completion": outcome.token_usage.completion,
                 },
             },
-            "timestamp": time.time(),
         }
         with self._cache_lock:
             if not self._tail_checked:

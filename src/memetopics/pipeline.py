@@ -5,10 +5,12 @@ Each stage writes its artifact into the run directory, so a run can be
 inspected and replayed, and hands it to the next stage in memory; the
 artifacts are read back from disk only by a lone stage command
 (run_stage). One driver runs the stages for run_pipeline, sweep and
-run_stage and is the only writer of the manifest. The manifest records the
-configuration digest, token usage, failure routing counts, a merge-log
-summary, and the final metrics; it carries no timestamps, so identical
-inputs produce identical bytes.
+run_stage and is the only writer of the manifest. Each of those calls
+makes one LlmGateway and hands it to every prompting stage, so one rate
+limiter gates the whole run. The manifest records the configuration
+digest, token usage, failure routing counts, a merge-log summary, and the
+final metrics; it carries no timestamps, so identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from .representation import TopicRepresentation, represent_ctfidf, represent_llm
 
 log = logging.getLogger(__name__)
 
-# stage -> (the artifacts it reads, the artifact it makes), by argument name.
+# stage -> (what it reads, the artifact it makes), by argument name. A stage
+# that reads the gateway has its token usage recorded in the manifest.
 _FLOW = {
     "preprocess": ((), "corpus"),
-    "generate": (("corpus",), "assignments"),
-    "collapse": (("corpus", "assignments"), "state"),
-    "represent": (("corpus", "state"), "representations"),
+    "generate": (("corpus", "gateway"), "assignments"),
+    "collapse": (("corpus", "assignments", "gateway"), "state"),
+    "represent": (("corpus", "state", "gateway"), "representations"),
     "evaluate": (("corpus", "representations"), "report"),
 }
 STAGES = tuple(_FLOW)
@@ -155,7 +158,9 @@ class RunConfig:
     def config_digest(self) -> str:
         """Content-addressed digest: configuration values plus the SHA-256 of
         every input file, so equal digests mean re-runnable equal runs
-        regardless of where the files live."""
+        regardless of where the files live. A replay cache is hashed line by
+        line, in sorted order, since the order of its entries does not
+        matter."""
         backend = self.backend
         payload = {
             "corpus_format": self.corpus_format,
@@ -184,7 +189,7 @@ class RunConfig:
                     _file_sha256(self.demonstrations_path) if self.demonstrations_path else None
                 ),
                 "cache": (
-                    _file_sha256(backend.cache_path)
+                    _sorted_lines_sha256(backend.cache_path)
                     if backend.cache_path and not backend.record and Path(backend.cache_path).exists()
                     else None
                 ),
@@ -202,6 +207,15 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _sorted_lines_sha256(path: str | Path) -> str:
+    """SHA-256 of the sorted SHA-256s of a file's nonblank lines: a replay
+    cache serves the same answers whatever order its entries were recorded
+    in. The file is read a line at a time."""
+    with open(path, "rb") as f:
+        lines = sorted(hashlib.sha256(line.rstrip(b"\n")).digest() for line in f if line.strip())
+    return hashlib.sha256(b"".join(lines)).hexdigest()
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, ensure_ascii=True, indent=2)
@@ -210,22 +224,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # -- stages ------------------------------------------------------------------
 #
-# Each stage takes the artifacts it reads as arguments, writes the artifact it
-# makes into outdir, and returns (artifact, token usage or None, manifest
-# entries).
+# Each stage takes what it reads as arguments, writes the artifact it makes
+# into outdir, and returns (artifact, manifest entries).
 
 
-def stage_preprocess(cfg: RunConfig, outdir: Path) -> tuple[Corpus, None, dict]:
+def stage_preprocess(cfg: RunConfig, outdir: Path) -> tuple[Corpus, dict]:
     raw = corpus_mod.load_corpus(cfg.corpus_path, cfg.corpus_format)
     processed = corpus_mod.preprocess(raw, cfg.preprocess_config())
     corpus_mod.save_processed(processed, outdir / PROCESSED_CORPUS_FILE)
-    return processed, None, {}
+    return processed, {}
 
 
 def stage_generate(
-    cfg: RunConfig, outdir: Path, corpus: Corpus
-) -> tuple[list[TopicAssignment], TokenUsage, dict]:
-    gateway = LlmGateway(cfg.backend)
+    cfg: RunConfig, outdir: Path, corpus: Corpus, gateway: LlmGateway
+) -> tuple[list[TopicAssignment], dict]:
     assignments = generate_topics(corpus, cfg.demonstrations(), gateway)
     generation_mod.save_assignments(assignments, outdir / ASSIGNMENTS_FILE)
     routing = provenance_counts(assignments)
@@ -236,7 +248,7 @@ def stage_generate(
         "provenance": routing,
     }
     entries = {"generation_summary": summary, "failure_counts": routing}
-    return assignments, gateway.total_usage, entries
+    return assignments, entries
 
 
 def stage_collapse(
@@ -244,8 +256,9 @@ def stage_collapse(
     outdir: Path,
     corpus: Corpus,
     assignments: list[TopicAssignment],
+    gateway: LlmGateway,
     start: CollapseState | None = None,
-) -> tuple[CollapseState, TokenUsage, dict]:
+) -> tuple[CollapseState, dict]:
     """Collapse the generated topics to cfg.k and write the clusters and
     the merge log.
 
@@ -258,12 +271,9 @@ def stage_collapse(
     if start is not None:
         state = dataclasses.replace(start, k_target=cfg.k)
     if cfg.collapse_method == "pbm":
-        gateway = LlmGateway(cfg.backend)
         state = collapse_pbm(state, gateway)
-        usage = gateway.total_usage
     else:
         state = collapse_wsm(state, corpus)
-        usage = TokenUsage(0, 0)
     collapse_mod.save_clusters(state, outdir / CLUSTERS_FILE)
     collapse_mod.save_merge_log(state, outdir / MERGE_LOG_FILE)
     targets = [target for _, target, _ in state.merge_log]
@@ -275,22 +285,19 @@ def stage_collapse(
         "zero_similarity_merges": sum(method == "wsm-zero" for _, _, method in state.merge_log),
         "final_topics": state.non_reserved_count(),
     }
-    return state, usage, {"collapse_summary": summary}
+    return state, {"collapse_summary": summary}
 
 
 def stage_represent(
-    cfg: RunConfig, outdir: Path, corpus: Corpus, state: CollapseState
-) -> tuple[list[TopicRepresentation], TokenUsage, dict]:
+    cfg: RunConfig, outdir: Path, corpus: Corpus, state: CollapseState, gateway: LlmGateway
+) -> tuple[list[TopicRepresentation], dict]:
     """Represent every topic of the collapsed state; the reserved clusters
-    are not topics."""
+    are not topics. The word-rank prompts go out through gateway.map."""
     table = ctfidf_from_clusters(state.topics, corpus)
     if cfg.representation_method == "llm":
-        gateway = LlmGateway(cfg.backend)
-        reps = [represent_llm(topic, table, gateway) for topic in sorted(state.topics)]
-        usage = gateway.total_usage
+        reps = gateway.map(lambda topic: represent_llm(topic, table, gateway), sorted(state.topics))
     else:
         reps = [represent_ctfidf(table, topic) for topic in sorted(state.topics)]
-        usage = TokenUsage(0, 0)
     representation_mod.save_representations(reps, outdir / REPRESENTATIONS_FILE)
     summary = {
         "method": cfg.representation_method,
@@ -298,17 +305,17 @@ def stage_represent(
         "dropped_words": sum(rep.dropped for rep in reps),
         "llm_fallback_topics": sorted(rep.topic for rep in reps if rep.fallback),
     }
-    return reps, usage, {"representation_summary": summary}
+    return reps, {"representation_summary": summary}
 
 
 def stage_evaluate(
     cfg: RunConfig, outdir: Path, corpus: Corpus, representations: list[TopicRepresentation]
-) -> tuple[dict, None, dict]:
+) -> tuple[dict, dict]:
     report = coherence(representations, corpus, epsilon=cfg.epsilon).to_dict()
     report["config_digest"] = cfg.config_digest()
     _write_json(outdir / REPORT_FILE, report)
     metrics = {"mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
-    return report, None, {"metrics": metrics}
+    return report, {"metrics": metrics}
 
 
 # -- orchestration -----------------------------------------------------------
@@ -317,14 +324,15 @@ def stage_evaluate(
 def _run_stages(
     cfg: RunConfig, outdir: Path, stages: Sequence[str], artifacts: dict, manifest: dict
 ) -> dict:
-    """Run `stages` in order in outdir, handing each the artifacts it reads
-    and adding the one it makes to `artifacts`, which is returned.
+    """Run `stages` in order in outdir, handing each what it reads from
+    `artifacts` and adding the artifact it makes, then return `artifacts`.
 
     The only writer of manifest.json. `manifest` is written first; after
-    each stage it gains the stage in stages_completed, the stage's token
-    usage and its entries. When a stage raises, everything written so far
-    stays on disk, the manifest names the failed stage and the error, and
-    PipelineStageError propagates.
+    each stage it gains the stage in stages_completed, its entries and,
+    for a stage that reads the gateway, its token usage: the change in the
+    gateway's total across the stage. When a stage raises, everything
+    written so far stays on disk, the manifest names the failed stage and
+    the error, and PipelineStageError propagates.
     """
     manifest.setdefault("stages_completed", [])
     manifest.setdefault("token_usage", {})
@@ -337,15 +345,19 @@ def _run_stages(
             inputs["start"] = artifacts.get("state")
         # Looked up at call time, so a wrapper set on the module sees the call.
         stage_fn = globals()[f"stage_{stage}"]
+        gateway = inputs.get("gateway")
+        before = gateway.total_usage if gateway is not None else None
         try:
-            artifact, usage, entries = stage_fn(cfg, outdir, **inputs)
+            artifact, entries = stage_fn(cfg, outdir, **inputs)
         except Exception as exc:
             manifest.update(failed_stage=stage, error=str(exc))
             _write_json(outdir / MANIFEST_FILE, manifest)
             raise PipelineStageError(stage, exc) from exc
         artifacts[makes] = artifact
         manifest["stages_completed"].append(stage)
-        if usage is not None:
+        if gateway is not None:
+            after = gateway.total_usage
+            usage = TokenUsage(after.prompt - before.prompt, after.completion - before.completion)
             manifest["token_usage"][stage] = usage._asdict()
         manifest.update(entries)
         _write_json(outdir / MANIFEST_FILE, manifest)
@@ -365,7 +377,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _run_stages(cfg, outdir, STAGES, {}, _run_header(cfg))
+    _run_stages(cfg, outdir, STAGES, {"gateway": LlmGateway(cfg.backend)}, _run_header(cfg))
     return outdir
 
 
@@ -388,6 +400,7 @@ def run_stage(cfg: RunConfig, stage: str):
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     loaders = {
+        "gateway": lambda: LlmGateway(cfg.backend),
         "corpus": lambda: corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE),
         "assignments": lambda: generation_mod.load_assignments(outdir / ASSIGNMENTS_FILE),
         "state": lambda: _load_state(outdir / CLUSTERS_FILE),
@@ -427,7 +440,8 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     root.mkdir(parents=True, exist_ok=True)
-    artifacts = _run_stages(cfg, root, ("preprocess", "generate"), {}, {})
+    artifacts = {"gateway": LlmGateway(cfg.backend)}
+    _run_stages(cfg, root, ("preprocess", "generate"), artifacts, {})
 
     reports: dict[int, dict] = {}
     errors: dict[str, str] = {}

@@ -43,9 +43,13 @@ DOC = MemeDocument(id="d1", caption="a man at a desk", overlay_text="mondays, am
 
 
 def test_eight_demos_give_sixteen_turns_plus_query():
-    ex = build_generation_prompt(DOC, make_demos(8))
+    demos = make_demos(8)
+    ex = build_generation_prompt(DOC, demos)
     assert len(ex.turns) == 16
     assert ex.query.startswith("Please list the high-level topics")
+    # The demonstration turns are built once per set and shared.
+    other = MemeDocument(id="d2", caption="a dog", overlay_text="woof")
+    assert build_generation_prompt(other, demos).turns is ex.turns
 
 
 def test_single_demo_structure():

@@ -12,7 +12,7 @@ from memetopics import representation as representation_mod
 from memetopics.cli import main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
 from memetopics.generation import load_assignments
-from memetopics.llm import BackendConfig, load_mock_rules
+from memetopics.llm import BackendConfig, LlmGateway, load_mock_rules
 from memetopics.pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
 
 from conftest import FIXTURES_DIR, write_jsonl
@@ -151,6 +151,41 @@ def test_config_digest_tracks_input_content(tmp_path):
     with open(cfg.corpus_path, "a", encoding="utf-8") as f:
         f.write(json.dumps({"id": "extra", "caption": "x", "text": "y"}) + "\n")
     assert cfg.config_digest() != digest
+
+
+def test_config_digest_ignores_cache_line_order(tmp_path):
+    lines = (FIXTURES_DIR / "replay_cache.jsonl").read_text(encoding="utf-8").splitlines()
+    cache = tmp_path / "cache.jsonl"
+    cfg = fixture_config(tmp_path, "out")
+    cfg.backend.cache_path = str(cache)
+
+    def digest(entries):
+        cache.write_text("".join(line + "\n" for line in entries), encoding="utf-8")
+        return cfg.config_digest()
+
+    recorded = digest(lines)
+    assert digest(lines[::-1]) == recorded
+    changed = json.loads(lines[0])
+    changed["response"]["text"] += " "
+    assert digest([json.dumps(changed, sort_keys=True)] + lines[1:]) != recorded
+
+
+def test_one_gateway_per_run_sweep_and_stage(tmp_path, monkeypatch):
+    # One gateway, hence one rate limiter and one replay index, per call.
+    built = []
+    init = LlmGateway.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LlmGateway, "__init__", counting_init)
+    run_pipeline(fixture_config(tmp_path, "run"))
+    assert len(built) == 1
+    sweep(fixture_config(tmp_path, "sweep"), [3, 5])
+    assert len(built) == 2
+    run_stage(fixture_config(tmp_path, "run"), "represent")
+    assert len(built) == 3
 
 
 def test_config_roundtrip_through_json(tmp_path):
