@@ -12,6 +12,7 @@ from pathlib import Path
 from memetopics import (
     BackendConfig,
     CollapseState,
+    LlmGateway,
     PreprocessConfig,
     collapse_pbm,
     collapse_wsm,
@@ -28,8 +29,10 @@ corpus = preprocess(
     load_corpus(FIXTURES / "memes50.jsonl"),
     PreprocessConfig(stopwords=default_stopwords()),
 )
-replay = BackendConfig(
-    kind="replay", model_name="mock-model", cache_path=str(FIXTURES / "replay_cache.jsonl")
+replay = LlmGateway(
+    BackendConfig(
+        kind="replay", model_name="mock-model", cache_path=str(FIXTURES / "replay_cache.jsonl")
+    )
 )
 assignments = generate_topics(corpus, DemonstrationSet.default(), replay)
 

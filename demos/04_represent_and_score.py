@@ -12,6 +12,7 @@ from pathlib import Path
 from memetopics import (
     BackendConfig,
     CollapseState,
+    LlmGateway,
     PreprocessConfig,
     coherence,
     collapse_pbm,
@@ -33,8 +34,10 @@ corpus = preprocess(
     load_corpus(FIXTURES / "memes50.jsonl"),
     PreprocessConfig(stopwords=default_stopwords()),
 )
-replay = BackendConfig(
-    kind="replay", model_name="mock-model", cache_path=str(FIXTURES / "replay_cache.jsonl")
+replay = LlmGateway(
+    BackendConfig(
+        kind="replay", model_name="mock-model", cache_path=str(FIXTURES / "replay_cache.jsonl")
+    )
 )
 assignments = generate_topics(corpus, DemonstrationSet.default(), replay)
 state = collapse_pbm(CollapseState.from_assignments(assignments, k_target=5), replay)

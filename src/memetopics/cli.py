@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-tokens", type=int)
         p.add_argument("--temperature", type=float)
         p.add_argument("--rpm", type=int, help="requests per minute")
-        p.add_argument("--cache", help="response cache path (record/replay)")
-        p.add_argument("--record", action="store_true", help="append live responses to the cache")
+        p.add_argument("--cache", help="response cache path; any backend serves its hits first")
+        p.add_argument("--record", action="store_true", help="record the answers to cache misses")
         p.add_argument("--mock-rules", help="mock rule table JSON file")
         p.add_argument("--mock-default", help="mock reply when no rule matches")
         p.add_argument("--collapse-method", choices=["pbm", "wsm"])

@@ -9,8 +9,7 @@ reference corpus (the preprocessed memes themselves):
 
 clamped to [-1, 1], with smoothing constant e keeping the logarithms
 finite. Diversity is the fraction of distinct words across all topic
-representations. Reserved failure clusters are excluded from both metrics
-by default.
+representations. Reserved failure clusters are excluded from both metrics.
 """
 
 from __future__ import annotations
@@ -95,25 +94,19 @@ def coherence(
     reps: Sequence[TopicRepresentation],
     corpus: Corpus,
     epsilon: float = DEFAULT_EPSILON,
-    include_reserved: bool = False,
 ) -> CoherenceReport:
     """Score a set of topic representations against the corpus.
 
     Per-topic value: mean NPMI over all unordered word pairs (45 pairs for
     a ten-word representation). Representations with fewer than two words
-    cannot form a pair; they are skipped and listed in the report.
+    cannot form a pair; they are skipped and listed in the report. Reserved
+    failure clusters never count.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    usable: list[TopicRepresentation] = []
-    excluded: list[str] = []
-    for rep in reps:
-        if not include_reserved and _is_reserved(rep.topic):
-            continue
-        if len(rep.words) < 2:
-            excluded.append(rep.topic)
-        else:
-            usable.append(rep)
+    included = [rep for rep in reps if not _is_reserved(rep.topic)]
+    usable = [rep for rep in included if len(rep.words) >= 2]
+    excluded = [rep.topic for rep in included if len(rep.words) < 2]
     if not usable:
         raise ValueError("no representation has the two words needed for coherence")
 
@@ -134,7 +127,6 @@ def coherence(
                 )
         per_topic[rep.topic] = sum(values) / len(values)
 
-    included = [rep for rep in reps if not (_is_reserved(rep.topic) and not include_reserved)]
     return CoherenceReport(
         per_topic_npmi=per_topic,
         mean_npmi=sum(per_topic.values()) / len(per_topic),

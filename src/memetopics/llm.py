@@ -1,11 +1,15 @@
-"""Chat-completion gateway with http, mock, and record/replay backends.
+"""Chat-completion gateway with http, mock, and replay backends.
 
 All prompting stages talk to one interface: build a ChatExchange, call
 LlmGateway.complete(), get an LlmOutcome. The http backend speaks the common
 chat-completions JSON wire shape with retry and a sliding-window rate
-limit; the mock backend answers from a substring rule table; the replay
-backend serves recorded responses keyed by a canonical request hash, so
-pipelines re-run byte-identically with zero network calls.
+limit; the mock backend answers from a substring rule table.
+
+Any backend with a cache_path reads through that response cache, keyed by a
+canonical request hash, so pipelines re-run byte-identically with zero
+network calls. On a miss http and mock answer, and with record=True append
+the answer, so a resumed recording pays only for misses; replay has no live
+fallback and raises ReplayMissError.
 
 A stage that prompts once per item fans its calls out through
 LlmGateway.map: over http up to MAX_IN_FLIGHT requests run at once, with
@@ -25,7 +29,7 @@ import urllib.error
 import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -70,7 +74,6 @@ class ChatExchange:
     system: str
     turns: tuple[tuple[str, str], ...] = ()
     query: str = ""
-    reply: str | None = None
 
     def __post_init__(self) -> None:
         for i, (role, _content) in enumerate(self.turns):
@@ -87,17 +90,17 @@ class ChatExchange:
         msgs.append({"role": "user", "content": self.query})
         return msgs
 
-    def with_reply(self, text: str) -> "ChatExchange":
-        return replace(self, reply=text)
-
 
 @dataclass
 class BackendConfig:
     """How to reach (or fake) the model.
 
     kind selects the backend: "http" for a live endpoint, "mock" for the
-    scripted rule table, "replay" for the response cache. record=True makes
-    live backends append every outcome to cache_path for later replay.
+    scripted rule table, "replay" for the response cache alone. With a
+    cache_path every backend serves recorded responses first; record=True
+    makes http and mock append each answer to a miss to cache_path.
+    Mock rules are not part of the request hash, so a cache recorded under
+    other rules keeps serving their answers.
     """
 
     kind: str = "mock"
@@ -208,10 +211,10 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) ->
 class LlmGateway:
     """One configured backend plus its rate limiter, cache, and usage totals.
 
-    Safe for concurrent complete() calls: the limiter, the cache writer,
-    and the usage counters serialize internally. A run shares one gateway
-    across its stages, so one limiter gates every request of the run and
-    the replay index is read once. map() fans calls out over http.
+    Safe for concurrent complete() calls: the limiter, the cache, and the
+    usage counters serialize internally. A run shares one gateway across
+    its stages, so one limiter gates every request of the run and the
+    cache file is read once. map() fans calls out over http.
     """
 
     def __init__(self, cfg: BackendConfig, transport: Transport | None = None,
@@ -223,21 +226,16 @@ class LlmGateway:
         self._limiter = RateLimiter(cfg.requests_per_minute, clock=clock, sleep=sleep)
         self._cache_lock = threading.Lock()
         self._usage_lock = threading.Lock()
-        self._replay_index: dict[str, dict] | None = None
-        self._tail_checked = False
+        self._cache_index: dict[str, dict] | None = None
         self.total_usage = TokenUsage(0, 0)
 
     # -- public API ---------------------------------------------------------
 
     def complete(self, exchange: ChatExchange) -> LlmOutcome:
-        if self.cfg.kind == "replay":
-            outcome = self._complete_replay(exchange)
-        elif self.cfg.kind == "mock":
-            outcome = self._complete_mock(exchange)
-            self._maybe_record(exchange, outcome)
+        if self.cfg.cache_path:
+            outcome = self._complete_through_cache(exchange)
         else:
-            outcome = self._complete_http(exchange)
-            self._maybe_record(exchange, outcome)
+            outcome = self._ask(exchange)
         with self._usage_lock:
             self.total_usage = TokenUsage(
                 self.total_usage.prompt + outcome.token_usage.prompt,
@@ -288,75 +286,81 @@ class LlmGateway:
             return LlmOutcome("refused", reply, _usage_estimate(exchange, reply))
         return LlmOutcome("ok", reply, _usage_estimate(exchange, reply))
 
-    # -- replay -------------------------------------------------------------
+    def _ask(self, exchange: ChatExchange) -> LlmOutcome:
+        if self.cfg.kind == "mock":
+            return self._complete_mock(exchange)
+        return self._complete_http(exchange)
 
-    def _load_replay_index(self) -> dict[str, dict]:
-        if self._replay_index is None:
-            index: dict[str, dict] = {}
-            path = Path(self.cfg.cache_path)
-            if path.exists():
-                with open(path, encoding="utf-8") as f:
-                    for line in f:
-                        if not line.strip():
-                            continue
-                        try:
-                            entry = json.loads(line)
-                        except json.JSONDecodeError:
-                            # Only the last line can lack its newline: a
-                            # record cut short by a crash mid-write.
-                            if line.endswith("\n"):
-                                raise
-                            log.warning("skipping torn last line of replay cache %s", path)
-                            continue
-                        # The request is not kept: a run shares its gateway,
-                        # so the index lives as long as the run does.
-                        index[entry["hash"]] = entry["response"]
-            self._replay_index = index
-        return self._replay_index
+    # -- response cache -----------------------------------------------------
 
-    def _complete_replay(self, exchange: ChatExchange) -> LlmOutcome:
+    def _complete_through_cache(self, exchange: ChatExchange) -> LlmOutcome:
         digest = canonical_request_hash(exchange, self.cfg.model_name)
-        response = self._load_replay_index().get(digest)
-        if response is None:
+        with self._cache_lock:
+            if self._cache_index is None:
+                self._cache_index = self._load_cache()
+            response = self._cache_index.get(digest)
+        if response is not None:
+            usage = response.get("usage", {})
+            tokens = TokenUsage(usage.get("prompt", 0), usage.get("completion", 0))
+            return LlmOutcome(response["status"], response["text"], tokens)
+        if self.cfg.kind == "replay":
             raise ReplayMissError(digest)
-        usage = response.get("usage", {})
-        return LlmOutcome(
-            status=response["status"],
-            text=response["text"],
-            token_usage=TokenUsage(usage.get("prompt", 0), usage.get("completion", 0)),
-        )
+        outcome = self._ask(exchange)
+        # Only answers are recorded: a transport error is transient, and a
+        # replay must not serve it forever.
+        if self.cfg.record and outcome.status in ("ok", "refused"):
+            self._append(digest, exchange, outcome)
+        return outcome
 
-    def _maybe_record(self, exchange: ChatExchange, outcome: LlmOutcome) -> None:
-        """Append the outcome to the cache when recording. Only answers are
-        recorded: a transport error is transient, and a replay must not
-        serve it forever."""
-        if not (self.cfg.record and self.cfg.cache_path):
-            return
-        if outcome.status not in ("ok", "refused"):
-            return
+    def _load_cache(self) -> dict[str, dict]:
+        """Index the cache file by request hash in one pass, the last record
+        of a hash winning; the caller holds the cache lock. A record counts
+        once its newline is on disk: an unterminated last line, cut short by
+        a crash mid-write, is skipped, and a recording gateway cuts it so its
+        first append starts a line of its own. A malformed line raises."""
+        index: dict[str, dict] = {}
+        path = Path(self.cfg.cache_path)
+        recording = self.cfg.record and self.cfg.kind != "replay"
+        try:
+            f = open(path, "r+b" if recording else "rb")
+        except FileNotFoundError:
+            return index
+        with f:
+            complete_bytes = 0
+            for line in f:
+                if not line.endswith(b"\n"):
+                    log.warning("skipping torn last line of response cache %s", path)
+                    if recording:
+                        f.truncate(complete_bytes)
+                    break
+                complete_bytes += len(line)
+                if line.strip():
+                    entry = json.loads(line)
+                    # The request is not kept: a run shares its gateway,
+                    # so the index lives as long as the run does.
+                    index[entry["hash"]] = entry["response"]
+        return index
+
+    def _append(self, digest: str, exchange: ChatExchange, outcome: LlmOutcome) -> None:
+        """Append one answer to the cache file and to the index, under one
+        lock, so the index serves the answer a later replay will."""
+        usage = {"prompt": outcome.token_usage.prompt, "completion": outcome.token_usage.completion}
+        response = {"status": outcome.status, "text": outcome.text, "usage": usage}
         entry = {
-            "hash": canonical_request_hash(exchange, self.cfg.model_name),
+            "hash": digest,
             "model": self.cfg.model_name,
             "request": {
                 "system": exchange.system,
                 "turns": [[role, content] for role, content in exchange.turns],
                 "query": exchange.query,
             },
-            "response": {
-                "status": outcome.status,
-                "text": outcome.text,
-                "usage": {
-                    "prompt": outcome.token_usage.prompt,
-                    "completion": outcome.token_usage.completion,
-                },
-            },
+            "response": response,
         }
+        line = json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n"
         with self._cache_lock:
-            if not self._tail_checked:
-                _cut_torn_tail(Path(self.cfg.cache_path))
-                self._tail_checked = True
             with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
-                f.write(json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n")
+                f.write(line)
+            self._cache_index[digest] = response
 
     # -- http ---------------------------------------------------------------
 
@@ -424,25 +428,6 @@ class LlmGateway:
         return LlmOutcome("ok", text, tokens)
 
 
-def _cut_torn_tail(path: Path) -> None:
-    """Truncate a last line that lacks its newline, a record cut short by a
-    crash mid-write, so the next append starts a line of its own."""
-    try:
-        f = open(path, "rb+")
-    except FileNotFoundError:
-        return
-    with f:
-        size = f.seek(0, os.SEEK_END)
-        if size == 0:
-            return
-        f.seek(size - 1)
-        if f.read(1) == b"\n":
-            return
-        f.seek(0)
-        f.truncate(f.read().rfind(b"\n") + 1)
-    log.warning("cut torn last line of replay cache %s before recording", path)
-
-
 def as_gateway(backend: "BackendConfig | LlmGateway") -> LlmGateway:
     """Accept either a config or a ready gateway; stages use this so tests
     can inject counting transports."""
@@ -453,7 +438,7 @@ def as_gateway(backend: "BackendConfig | LlmGateway") -> LlmGateway:
 
 def load_mock_rules(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read a mock rule table: JSON list of [substring, reply] pairs, or an
-    object with "rules" and optional "default"."""
+    object whose "rules" key holds that list."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     rules = data["rules"] if isinstance(data, dict) else data

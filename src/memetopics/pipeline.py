@@ -128,9 +128,7 @@ class RunConfig:
         return demos.take(self.num_demonstrations)
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["backend"] = dataclasses.asdict(self.backend)
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

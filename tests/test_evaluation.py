@@ -194,8 +194,6 @@ def test_reserved_clusters_excluded_by_default():
     reps = [rep("Real", ["a", "b"]), rep("Miscellaneous", ["x", "y"])]
     report = coherence(reps, corpus)
     assert list(report.per_topic_npmi) == ["Real"]
-    report_incl = coherence(reps, corpus, include_reserved=True)
-    assert set(report_incl.per_topic_npmi) == {"Real", "Miscellaneous"}
 
 
 def test_coherence_needs_a_usable_representation():

@@ -144,6 +144,32 @@ def test_concurrent_stages_equal_a_sequential_run(docs, topic_entries):
         ]
 
 
+def test_concurrent_recording_over_a_filled_cache_pays_only_for_misses(tmp_path):
+    script = {f"doc{i}": ("ok", 5) for i in range(24)}
+    corpus = corpus_from_tokens([(f"doc{i}", [f"doc{i}", "cat"]) for i in range(24)])
+    cache = tmp_path / "cache.jsonl"
+    filled = Corpus([doc for doc in corpus.documents if int(doc.id[3:]) % 3 == 0])
+    generate_topics(filled, DEMOS, http_gateway(script, cache_path=str(cache), record=True))
+
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "a" not in mode:
+            reads.append(file)
+        return open(file, mode, *args, **kwargs)
+
+    gateway = http_gateway(script, cache_path=str(cache), record=True)
+    with mock.patch.object(llm, "open", counting_open, create=True):
+        assignments = generate_topics(corpus, DEMOS, gateway)
+    misses = {doc.id for doc in corpus.documents} - {doc.id for doc in filled.documents}
+    assert gateway.transport.calls == Counter(dict.fromkeys(misses, 1))
+    assert len(reads) == 1
+
+    replay = BackendConfig(kind="replay", model_name="test-model", cache_path=str(cache))
+    assert generate_topics(corpus, DEMOS, replay) == assignments
+    assert len(cache.read_text().splitlines()) == len(corpus.documents)
+
+
 def test_a_raising_call_stops_new_calls_and_the_earliest_item_raises():
     # Item 5 answers slowly, so item 9 fails first; 5 must still be raised.
     script = {f"doc{i}": ("ok", 100 if i == 5 else 5) for i in range(60)}

@@ -57,6 +57,18 @@ def http_body(text, prompt_tokens=12, completion_tokens=3):
     }
 
 
+class EchoTransport:
+    """Transport that answers every query with a list naming it."""
+
+    def __init__(self):
+        self.queries = []
+
+    def __call__(self, url, payload, headers, timeout):
+        query = payload["messages"][-1]["content"]
+        self.queries.append(query)
+        return 200, http_body(f"['{query}']")
+
+
 # -- exchange shape -----------------------------------------------------------
 
 
@@ -254,6 +266,54 @@ def test_recording_cuts_torn_last_line(tmp_path, caplog):
     assert gateway.complete(exchange("resumed")).text == "['R']"
     with pytest.raises(ReplayMissError):
         gateway.complete(exchange("torn"))
+
+
+def test_unterminated_last_record_is_skipped_then_cut(tmp_path, caplog):
+    # A record counts once its newline is on disk, even if the rest parses.
+    cache = recorded_cache(tmp_path, "kept", "unterminated")
+    cache.write_bytes(cache.read_bytes()[:-1])
+    cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
+    gateway = LlmGateway(cfg)
+    with caplog.at_level("WARNING", logger="memetopics.llm"):
+        with pytest.raises(ReplayMissError):
+            gateway.complete(exchange("unterminated"))
+    assert "torn last line" in caplog.text
+    assert gateway.complete(exchange("kept")).text == "['R']"
+
+    recorded_cache(tmp_path, "resumed")
+    lines = cache.read_text().splitlines(keepends=True)
+    assert [json.loads(line)["request"]["query"] for line in lines] == ["kept", "resumed"]
+    assert all(line.endswith("\n") for line in lines)
+
+
+def test_recording_over_a_cache_pays_only_for_misses(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cfg = http_cfg(cache_path=str(cache), record=True)
+    first = EchoTransport()
+    gateway = LlmGateway(cfg, transport=first, sleep=lambda s: None)
+    for query in ("a", "b"):
+        gateway.complete(exchange(query))
+
+    resumed = EchoTransport()
+    gateway = LlmGateway(cfg, transport=resumed, sleep=lambda s: None)
+    queries = ["a", "c", "b", "d", "c"]
+    assert [gateway.complete(exchange(q)).text for q in queries] == [f"['{q}']" for q in queries]
+    assert resumed.queries == ["c", "d"]
+    hashes = [json.loads(line)["hash"] for line in cache.read_text().splitlines()]
+    assert sorted(hashes) == sorted(canonical_request_hash(exchange(q), "test-model") for q in "abcd")
+    assert gateway.total_usage == (5 * 12, 5 * 3)  # hits count their recorded usage
+
+
+def test_http_reads_a_cache_it_does_not_record_into(tmp_path):
+    cache = recorded_cache(tmp_path, "known")
+    before = cache.read_bytes()
+    transport = EchoTransport()
+    cfg = http_cfg(model_name="mock-model", cache_path=str(cache))
+    gateway = LlmGateway(cfg, transport=transport, sleep=lambda s: None)
+    assert gateway.complete(exchange("known")).text == "['R']"
+    assert gateway.complete(exchange("new")).text == "['new']"
+    assert transport.queries == ["new"]
+    assert cache.read_bytes() == before
 
 
 def record(cache, queries):
