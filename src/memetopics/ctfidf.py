@@ -8,8 +8,9 @@ inverse class-frequency factor:
 
 where tf(x, c) counts occurrences of word x in class c's concatenated
 tokens, df(x) is the number of classes containing x, and C is the number
-of classes. The word similarity collapse and both topic representation
-strategies read from this table.
+of classes. Both topic representation strategies read from this table.
+The word similarity collapse builds it once to seed its own per-merge
+state and weighs words with the same idf() afterwards.
 """
 
 from __future__ import annotations
@@ -34,27 +35,6 @@ class CtfidfTable:
     num_classes: int
     weights: dict[str, dict[str, float]]
 
-    def merge(self, source: str, target: str, members: Iterable[str], corpus: Corpus) -> None:
-        """Fold class `source` into `target` in place; `members` is the union
-        of both classes' documents.
-
-        Only the merged class is recounted, from its members, so a document
-        both classes held counts once. Document frequencies and the class
-        count are adjusted; the class count moves every idf, so all weights
-        are recomputed. Afterwards the table equals a fresh
-        ctfidf_from_clusters() over the merged clusters.
-        """
-        for cls in (source, target):
-            for word in self.class_tf.pop(cls):
-                self.df[word] -= 1
-        counts = _class_counts(members, corpus)
-        for word in counts:
-            self.df[word] += 1
-        self.class_tf[target] = counts
-        self.classes.remove(source)
-        self.num_classes = len(self.classes)
-        self.weights = _weigh(self.class_tf, self.df, self.num_classes)
-
 
 @dataclass
 class TopicWordSet:
@@ -72,13 +52,19 @@ def _class_counts(doc_ids: Iterable[str], corpus: Corpus) -> dict[str, int]:
     return dict(counts)
 
 
+def idf(df: int, num_classes: int) -> float:
+    """The inverse class-frequency factor of the module docstring; a word's
+    weight in a class is its tf times this."""
+    return math.log(1.0 + (1.0 + num_classes) / (1.0 + df))
+
+
 def _weigh(
     class_tf: Mapping[str, Mapping[str, int]], df: Mapping[str, int], num_classes: int
 ) -> dict[str, dict[str, float]]:
     """The weight formula of the module docstring, for every (class, word)."""
-    idf = {word: math.log(1.0 + (1.0 + num_classes) / (1.0 + n)) for word, n in df.items()}
+    factor = {word: idf(n, num_classes) for word, n in df.items()}
     return {
-        cls: {word: tf * idf[word] for word, tf in counts.items()}
+        cls: {word: tf * factor[word] for word, tf in counts.items()}
         for cls, counts in class_tf.items()
     }
 

@@ -1,9 +1,12 @@
 """Collapse algorithms: prompt matching, word-overlap merging, invariants."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memetopics.collapse import (
     CollapseState,
@@ -13,7 +16,8 @@ from memetopics.collapse import (
     topic_similarity,
 )
 from memetopics.ctfidf import TopicWordSet
-from memetopics.generation import TopicAssignment
+from memetopics.generation import MISCELLANEOUS, TopicAssignment
+from memetopics.llm import BackendConfig, LlmGateway
 
 from conftest import corpus_from_tokens, mock_backend
 
@@ -162,6 +166,55 @@ def test_pbm_deterministic_across_runs():
 
     logs = {tuple(run()) for _ in range(5)}
     assert len(logs) == 1
+
+
+_CANDIDATE_LINE = re.compile(r"^\d+\. (.+)$", re.MULTILINE)
+PBM_LABELS = ("Cats", "dogs", "Politics", "sports", "Space Travel", "war", "Music", "food")
+REPLY_KINDS = ("candidate", "out_of_list", "prose", "empty_list", "refusal")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pbm_terminates_and_conserves_for_any_reply_script(data):
+    labels = data.draw(st.lists(st.sampled_from(PBM_LABELS), min_size=1, unique=True))
+    docs = [f"d{i}" for i in range(10)]
+    topics = {label: data.draw(st.sets(st.sampled_from(docs), min_size=1, max_size=3))
+              for label in labels}
+    k = data.draw(st.integers(1, len(labels)))
+    window = data.draw(st.integers(2, 5))
+    state = state_from(topics, k=k, window=window, misc={"m0"}, inappropriate={"x0"})
+    expected_targets = []
+
+    def transport(url, payload, headers, timeout):
+        query = payload["messages"][-1]["content"]
+        candidates = _CANDIDATE_LINE.findall(query)
+        kind = data.draw(st.sampled_from(REPLY_KINDS))
+        target = MISCELLANEOUS
+        if kind == "candidate":
+            target = data.draw(st.sampled_from(candidates))
+            cases = data.draw(st.lists(st.booleans(), min_size=len(target), max_size=len(target)))
+            named = "".join(c.upper() if up else c.lower() for c, up in zip(target, cases))
+            text = repr([named])
+        else:
+            text = {
+                "out_of_list": "['Not A Listed Topic']",
+                "prose": "This meme is mostly about everyday life.",
+                "empty_list": "[]",
+                "refusal": "I cannot help with that.",
+            }[kind]
+        expected_targets.append(target)
+        body = {"choices": [{"message": {"content": text}}],
+                "usage": {"prompt_tokens": 1, "completion_tokens": 1}}
+        return 200, body
+
+    cfg = BackendConfig(kind="http", model_name="mock-model", requests_per_minute=1_000_000)
+    result = collapse_pbm(state, LlmGateway(cfg, transport=transport, sleep=lambda s: None))
+    assert result.non_reserved_count() == k
+    assert len(result.merge_log) == len(labels) - k
+    assert [target for _, target, _ in result.merge_log] == expected_targets
+    # Every document ends in a topic, Miscellaneous or Inappropriate.
+    placed = set().union(*result.clusters().values())
+    assert placed == set().union(*topics.values(), {"m0", "x0"})
 
 
 # -- word similarity ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Staged pipeline runs, manifests, sweeps, and the command line."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -231,6 +232,43 @@ def test_fixture_politics_representation_headed_by_dominant_terms(tmp_path):
     assert "president" in head
     report = json.loads((outdir / "report.json").read_text())
     assert report["diversity"] == 1.0  # five well-separated topics
+
+
+# SHA-256 of (merge_log.jsonl, clusters.json) for the bundled fixture. A
+# faster collapse must reproduce these bytes; a changed value means the
+# merge order or the final clustering moved.
+FIXTURE_COLLAPSE_DIGESTS = {
+    ("wsm", "ctfidf", 3): (
+        "b34681bacc58a4f685d0da5cd0c6337f42eb8703a135c0f55ce1b6891323f157",
+        "afe262533841d4fb8206c2bd14e1e122f15181a1f7416f396e0da5fb448a84be",
+    ),
+    ("wsm", "ctfidf", 5): (
+        "de97d453c3fbf83abce34c5a6efca8d7e83db131b2e24064f8cedd6aa69ca737",
+        "9a73944d13a46f9ce212f14c8b5498cd8674f54d8a58b22a30987b75b5881f0b",
+    ),
+    ("wsm", "ctfidf", 8): (
+        "974fb0fb794353266eb4ac1c19b6c969757d4815be747e65ecf2434c163e8f29",
+        "da076b4bf6a7352b95798fc08303c2376786b8bbe48cd9332b69d56e77a77411",
+    ),
+    ("pbm", "llm", 5): (
+        "94294f6caa7c9dc62b35b4f14f6034f573c425c32d42a47cceeec841a37a9b28",
+        "0625d159cf686377ffd4beb41d09a2beb26bf6123579fa30943e4f1e1ca8f4ed",
+    ),
+}
+
+
+@pytest.mark.parametrize("method,representation,k", sorted(FIXTURE_COLLAPSE_DIGESTS))
+def test_fixture_collapse_artifacts_are_pinned(tmp_path, method, representation, k):
+    outdir = run_pipeline(
+        fixture_config(
+            tmp_path, "out", collapse_method=method, representation_method=representation, k=k
+        )
+    )
+    digests = tuple(
+        hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        for name in ("merge_log.jsonl", "clusters.json")
+    )
+    assert digests == FIXTURE_COLLAPSE_DIGESTS[(method, representation, k)]
 
 
 # -- staged execution ---------------------------------------------------------

@@ -3,16 +3,25 @@
 Generated states use a tiny vocabulary, so weight and similarity ties are
 common; documents may sit in several topics or carry no tokens, topics may
 share no word at all (zero-similarity merges), and K may reach or exceed
-the number of topics.
+the number of topics. Those states never hold more than 20 words in a
+class, so seeded ladder states, large enough that top-20 sets must be
+re-cut as classes merge, are checked against the oracle too.
 """
 
 import dataclasses
+import random
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from memetopics.collapse import CollapseState, collapse_wsm
-from memetopics.ctfidf import ctfidf_from_clusters
+from memetopics.collapse import (
+    TOP_WORDS_FOR_SIMILARITY as TOP_N,
+    CollapseState,
+    _WordSimilarityIndex,
+    collapse_wsm,
+)
+from memetopics.ctfidf import ctfidf_from_clusters, top_words
 
 import wsm_oracle
 from conftest import corpus_from_tokens
@@ -66,18 +75,76 @@ def test_incremental_wsm_matches_full_rebuild(inputs):
 
 @settings(max_examples=100, deadline=None)
 @given(collapse_inputs(), st.data())
-def test_table_merge_equals_fresh_build(inputs, data):
-    docs, topics, _, _ = inputs
+def test_index_merges_keep_fresh_top_sets(inputs, data):
+    docs, topics, _, top_n = inputs
     assume(len(topics) >= 2)
     corpus, _ = build(docs, topics, 1)
-    source, target = data.draw(st.permutations(sorted(topics)))[:2]
+    live = {label: set(ids) for label, ids in topics.items()}
+    index = _WordSimilarityIndex(live, corpus, top_n)
+    while len(live) > 1:
+        source, target = data.draw(st.permutations(sorted(live)))[:2]
+        both_docs = live[source] & live[target]
+        live[target] |= live.pop(source)
+        index.merge(source, target, both_docs)
+        assert_index_is_fresh(index, live, corpus, top_n)
+
+
+def assert_index_is_fresh(index, live, corpus, top_n):
+    """The index holds what a fresh table over the live topics gives."""
+    fresh = ctfidf_from_clusters(live, corpus)
+    assert index.class_tf == fresh.class_tf
+    assert index.df == fresh.df
+    assert index.num_classes == fresh.num_classes
+    for label in live:
+        assert index.top[label] == set(top_words(fresh, label, top_n).words)
+
+
+def ladder_state(seed):
+    """A seeded state shaped like a real collapse input: 40-60 topics of
+    Zipf sizes in families that share words, a few hundred words, small
+    term counts (so many df and weight ties) and classes past 20 words,
+    so top sets must be re-cut as the class count falls."""
+    rng = random.Random(seed)
+    vocab = [f"w{i:03d}" for i in range(rng.randint(250, 400))]
+    num_topics = rng.randint(40, 60)
+    families = [rng.sample(vocab, 5) for _ in range(num_topics // 6)]
+    docs, topics = [], {}
+    for rank in range(num_topics):
+        pool = rng.choice(families) + rng.sample(vocab, rng.randint(10, 30))
+        members = set()
+        for _ in range(max(1, round(40 / (rank + 1)))):
+            members.add(f"d{len(docs)}")
+            docs.append([rng.choice(pool) for _ in range(rng.randint(2, 8))])
+        topics[f"T{rank:02d}"] = members
+    # A few documents carry a second label.
+    for label in rng.sample(sorted(topics), 8):
+        topics[label].add(f"d{rng.randrange(len(docs))}")
+    return docs, topics
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ladder_states_match_full_rebuild(seed):
+    docs, topics = ladder_state(seed)
+    corpus, state = build(docs, topics, 1)
     table = ctfidf_from_clusters(topics, corpus)
-    merged = {label: ids for label, ids in topics.items() if label != source}
-    merged[target] = topics[source] | topics[target]
-    table.merge(source, target, merged[target], corpus)
-    fresh = ctfidf_from_clusters(merged, corpus)
-    assert table.classes == fresh.classes
-    assert table.class_tf == fresh.class_tf
-    assert table.df == fresh.df
-    assert table.num_classes == fresh.num_classes
-    assert table.weights == fresh.weights
+    assert max(len(counts) for counts in table.class_tf.values()) > TOP_N
+    expected = {
+        k: wsm_oracle.collapse_wsm(dataclasses.replace(state, k_target=k), corpus, TOP_N)
+        for k in (1, 12)
+    }
+    # Top sets along the whole trajectory, not only the merges they decide.
+    live = {label: set(ids) for label, ids in topics.items()}
+    index = _WordSimilarityIndex(live, corpus, TOP_N)
+    for source, target, _ in expected[1].merge_log[:-1]:
+        both_docs = live[source] & live[target]
+        live[target] |= live.pop(source)
+        index.merge(source, target, both_docs)
+        assert_index_is_fresh(index, live, corpus, TOP_N)
+    for k, want in expected.items():
+        actual = collapse_wsm(dataclasses.replace(state, k_target=k), corpus, TOP_N)
+        assert actual.merge_log == want.merge_log
+        assert actual.topics == want.topics
+        larger = collapse_wsm(dataclasses.replace(state, k_target=k + 9), corpus, TOP_N)
+        continued = collapse_wsm(dataclasses.replace(larger, k_target=k), corpus, TOP_N)
+        assert continued.merge_log == want.merge_log
+        assert continued.topics == want.topics
