@@ -3,8 +3,9 @@
 A meme arrives flattened to text: an image caption from a captioning model
 plus the text superimposed on the image. This module loads those records
 from JSONL or CSV, cleans them into token lists, and exposes the counts
-(document frequencies, co-occurrences) that the weighting and
-evaluation stages consume.
+that the weighting and evaluation stages consume: document frequencies,
+counted once per corpus, and co-occurrences of a chosen word set, counted
+from postings built in one pass over the documents.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -192,12 +193,14 @@ def tokenize(text: str, cfg: PreprocessConfig) -> list[str]:
         word = raw.lower() if cfg.lowercase else raw
         if word.startswith(URL_PREFIXES) or word.startswith(USERNAME_PREFIX):
             continue
-        start, end = 0, len(word)
-        while start < end and _is_punct(word[start]):
-            start += 1
-        while end > start and _is_punct(word[end - 1]):
-            end -= 1
-        word = word[start:end]
+        # No alphanumeric character is punctuation: such edges need no scan.
+        if not (word[0].isalnum() and word[-1].isalnum()):
+            start, end = 0, len(word)
+            while start < end and _is_punct(word[start]):
+                start += 1
+            while end > start and _is_punct(word[end - 1]):
+                end -= 1
+            word = word[start:end]
         if len(word) < cfg.min_token_len:
             continue
         if word in cfg.stopwords or word in cfg.extra_blocklist:
@@ -214,7 +217,10 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> Corpus:
     a fixed input corpus and config.
     """
     return Corpus(
-        [replace(doc, tokens=tuple(tokenize(doc.raw_text, cfg))) for doc in corpus.documents]
+        [
+            MemeDocument(doc.id, doc.caption, doc.overlay_text, tuple(tokenize(doc.raw_text, cfg)))
+            for doc in corpus.documents
+        ]
     )
 
 
@@ -230,20 +236,25 @@ def top_frequent_words(corpus: Corpus, k: int) -> list[tuple[str, int]]:
 
 @dataclass
 class Cooccurrence:
-    """Document-level unigram and pairwise co-occurrence counts."""
+    """Document-level unigram and pairwise co-occurrence counts of a word set.
 
-    doc_count: dict[str, int]
-    pair_doc_count: dict[tuple[str, str], int]
+    postings maps each wanted word to the positions of the documents holding
+    it; a pair count intersects two postings when asked for, so a caller pays
+    only for the pairs it needs. Words outside the set count 0.
+    """
+
+    postings: dict[str, set[int]]
     total_docs: int
 
+    @property
+    def doc_count(self) -> dict[str, int]:
+        return {word: len(ids) for word, ids in self.postings.items()}
+
     def count(self, word: str) -> int:
-        return self.doc_count.get(word, 0)
+        return len(self.postings.get(word, ()))
 
     def pair(self, w1: str, w2: str) -> int:
-        if w1 == w2:
-            return self.count(w1)
-        key = (w1, w2) if w1 <= w2 else (w2, w1)
-        return self.pair_doc_count.get(key, 0)
+        return len(self.postings.get(w1, frozenset()) & self.postings.get(w2, frozenset()))
 
 
 def cooccurrence_counts(corpus: Corpus, words: Iterable[str]) -> Cooccurrence:
@@ -252,21 +263,12 @@ def cooccurrence_counts(corpus: Corpus, words: Iterable[str]) -> Cooccurrence:
     Membership is per-document boolean (a word counts once per document no
     matter how often it repeats). Words absent from the corpus get count 0.
     """
-    wanted = sorted(set(words))
-    postings: dict[str, set[int]] = {w: set() for w in wanted}
+    wanted = set(words)
+    postings: dict[str, set[int]] = {word: set() for word in wanted}
     for idx, doc in enumerate(corpus.documents):
-        token_set = set(doc.tokens)
-        for w in wanted:
-            if w in token_set:
-                postings[w].add(idx)
-    doc_count = {w: len(ids) for w, ids in postings.items()}
-    pair_doc_count: dict[tuple[str, str], int] = {}
-    for i, w1 in enumerate(wanted):
-        for w2 in wanted[i + 1 :]:
-            pair_doc_count[(w1, w2)] = len(postings[w1] & postings[w2])
-    return Cooccurrence(
-        doc_count=doc_count, pair_doc_count=pair_doc_count, total_docs=corpus.total_docs
-    )
+        for word in wanted.intersection(doc.tokens):
+            postings[word].add(idx)
+    return Cooccurrence(postings, corpus.total_docs)
 
 
 def save_processed(corpus: Corpus, path: str | Path) -> None:

@@ -14,11 +14,12 @@ representations. Reserved failure clusters are excluded from both metrics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import Corpus, cooccurrence_counts
+from .corpus import Cooccurrence, Corpus, cooccurrence_counts
 from .generation import RESERVED_LABELS
 from .representation import TopicRepresentation
 
@@ -58,10 +59,11 @@ class CoherenceReport:
         }
 
 
-def _npmi_from_counts(c1: int, c2: int, c12: int, total: int, epsilon: float) -> float:
-    p1 = c1 / total
-    p2 = c2 / total
-    p12 = c12 / total
+def _npmi(counts: Cooccurrence, w1: str, w2: str, epsilon: float) -> float:
+    total = counts.total_docs
+    p1 = counts.count(w1) / total
+    p2 = counts.count(w2) / total
+    p12 = counts.pair(w1, w2) / total
     numerator = math.log((p12 + epsilon) / (p1 * p2 + epsilon))
     denominator = -math.log(p12 + epsilon)
     if denominator == 0.0:
@@ -80,10 +82,7 @@ def npmi_pair(w1: str, w2: str, corpus: Corpus, epsilon: float = DEFAULT_EPSILON
         raise ValueError("epsilon must be > 0")
     if corpus.total_docs == 0:
         raise ValueError("corpus is empty")
-    counts = cooccurrence_counts(corpus, [w1, w2])
-    return _npmi_from_counts(
-        counts.count(w1), counts.count(w2), counts.pair(w1, w2), corpus.total_docs, epsilon
-    )
+    return _npmi(cooccurrence_counts(corpus, [w1, w2]), w1, w2, epsilon)
 
 
 def _is_reserved(topic: str) -> bool:
@@ -112,19 +111,10 @@ def coherence(
 
     vocabulary = {word for rep in usable for word in rep.words}
     counts = cooccurrence_counts(corpus, vocabulary)
-    total = corpus.total_docs
 
     per_topic: dict[str, float] = {}
     for rep in usable:
-        words = rep.words
-        values = []
-        for i, w1 in enumerate(words):
-            for w2 in words[i + 1 :]:
-                values.append(
-                    _npmi_from_counts(
-                        counts.count(w1), counts.count(w2), counts.pair(w1, w2), total, epsilon
-                    )
-                )
+        values = [_npmi(counts, w1, w2, epsilon) for w1, w2 in itertools.combinations(rep.words, 2)]
         per_topic[rep.topic] = sum(values) / len(values)
 
     return CoherenceReport(

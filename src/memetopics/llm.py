@@ -9,7 +9,8 @@ Any backend with a cache_path reads through that response cache, keyed by a
 canonical request hash, so pipelines re-run byte-identically with zero
 network calls. On a miss http and mock answer, and with record=True append
 the answer, so a resumed recording pays only for misses; replay has no live
-fallback and raises ReplayMissError.
+fallback and raises ReplayMissError. Without a cache, http still answers a
+request it has sent before from memory.
 
 A stage that prompts once per item fans its calls out through
 LlmGateway.map: over http up to MAX_IN_FLIGHT requests run at once, with
@@ -19,6 +20,7 @@ anything, so they run one call at a time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -142,15 +144,18 @@ class LlmOutcome:
 
 
 def canonical_request_hash(exchange: ChatExchange, model_name: str) -> str:
-    """Stable hex digest of (system, turns, query, model) across runs and platforms."""
-    payload = {
-        "model": model_name,
-        "system": exchange.system,
-        "turns": [[role, content] for role, content in exchange.turns],
-        "query": exchange.query,
-    }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable hex digest of (system, turns, query, model) across runs and platforms:
+    the SHA-256 of their sorted-key, compact, ASCII-only JSON object."""
+    head = f'{{"model":{json.dumps(model_name)},"query":{json.dumps(exchange.query)}'
+    blob = head + _shared_tail(exchange.system, exchange.turns)
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_tail(system: str, turns: tuple[tuple[str, str], ...]) -> str:
+    """The `,"system":...,"turns":[...]}` tail of the hash blob; a stage's prompts share it."""
+    payload = {"system": system, "turns": [[role, content] for role, content in turns]}
+    return "," + json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))[1:]
 
 
 def _approx_tokens(text: str) -> int:
@@ -232,10 +237,10 @@ class LlmGateway:
     # -- public API ---------------------------------------------------------
 
     def complete(self, exchange: ChatExchange) -> LlmOutcome:
-        if self.cfg.cache_path:
+        if self.cfg.cache_path or self.cfg.kind == "http":
             outcome = self._complete_through_cache(exchange)
         else:
-            outcome = self._ask(exchange)
+            outcome = self._complete_mock(exchange)
         with self._usage_lock:
             self.total_usage = TokenUsage(
                 self.total_usage.prompt + outcome.token_usage.prompt,
@@ -286,18 +291,13 @@ class LlmGateway:
             return LlmOutcome("refused", reply, _usage_estimate(exchange, reply))
         return LlmOutcome("ok", reply, _usage_estimate(exchange, reply))
 
-    def _ask(self, exchange: ChatExchange) -> LlmOutcome:
-        if self.cfg.kind == "mock":
-            return self._complete_mock(exchange)
-        return self._complete_http(exchange)
-
     # -- response cache -----------------------------------------------------
 
     def _complete_through_cache(self, exchange: ChatExchange) -> LlmOutcome:
         digest = canonical_request_hash(exchange, self.cfg.model_name)
         with self._cache_lock:
             if self._cache_index is None:
-                self._cache_index = self._load_cache()
+                self._cache_index = self._load_cache() if self.cfg.cache_path else {}
             response = self._cache_index.get(digest)
         if response is not None:
             usage = response.get("usage", {})
@@ -305,11 +305,12 @@ class LlmGateway:
             return LlmOutcome(response["status"], response["text"], tokens)
         if self.cfg.kind == "replay":
             raise ReplayMissError(digest)
-        outcome = self._ask(exchange)
-        # Only answers are recorded: a transport error is transient, and a
+        ask = self._complete_mock if self.cfg.kind == "mock" else self._complete_http
+        outcome = ask(exchange)
+        # Only answers are kept: a transport error is transient, and a
         # replay must not serve it forever.
-        if self.cfg.record and outcome.status in ("ok", "refused"):
-            self._append(digest, exchange, outcome)
+        if outcome.status in ("ok", "refused"):
+            self._keep(digest, exchange, outcome)
         return outcome
 
     def _load_cache(self) -> dict[str, dict]:
@@ -341,9 +342,9 @@ class LlmGateway:
                     index[entry["hash"]] = entry["response"]
         return index
 
-    def _append(self, digest: str, exchange: ChatExchange, outcome: LlmOutcome) -> None:
-        """Append one answer to the cache file and to the index, under one
-        lock, so the index serves the answer a later replay will."""
+    def _keep(self, digest: str, exchange: ChatExchange, outcome: LlmOutcome) -> None:
+        """Add one answer to the index and, when recording, to the cache file,
+        under one lock, so the index serves the answer a later replay will."""
         usage = {"prompt": outcome.token_usage.prompt, "completion": outcome.token_usage.completion}
         response = {"status": outcome.status, "text": outcome.text, "usage": usage}
         entry = {
@@ -358,8 +359,9 @@ class LlmGateway:
         }
         line = json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n"
         with self._cache_lock:
-            with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
-                f.write(line)
+            if self.cfg.record and self.cfg.cache_path:
+                with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
+                    f.write(line)
             self._cache_index[digest] = response
 
     # -- http ---------------------------------------------------------------

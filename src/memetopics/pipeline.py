@@ -45,7 +45,7 @@ _FLOW = {
     "generate": (("corpus", "gateway"), "assignments"),
     "collapse": (("corpus", "assignments", "gateway"), "state"),
     "represent": (("corpus", "state", "gateway"), "representations"),
-    "evaluate": (("corpus", "representations"), "report"),
+    "evaluate": (("corpus", "representations", "input_hashes"), "report"),
 }
 STAGES = tuple(_FLOW)
 
@@ -153,12 +153,23 @@ class RunConfig:
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
 
-    def config_digest(self) -> str:
-        """Content-addressed digest: configuration values plus the SHA-256 of
-        every input file, so equal digests mean re-runnable equal runs
-        regardless of where the files live. A replay cache is hashed line by
-        line, in sorted order, since the order of its entries does not
-        matter."""
+    def input_hashes(self) -> dict:
+        """SHA-256 of every input file by role, None for a role without one. A
+        replay cache is hashed line by line, in sorted order, since the order
+        of its entries does not matter; a cache being recorded into is output."""
+        optional = {"stopwords": self.stopwords_path, "demonstrations": self.demonstrations_path}
+        hashes = {role: _file_sha256(path) if path else None for role, path in optional.items()}
+        hashes["corpus"] = _file_sha256(self.corpus_path)
+        cache = self.backend.cache_path
+        replayed = cache and not self.backend.record and Path(cache).exists()
+        hashes["cache"] = _sorted_lines_sha256(cache) if replayed else None
+        return hashes
+
+    def config_digest(self, input_hashes: dict | None = None) -> str:
+        """Content-addressed digest: configuration values plus input_hashes(),
+        so equal digests mean re-runnable equal runs regardless of where the
+        files live. A run passes in the input_hashes() it took once, so it
+        reads its input files once however many digests it writes."""
         backend = self.backend
         payload = {
             "corpus_format": self.corpus_format,
@@ -180,18 +191,7 @@ class RunConfig:
                 "mock_default": backend.mock_default,
                 "refusal_phrases": list(backend.refusal_phrases),
             },
-            "inputs": {
-                "corpus": _file_sha256(self.corpus_path),
-                "stopwords": _file_sha256(self.stopwords_path) if self.stopwords_path else None,
-                "demonstrations": (
-                    _file_sha256(self.demonstrations_path) if self.demonstrations_path else None
-                ),
-                "cache": (
-                    _sorted_lines_sha256(backend.cache_path)
-                    if backend.cache_path and not backend.record and Path(backend.cache_path).exists()
-                    else None
-                ),
-            },
+            "inputs": input_hashes or self.input_hashes(),
         }
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -206,9 +206,7 @@ def _file_sha256(path: str | Path) -> str:
 
 
 def _sorted_lines_sha256(path: str | Path) -> str:
-    """SHA-256 of the sorted SHA-256s of a file's nonblank lines: a replay
-    cache serves the same answers whatever order its entries were recorded
-    in. The file is read a line at a time."""
+    """SHA-256 of the sorted SHA-256s of a file's nonblank lines, read one at a time."""
     with open(path, "rb") as f:
         lines = sorted(hashlib.sha256(line.rstrip(b"\n")).digest() for line in f if line.strip())
     return hashlib.sha256(b"".join(lines)).hexdigest()
@@ -307,10 +305,14 @@ def stage_represent(
 
 
 def stage_evaluate(
-    cfg: RunConfig, outdir: Path, corpus: Corpus, representations: list[TopicRepresentation]
+    cfg: RunConfig,
+    outdir: Path,
+    corpus: Corpus,
+    representations: list[TopicRepresentation],
+    input_hashes: dict,
 ) -> tuple[dict, dict]:
     report = coherence(representations, corpus, epsilon=cfg.epsilon).to_dict()
-    report["config_digest"] = cfg.config_digest()
+    report["config_digest"] = cfg.config_digest(input_hashes)
     _write_json(outdir / REPORT_FILE, report)
     metrics = {"mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
     return report, {"metrics": metrics}
@@ -362,8 +364,9 @@ def _run_stages(
     return artifacts
 
 
-def _run_header(cfg: RunConfig) -> dict:
-    return {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": cfg.config_digest()}
+def _run_header(cfg: RunConfig, input_hashes: dict | None) -> dict:
+    digest = cfg.config_digest(input_hashes)
+    return {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
@@ -375,7 +378,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _run_stages(cfg, outdir, STAGES, {"gateway": LlmGateway(cfg.backend)}, _run_header(cfg))
+    artifacts = {"gateway": LlmGateway(cfg.backend), "input_hashes": cfg.input_hashes()}
+    _run_stages(cfg, outdir, STAGES, artifacts, _run_header(cfg, artifacts["input_hashes"]))
     return outdir
 
 
@@ -399,6 +403,7 @@ def run_stage(cfg: RunConfig, stage: str):
     outdir.mkdir(parents=True, exist_ok=True)
     loaders = {
         "gateway": lambda: LlmGateway(cfg.backend),
+        "input_hashes": cfg.input_hashes,
         "corpus": lambda: corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE),
         "assignments": lambda: generation_mod.load_assignments(outdir / ASSIGNMENTS_FILE),
         "state": lambda: _load_state(outdir / CLUSTERS_FILE),
@@ -410,7 +415,7 @@ def run_stage(cfg: RunConfig, stage: str):
     artifacts = {name: loaders[name]() for name in reads}
     path = outdir / MANIFEST_FILE
     if stage == "preprocess" or not path.exists():
-        manifest = _run_header(cfg)
+        manifest = _run_header(cfg, artifacts.get("input_hashes"))
     else:
         with open(path, encoding="utf-8") as f:
             manifest = json.load(f)
@@ -438,7 +443,7 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     root.mkdir(parents=True, exist_ok=True)
-    artifacts = {"gateway": LlmGateway(cfg.backend)}
+    artifacts = {"gateway": LlmGateway(cfg.backend), "input_hashes": cfg.input_hashes()}
     _run_stages(cfg, root, ("preprocess", "generate"), artifacts, {})
 
     reports: dict[int, dict] = {}

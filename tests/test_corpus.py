@@ -2,10 +2,15 @@
 
 import json
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memetopics.corpus import (
+    URL_PREFIXES,
+    USERNAME_PREFIX,
     Corpus,
     CorpusFormatError,
     PreprocessConfig,
@@ -16,6 +21,7 @@ from memetopics.corpus import (
     load_stopwords,
     preprocess,
     save_processed,
+    tokenize,
     top_frequent_words,
 )
 
@@ -164,6 +170,74 @@ def test_preprocess_never_invents_tokens(std_cfg):
         lowered = f"{caption} {overlay}".lower()
         for token in processed.documents[0].tokens:
             assert token in lowered
+
+
+def per_character_tokenize(text, cfg):
+    """tokenize as first written: every word's edges are scanned for
+    punctuation one character at a time, whatever they hold."""
+    tokens = []
+    for raw in text.split():
+        word = raw.lower() if cfg.lowercase else raw
+        if word.startswith(URL_PREFIXES) or word.startswith(USERNAME_PREFIX):
+            continue
+        start, end = 0, len(word)
+        while start < end and unicodedata.category(word[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(word[end - 1]).startswith("P"):
+            end -= 1
+        word = word[start:end]
+        if len(word) < cfg.min_token_len:
+            continue
+        if word in cfg.stopwords or word in cfg.extra_blocklist:
+            continue
+        tokens.append(word)
+    return tokens
+
+
+# Words, punctuation (ASCII and not), URL and username prefixes, letters
+# that change length or context when lowered, and any other character.
+meme_text = st.lists(
+    st.one_of(
+        st.sampled_from(["cat", "The", "and", "A1", "ΣΑΣ", "İx", "www.", "http://", "@"]),
+        st.sampled_from(list(".,!?'\"()-_¿«»…—#%&*/:;") + [" ", "\u00a0", "\n", "\t"]),
+        st.characters(),
+    )
+).map("".join)
+preprocess_cfgs = st.builds(
+    PreprocessConfig,
+    stopwords=st.sampled_from([frozenset(), frozenset({"the", "and", "a"})]),
+    extra_blocklist=st.sampled_from([frozenset(), frozenset({"cat"})]),
+    min_token_len=st.integers(1, 3),
+    lowercase=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=meme_text, cfg=preprocess_cfgs)
+def test_tokenize_equals_the_per_character_version(text, cfg):
+    assert tokenize(text, cfg) == per_character_tokenize(text, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=meme_text, cfg=preprocess_cfgs)
+def test_tokenize_never_invents_tokens(text, cfg):
+    words = iter(word.lower() if cfg.lowercase else word for word in text.split())
+    for token in tokenize(text, cfg):
+        # Each token is cut from a later word than the one before it.
+        assert any(token in word for word in words)
+        assert len(token) >= cfg.min_token_len
+        assert token not in cfg.stopwords and token not in cfg.extra_blocklist
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.tuples(meme_text, meme_text), max_size=5), cfg=preprocess_cfgs)
+def test_preprocess_is_idempotent(texts, cfg):
+    corpus = Corpus([_doc(f"m{i}", caption, overlay) for i, (caption, overlay) in enumerate(texts)])
+    once = preprocess(corpus, cfg)
+    twice = preprocess(once, cfg)
+    assert once.documents == twice.documents
+    assert once.doc_freq == twice.doc_freq
+    assert [doc.id for doc in once.documents] == [doc.id for doc in corpus.documents]
 
 
 def test_preprocess_min_token_len():

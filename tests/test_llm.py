@@ -1,5 +1,6 @@
 """Gateway behavior: wire shape, hashing, mock, replay, retry, rate limit."""
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -104,6 +105,49 @@ def test_hash_covers_demonstration_order():
     a = canonical_request_hash(exchange(turns=DEMO_TURNS), "m")
     b = canonical_request_hash(exchange(turns=reordered), "m")
     assert a != b
+
+
+def json_dumps_request_hash(exchange: ChatExchange, model_name: str) -> str:
+    """The request hash as first defined: SHA-256 of one sorted-key json.dumps
+    of the whole request. Every recorded cache is keyed by it."""
+    payload = {
+        "model": model_name,
+        "system": exchange.system,
+        "turns": [[role, content] for role, content in exchange.turns],
+        "query": exchange.query,
+    }
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_hash_of_a_fixed_exchange_is_pinned():
+    pinned = ChatExchange(
+        system="Tag the meme.",
+        turns=(("user", 'Caption: a cat "naps"\n'), ("assistant", "['Cats']")),
+        query="Caption: caf\u00e9 \u2603 back\\slash\ttab \x00",
+    )
+    expected = "0923e0280867d86fd430cc9e20d12fce2dc3165e1532e2d5eb36ffc0d0da4c83"
+    assert canonical_request_hash(pinned, "gpt-3.5-turbo") == expected
+
+
+# Non-ASCII text, quotes, backslashes and control characters, which JSON
+# must escape, mixed with any other character.
+tricky_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters())
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=tricky_text,
+    system=st.sampled_from(["be helpful", 'say "no"']) | tricky_text,
+    pairs=st.lists(st.tuples(tricky_text, tricky_text), max_size=3),
+    query=tricky_text,
+)
+def test_hash_equals_the_json_dumps_form(model, system, pairs, query):
+    turns = tuple(turn for q, a in pairs for turn in (("user", q), ("assistant", a)))
+    ex = ChatExchange(system=system, turns=turns, query=query)
+    assert canonical_request_hash(ex, model) == json_dumps_request_hash(ex, model)
 
 
 # -- mock backend -------------------------------------------------------------
@@ -409,6 +453,23 @@ def test_http_transport_exception_is_retried():
     assert gateway.complete(exchange("q")).status == "ok"
 
 
+def test_http_answers_a_repeated_request_from_memory():
+    transport = CountingTransport([(200, http_body("['Cats']")), (200, http_body("['Dogs']"))])
+    gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
+    texts = [gateway.complete(exchange(q)).text for q in ("cat", "dog", "cat", "dog")]
+    assert texts == ["['Cats']", "['Dogs']", "['Cats']", "['Dogs']"]
+    assert len(transport.calls) == 2
+    assert gateway.total_usage == (4 * 12, 4 * 3)  # a repeat counts its first answer's usage
+
+
+def test_http_asks_again_after_a_transport_error():
+    transport = CountingTransport([(404, "nope"), (200, http_body("['Cats']"))])
+    gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
+    assert gateway.complete(exchange("cat")).status == "transport_error"
+    assert gateway.complete(exchange("cat")).text == "['Cats']"
+    assert len(transport.calls) == 2
+
+
 def test_http_non_retryable_client_error():
     transport = CountingTransport([(404, "nope")])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
@@ -468,8 +529,8 @@ def test_http_calls_pass_through_limiter():
     transport = CountingTransport([(200, http_body(f"reply {i}")) for i in range(4)])
     cfg = http_cfg(requests_per_minute=2)
     gateway = LlmGateway(cfg, transport=transport, clock=clock.time, sleep=clock.sleep)
-    for _ in range(4):
-        gateway.complete(exchange("q"))
+    for i in range(4):
+        gateway.complete(exchange(f"q{i}"))  # distinct: a repeat is answered from memory
     assert len(transport.calls) == 4
     assert clock.sleeps  # third and fourth call had to wait for the window
 

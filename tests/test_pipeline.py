@@ -3,17 +3,26 @@
 import dataclasses
 import hashlib
 import json
+import shutil
+import threading
 
 import pytest
 
 from memetopics import collapse as collapse_mod
 from memetopics import corpus as corpus_mod
 from memetopics import generation as generation_mod
+from memetopics import llm as llm_mod
 from memetopics import representation as representation_mod
 from memetopics.cli import main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
 from memetopics.generation import load_assignments
-from memetopics.llm import BackendConfig, LlmGateway, load_mock_rules
+from memetopics.llm import (
+    BackendConfig,
+    ChatExchange,
+    LlmGateway,
+    canonical_request_hash,
+    load_mock_rules,
+)
 from memetopics.pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
 
 from conftest import FIXTURES_DIR, write_jsonl
@@ -234,41 +243,59 @@ def test_fixture_politics_representation_headed_by_dominant_terms(tmp_path):
     assert report["diversity"] == 1.0  # five well-separated topics
 
 
-# SHA-256 of (merge_log.jsonl, clusters.json) for the bundled fixture. A
-# faster collapse must reproduce these bytes; a changed value means the
-# merge order or the final clustering moved.
-FIXTURE_COLLAPSE_DIGESTS = {
+# SHA-256 of (merge_log.jsonl, clusters.json, report.json, manifest.json)
+# for the bundled fixture, run from relative paths so the manifest's config
+# does not depend on where the test runs. A faster collapse or evaluation
+# must reproduce these bytes; a changed value means the merge order, the
+# final clustering, a metric or a digest moved.
+FIXTURE_RUN_DIGESTS = {
     ("wsm", "ctfidf", 3): (
         "b34681bacc58a4f685d0da5cd0c6337f42eb8703a135c0f55ce1b6891323f157",
         "afe262533841d4fb8206c2bd14e1e122f15181a1f7416f396e0da5fb448a84be",
+        "93dae7d4b44c7b991fb25858cdf74327d3b54e3db763f82ab1efb0ea76dce622",
+        "d09aa99c7712341d275d1e489e0438d2118f1e980491630355633a596c96c4cd",
     ),
     ("wsm", "ctfidf", 5): (
         "de97d453c3fbf83abce34c5a6efca8d7e83db131b2e24064f8cedd6aa69ca737",
         "9a73944d13a46f9ce212f14c8b5498cd8674f54d8a58b22a30987b75b5881f0b",
+        "dfcd32b4a505172fee55e2184aee5561fc541c838fa2689ae5c5568e1aca3184",
+        "45d2e9bc55e4acb6cdfee75bd6417e9ce0924024ec1b7e2725c34e2aa59acc2f",
     ),
     ("wsm", "ctfidf", 8): (
         "974fb0fb794353266eb4ac1c19b6c969757d4815be747e65ecf2434c163e8f29",
         "da076b4bf6a7352b95798fc08303c2376786b8bbe48cd9332b69d56e77a77411",
+        "fb98281bdaa7007d1b5f7e3138fd489281d6547819b6f593bf99de99b5086693",
+        "8e5b27e9913810db422d91523dc370a537617b4a84a686f18db9400c630ccd8f",
     ),
     ("pbm", "llm", 5): (
         "94294f6caa7c9dc62b35b4f14f6034f573c425c32d42a47cceeec841a37a9b28",
         "0625d159cf686377ffd4beb41d09a2beb26bf6123579fa30943e4f1e1ca8f4ed",
+        "43a20ed82e4333cf3bfb4cec35ce98f7b4ddaaf500c7720abb46cf5931e58339",
+        "cc3164b899bec2168c2547a34fa0c8e006b340b26be50e3d16e61c4c17433943",
     ),
 }
+FIXTURE_RUN_FILES = ("merge_log.jsonl", "clusters.json", "report.json", "manifest.json")
 
 
-@pytest.mark.parametrize("method,representation,k", sorted(FIXTURE_COLLAPSE_DIGESTS))
-def test_fixture_collapse_artifacts_are_pinned(tmp_path, method, representation, k):
-    outdir = run_pipeline(
-        fixture_config(
-            tmp_path, "out", collapse_method=method, representation_method=representation, k=k
-        )
+@pytest.mark.parametrize("method,representation,k", sorted(FIXTURE_RUN_DIGESTS))
+def test_fixture_collapse_artifacts_are_pinned(tmp_path, monkeypatch, method, representation, k):
+    for name in ("memes50.jsonl", "replay_cache.jsonl"):
+        shutil.copy(FIXTURES_DIR / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    backend = BackendConfig(kind="replay", model_name="mock-model", cache_path="replay_cache.jsonl")
+    cfg = RunConfig(
+        corpus_path="memes50.jsonl",
+        backend=backend,
+        collapse_method=method,
+        representation_method=representation,
+        k=k,
+        output_dir="out",
     )
+    outdir = run_pipeline(cfg)
     digests = tuple(
-        hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-        for name in ("merge_log.jsonl", "clusters.json")
+        hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in FIXTURE_RUN_FILES
     )
-    assert digests == FIXTURE_COLLAPSE_DIGESTS[(method, representation, k)]
+    assert digests == FIXTURE_RUN_DIGESTS[(method, representation, k)]
 
 
 # -- staged execution ---------------------------------------------------------
@@ -484,6 +511,44 @@ def test_sweep_replay_miss_fails_the_same_points_as_single_runs(tmp_path):
         assert [p.name for p in (root / f"k_{k}").iterdir()] == ["manifest.json"]
         manifest = json.loads((root / f"k_{k}" / "manifest.json").read_text())
         assert (manifest["failed_stage"], manifest["error"]) == ("collapse", expected[k])
+
+
+class RuleServer:
+    """http transport answering as the fixture's mock rule table does, and
+    recording the request hash of every request it receives."""
+
+    def __init__(self):
+        self.rules = load_mock_rules(FIXTURES_DIR / "mock_rules.json")
+        self.hashes = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url, payload, headers, timeout):
+        system, *turns, query = (m["content"] for m in payload["messages"])
+        pairs = tuple(zip(("user", "assistant") * len(turns), turns))
+        exchange = ChatExchange(system=system, turns=pairs, query=query)
+        with self._lock:
+            self.hashes.append(canonical_request_hash(exchange, payload["model"]))
+        reply = next((r for needle, r in self.rules if needle.lower() in query.lower()), "[]")
+        return 200, {"choices": [{"message": {"content": reply}}]}
+
+
+def test_http_sweep_without_a_cache_sends_each_request_once(tmp_path, monkeypatch):
+    server = RuleServer()
+    monkeypatch.setattr(llm_mod, "_urllib_transport", server)
+    asked = []
+    complete = LlmGateway.complete
+
+    def counting_complete(self, exchange):
+        asked.append(exchange)
+        return complete(self, exchange)
+
+    monkeypatch.setattr(LlmGateway, "complete", counting_complete)
+    backend = BackendConfig(kind="http", model_name="mock-model", requests_per_minute=1_000_000)
+    rows = sweep(fixture_config(tmp_path, "sweep", backend=backend), [3, 5, 8])
+    assert [row["k"] for row in rows] == [3, 5, 8]
+    assert len(server.hashes) == len(set(server.hashes))
+    # Some word-rank requests repeat across K; those were answered from memory.
+    assert len(asked) > len(server.hashes)
 
 
 def test_sweep_rows_follow_the_given_order(tmp_path):
