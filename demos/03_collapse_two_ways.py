@@ -12,6 +12,7 @@ from pathlib import Path
 from memetopics import (
     BackendConfig,
     CollapseState,
+    DemonstrationSet,
     LlmGateway,
     PreprocessConfig,
     collapse_pbm,
@@ -21,7 +22,6 @@ from memetopics import (
     load_corpus,
     preprocess,
 )
-from memetopics.generation import DemonstrationSet
 
 FIXTURES = Path(__file__).parent.parent / "tests" / "fixtures"
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from memetopics import (
     BackendConfig,
     CollapseState,
+    DemonstrationSet,
     LlmGateway,
     PreprocessConfig,
     coherence,
@@ -26,7 +27,6 @@ from memetopics import (
     represent_llm,
     top_words,
 )
-from memetopics.generation import DemonstrationSet
 
 FIXTURES = Path(__file__).parent.parent / "tests" / "fixtures"
 
@@ -47,7 +47,7 @@ print("1. Class-based TF-IDF over the five collapsed topics")
 print("=" * 60)
 table = ctfidf_from_clusters(state.topics, corpus)
 for topic in table.classes:
-    ranked = top_words(table, topic, 5).words
+    ranked = top_words(table, topic, 5)
     print(f"  {topic:<15} top words: {', '.join(ranked)}")
 
 print()

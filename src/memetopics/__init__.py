@@ -7,91 +7,44 @@ each topic gets a ten-word representation, and the result is scored
 with NPMI coherence and topic diversity.
 """
 
-from .collapse import (
-    CollapseState,
-    build_collapse_prompt,
-    collapse_pbm,
-    collapse_wsm,
-    topic_similarity,
-)
+from .collapse import CollapseState, collapse_pbm, collapse_wsm
 from .corpus import (
     Corpus,
-    CorpusFormatError,
     MemeDocument,
     PreprocessConfig,
     cooccurrence_counts,
     default_stopwords,
     load_corpus,
-    load_stopwords,
     preprocess,
     top_frequent_words,
 )
-from .ctfidf import CtfidfTable, TopicWordSet, build_ctfidf, ctfidf_from_clusters, top_words
-from .evaluation import CoherenceReport, coherence, diversity, npmi_pair
-from .generation import (
-    Demonstration,
-    DemonstrationSet,
-    TopicAssignment,
-    TopicParseError,
-    build_generation_prompt,
-    generate_topics,
-    parse_topic_list,
-)
-from .llm import (
-    BackendConfig,
-    ChatExchange,
-    LlmGateway,
-    LlmOutcome,
-    ReplayMissError,
-    TokenUsage,
-    canonical_request_hash,
-)
+from .ctfidf import ctfidf_from_clusters, top_words
+from .evaluation import coherence, npmi_pair
+from .generation import DemonstrationSet, build_generation_prompt, generate_topics, parse_topic_list
+from .llm import BackendConfig, LlmGateway
 from .pipeline import RunConfig, run_pipeline, sweep
-from .representation import (
-    TopicRepresentation,
-    build_wordrank_prompt,
-    represent_ctfidf,
-    represent_llm,
-)
+from .representation import represent_ctfidf, represent_llm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackendConfig",
-    "ChatExchange",
-    "CoherenceReport",
     "CollapseState",
     "Corpus",
-    "CorpusFormatError",
-    "CtfidfTable",
-    "Demonstration",
     "DemonstrationSet",
     "LlmGateway",
-    "LlmOutcome",
     "MemeDocument",
     "PreprocessConfig",
-    "ReplayMissError",
     "RunConfig",
-    "TokenUsage",
-    "TopicAssignment",
-    "TopicParseError",
-    "TopicRepresentation",
-    "TopicWordSet",
-    "build_collapse_prompt",
-    "build_ctfidf",
     "build_generation_prompt",
-    "build_wordrank_prompt",
-    "canonical_request_hash",
     "coherence",
     "collapse_pbm",
     "collapse_wsm",
     "cooccurrence_counts",
     "ctfidf_from_clusters",
     "default_stopwords",
-    "diversity",
     "generate_topics",
     "load_corpus",
-    "load_stopwords",
     "npmi_pair",
     "parse_topic_list",
     "preprocess",
@@ -101,5 +54,4 @@ __all__ = [
     "sweep",
     "top_frequent_words",
     "top_words",
-    "topic_similarity",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
-from .ctfidf import TopicWordSet, ctfidf_from_clusters, idf, top_words
+from .ctfidf import ctfidf_from_clusters, idf, top_words
 from .generation import (
     INAPPROPRIATE,
     MISCELLANEOUS,
@@ -231,14 +231,6 @@ def _similarity(shared: int, size_a: int, size_b: int) -> float:
     return shared / min(size_a, size_b)
 
 
-def topic_similarity(a: TopicWordSet, b: TopicWordSet) -> float:
-    """Shared-word fraction of two topic word sets, in [0, 1]."""
-    if not a.words or not b.words:
-        raise ValueError("topic similarity is undefined for an empty word set")
-    set_a, set_b = set(a.words), set(b.words)
-    return _similarity(len(set_a & set_b), len(set_a), len(set_b))
-
-
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
@@ -281,7 +273,7 @@ class _WordSimilarityIndex:
         idf_at = [idf(n, self.num_classes) for n in range(self.num_classes + 1)]
         for label in table.classes:
             self.groups[label] = self._grouped(label)
-            top = set(top_words(table, label, top_n).words)
+            top = set(top_words(table, label, top_n))
             self.kept[label] = Counter(self.df[word] for word in top)
             self._set_top(label, top)
             self.holds_to[label] = self._holds_down_to(label, idf_at)

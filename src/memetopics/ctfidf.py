@@ -8,9 +8,10 @@ inverse class-frequency factor:
 
 where tf(x, c) counts occurrences of word x in class c's concatenated
 tokens, df(x) is the number of classes containing x, and C is the number
-of classes. Both topic representation strategies read from this table.
-The word similarity collapse builds it once to seed its own per-merge
-state and weighs words with the same idf() afterwards.
+of classes. Tables are built from explicit topic -> member-doc-id
+clusters. Both topic representation strategies read from this table. The
+word similarity collapse builds it once to seed its own per-merge state
+and weighs words with the same idf() afterwards.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import Corpus
-from .generation import RESERVED_LABELS, TopicAssignment
 
 
 @dataclass
@@ -34,14 +34,6 @@ class CtfidfTable:
     df: dict[str, int]
     num_classes: int
     weights: dict[str, dict[str, float]]
-
-
-@dataclass
-class TopicWordSet:
-    """The heaviest words of one topic, ranked by weight then alphabetically."""
-
-    topic: str
-    words: list[str]
 
 
 def _class_counts(doc_ids: Iterable[str], corpus: Corpus) -> dict[str, int]:
@@ -94,28 +86,11 @@ def ctfidf_from_clusters(clusters: Mapping[str, Iterable[str]], corpus: Corpus) 
     )
 
 
-def build_ctfidf(assignments: Iterable[TopicAssignment], corpus: Corpus) -> CtfidfTable:
-    """Group generated assignments into clusters and weight them.
-
-    The Miscellaneous/Inappropriate failure buckets are not topics and stay
-    out of the class set.
-    """
-    clusters: dict[str, set[str]] = {}
-    for assignment in assignments:
-        if assignment.provenance != "generated":
-            continue
-        for label in assignment.topics:
-            if label.casefold() in RESERVED_LABELS:
-                continue
-            clusters.setdefault(label, set()).add(assignment.doc_id)
-    return ctfidf_from_clusters(clusters, corpus)
-
-
-def top_words(table: CtfidfTable, topic: str, k: int) -> TopicWordSet:
+def top_words(table: CtfidfTable, topic: str, k: int) -> list[str]:
     """The k heaviest words of a class; ties go to the alphabetically
     smaller word, and classes with fewer than k distinct words return all
     of them."""
     if topic not in table.weights:
         raise KeyError(f"unknown topic {topic!r}")
     ranked = heapq.nsmallest(k, table.weights[topic].items(), key=lambda item: (-item[1], item[0]))
-    return TopicWordSet(topic=topic, words=[word for word, _ in ranked])
+    return [word for word, _ in ranked]

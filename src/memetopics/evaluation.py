@@ -25,8 +25,8 @@ from .representation import TopicRepresentation
 
 DEFAULT_EPSILON = 1e-6
 
-# Declared in every report: how probabilities are estimated and where the
-# smoothing constant enters the formula.
+# CoherenceReport.to_dict writes both into every report: how probabilities
+# are estimated and where the smoothing constant enters the formula.
 COOCCURRENCE_ESTIMATOR = "boolean-document"
 EPSILON_PLACEMENT = "ratio-terms-and-normalizer"
 
@@ -42,8 +42,6 @@ class CoherenceReport:
     k: int
     words_per_topic: int
     excluded: list[str] = field(default_factory=list)
-    estimator: str = COOCCURRENCE_ESTIMATOR
-    epsilon_placement: str = EPSILON_PLACEMENT
 
     def to_dict(self) -> dict:
         return {
@@ -54,8 +52,8 @@ class CoherenceReport:
             "words_per_topic": self.words_per_topic,
             "per_topic": dict(sorted(self.per_topic_npmi.items())),
             "excluded": sorted(self.excluded),
-            "estimator": self.estimator,
-            "epsilon_placement": self.epsilon_placement,
+            "estimator": COOCCURRENCE_ESTIMATOR,
+            "epsilon_placement": EPSILON_PLACEMENT,
         }
 
 

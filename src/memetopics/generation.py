@@ -139,6 +139,17 @@ def build_generation_prompt(doc: MemeDocument, demos: DemonstrationSet) -> ChatE
     return ChatExchange(system=GENERATION_SYSTEM, turns=demos.turns, query=query)
 
 
+def _trim(label: str) -> str:
+    """The label without the whitespace and quote characters around it, in
+    any interleaving."""
+    start, end = 0, len(label)
+    while start < end and (label[start].isspace() or label[start] in "'\""):
+        start += 1
+    while end > start and (label[end - 1].isspace() or label[end - 1] in "'\""):
+        end -= 1
+    return label[start:end]
+
+
 def parse_topic_list(reply: str) -> list[str]:
     """Parse a bracketed quoted list of labels out of a model reply.
 
@@ -158,7 +169,9 @@ def parse_topic_list(reply: str) -> list[str]:
         value = ast.literal_eval(snippet)
         if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
             labels = list(value)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, RecursionError, MemoryError):
+        # A malformed or hostile reply (one nested past the parser's depth
+        # limits) takes the regex path below like any other.
         pass
     if labels is None:
         inner = snippet[1:-1]
@@ -171,7 +184,7 @@ def parse_topic_list(reply: str) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for label in labels:
-        cleaned = label.strip().strip("'\"").strip()
+        cleaned = _trim(label)
         if not cleaned:
             continue
         key = cleaned.casefold()

@@ -125,6 +125,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.requests_per_minute < 1:
+            raise ValueError("requests_per_minute must be >= 1")
         if self.kind == "replay" and not self.cache_path:
             raise ValueError("replay backend requires cache_path")
 
@@ -175,8 +177,6 @@ class RateLimiter:
 
     def __init__(self, per_minute: int, clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
-        if per_minute < 1:
-            raise ValueError("requests_per_minute must be >= 1")
         self.per_minute = per_minute
         self._clock = clock
         self._sleep = sleep

@@ -96,6 +96,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.window < 2:
+            raise ValueError("window must be >= 2")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
         if self.collapse_method not in ("pbm", "wsm"):
             raise ValueError(f"unknown collapse method {self.collapse_method!r}")
         if self.representation_method not in ("ctfidf", "llm"):

@@ -83,8 +83,8 @@ class TopicRepresentation:
 
 def represent_ctfidf(table: CtfidfTable, topic: str) -> TopicRepresentation:
     """Top ten weighted words of the class; fewer if the class is smaller."""
-    ranked = top_words(table, topic, REPRESENTATION_SIZE)
-    return TopicRepresentation(topic=topic, words=list(ranked.words), method="ctfidf")
+    words = top_words(table, topic, REPRESENTATION_SIZE)
+    return TopicRepresentation(topic=topic, words=words, method="ctfidf")
 
 
 def build_wordrank_prompt(topic: str, candidates: Sequence[str]) -> ChatExchange:
@@ -117,7 +117,7 @@ def represent_llm(
     direct representation with fallback=True.
     """
     gateway = as_gateway(backend)
-    candidates = top_words(table, topic, CANDIDATE_POOL_SIZE).words
+    candidates = top_words(table, topic, CANDIDATE_POOL_SIZE)
 
     def fallback() -> TopicRepresentation:
         rep = represent_ctfidf(table, topic)

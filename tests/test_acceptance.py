@@ -13,8 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from memetopics.collapse import CollapseState, collapse_pbm, collapse_wsm, topic_similarity
-from memetopics.ctfidf import TopicWordSet, build_ctfidf
+from memetopics.collapse import CollapseState, collapse_pbm, collapse_wsm
 from memetopics.evaluation import coherence, diversity, npmi_pair
 from memetopics.generation import TopicAssignment, generate_topics, DemonstrationSet
 from memetopics.llm import BackendConfig, load_mock_rules
@@ -25,6 +24,7 @@ from conftest import FIXTURES_DIR, corpus_from_tokens, mock_backend, write_jsonl
 
 from test_ctfidf import direct_weights
 from test_evaluation import brute_force_coherence
+from topic_helpers import build_ctfidf, topic_similarity
 
 
 @contextmanager
@@ -89,18 +89,17 @@ def test_set_overlap_similarity_properties():
     with criterion("set-overlap similarity properties"):
         start = time.perf_counter()
         twenty = [f"w{i}" for i in range(20)]
-        ws = lambda words: TopicWordSet(topic="t", words=list(words))
 
-        assert topic_similarity(ws(twenty), ws(twenty)) == 1.0
-        assert topic_similarity(ws(twenty), ws([f"x{i}" for i in range(20)])) == 0.0
+        assert topic_similarity(twenty, twenty) == 1.0
+        assert topic_similarity(twenty, [f"x{i}" for i in range(20)]) == 0.0
         ten = twenty[:5] + [f"y{i}" for i in range(5)]  # 10 words, 5 shared with twenty
-        assert topic_similarity(ws(twenty), ws(ten)) == 0.5
+        assert topic_similarity(twenty, ten) == 0.5
 
         rng = random.Random(77)
         pool = [f"p{i}" for i in range(40)]
         for _ in range(1000):
-            a = ws(rng.sample(pool, rng.randint(1, 20)))
-            b = ws(rng.sample(pool, rng.randint(1, 20)))
+            a = rng.sample(pool, rng.randint(1, 20))
+            b = rng.sample(pool, rng.randint(1, 20))
             sim_ab, sim_ba = topic_similarity(a, b), topic_similarity(b, a)
             assert sim_ab == sim_ba
             assert 0.0 <= sim_ab <= 1.0

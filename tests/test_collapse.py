@@ -13,13 +13,12 @@ from memetopics.collapse import (
     build_collapse_prompt,
     collapse_pbm,
     collapse_wsm,
-    topic_similarity,
 )
-from memetopics.ctfidf import TopicWordSet
 from memetopics.generation import MISCELLANEOUS, TopicAssignment
 from memetopics.llm import BackendConfig, LlmGateway
 
 from conftest import corpus_from_tokens, mock_backend
+from topic_helpers import topic_similarity
 
 
 def state_from(topic_docs, k=1, window=40, misc=(), inappropriate=()):
@@ -220,25 +219,19 @@ def test_pbm_terminates_and_conserves_for_any_reply_script(data):
 # -- word similarity ----------------------------------------------------------
 
 
-def word_set(topic, words):
-    return TopicWordSet(topic=topic, words=list(words))
-
-
 def test_similarity_identical_sets():
-    a = word_set("a", [f"w{i}" for i in range(20)])
-    b = word_set("b", [f"w{i}" for i in range(20)])
+    a = [f"w{i}" for i in range(20)]
+    b = [f"w{i}" for i in range(20)]
     assert topic_similarity(a, b) == 1.0
 
 
 def test_similarity_disjoint_sets():
-    a = word_set("a", ["x", "y"])
-    b = word_set("b", ["p", "q"])
-    assert topic_similarity(a, b) == 0.0
+    assert topic_similarity(["x", "y"], ["p", "q"]) == 0.0
 
 
 def test_similarity_normalizes_by_smaller_count():
-    a = word_set("a", [f"w{i}" for i in range(20)])
-    b = word_set("b", [f"w{i}" for i in range(5)] + ["p", "q", "r", "s", "t"])
+    a = [f"w{i}" for i in range(20)]
+    b = [f"w{i}" for i in range(5)] + ["p", "q", "r", "s", "t"]
     assert topic_similarity(a, b) == 0.5
 
 
@@ -246,8 +239,8 @@ def test_similarity_symmetric_and_bounded():
     rng = random.Random(5)
     pool = [f"w{i}" for i in range(30)]
     for _ in range(200):
-        a = word_set("a", rng.sample(pool, rng.randint(1, 20)))
-        b = word_set("b", rng.sample(pool, rng.randint(1, 20)))
+        a = rng.sample(pool, rng.randint(1, 20))
+        b = rng.sample(pool, rng.randint(1, 20))
         sim = topic_similarity(a, b)
         assert 0.0 <= sim <= 1.0
         assert sim == topic_similarity(b, a)
@@ -255,7 +248,7 @@ def test_similarity_symmetric_and_bounded():
 
 def test_similarity_empty_set_is_error():
     with pytest.raises(ValueError):
-        topic_similarity(word_set("a", []), word_set("b", ["x"]))
+        topic_similarity([], ["x"])
 
 
 # -- word-similarity collapse -------------------------------------------------

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from memetopics.ctfidf import build_ctfidf, ctfidf_from_clusters, top_words
+from memetopics.ctfidf import ctfidf_from_clusters, top_words
 from memetopics.generation import TopicAssignment
 
 from conftest import corpus_from_tokens
+from topic_helpers import build_ctfidf
 
 LOG2 = math.log(2.0)
 
@@ -148,13 +149,13 @@ def test_build_from_assignments_skips_failures_and_reserved():
 def test_top_words_capped_by_availability():
     corpus = corpus_from_tokens([("d1", list("abcdefg"))])
     table = ctfidf_from_clusters({"a": {"d1"}}, corpus)
-    assert len(top_words(table, "a", 20).words) == 7
+    assert len(top_words(table, "a", 20)) == 7
 
 
 def test_top_words_tie_breaks_lexicographically():
     corpus = corpus_from_tokens([("d1", ["beta", "alpha", "gamma", "gamma"])])
     table = ctfidf_from_clusters({"a": {"d1"}}, corpus)
-    assert top_words(table, "a", 3).words == ["gamma", "alpha", "beta"]
+    assert top_words(table, "a", 3) == ["gamma", "alpha", "beta"]
 
 
 def test_top_words_exactly_k_on_large_class():
@@ -162,8 +163,8 @@ def test_top_words_exactly_k_on_large_class():
     corpus = corpus_from_tokens([("d1", tokens)])
     table = ctfidf_from_clusters({"a": {"d1"}}, corpus)
     ranked = top_words(table, "a", 10)
-    assert len(ranked.words) == 10
-    assert ranked.words[0] == "w099"  # heaviest word first
+    assert len(ranked) == 10
+    assert ranked[0] == "w099"  # heaviest word first
 
 
 def test_top_words_unknown_topic_names_label():
@@ -178,6 +179,6 @@ def test_ranking_consistent_with_weights():
     clusters, corpus = random_clustered_corpus(rng)
     table = ctfidf_from_clusters(clusters, corpus)
     for cls in table.classes:
-        ranked = top_words(table, cls, 30).words
+        ranked = top_words(table, cls, 30)
         weights = [table.weights[cls][w] for w in ranked]
         assert weights == sorted(weights, reverse=True)

@@ -1,6 +1,8 @@
 """Prompt construction, reply parsing, and failure routing for generation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memetopics.corpus import Corpus, MemeDocument
 from memetopics.generation import (
@@ -132,6 +134,84 @@ def test_format_topic_list_roundtrips():
     rendered = format_topic_list(["Politics", "Financial Crisis"])
     assert rendered == "['Politics', 'Financial Crisis']"
     assert parse_topic_list(rendered) == ["Politics", "Financial Crisis"]
+
+
+# Replies nested past ast.literal_eval's limits: the first two raise
+# RecursionError in the parser, the third MemoryError.
+HOSTILE_REPLIES = (
+    "['a'" + "+'a'" * 3000 + "]",
+    "[" + "-" * 3000 + "1]",
+    "[" + "-" * 10000 + "1]",
+)
+
+
+HOSTILE_IDS = ["concat", "unary-3000", "unary-10000"]
+
+
+@pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=HOSTILE_IDS)
+def test_parse_deeply_nested_reply_raises_only_parse_error(reply):
+    try:
+        labels = parse_topic_list(reply)
+    except TopicParseError:
+        return
+    assert labels and all(labels)
+
+
+@pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=HOSTILE_IDS)
+def test_deeply_nested_reply_costs_one_document_not_the_stage(reply):
+    corpus = make_corpus(3)
+    cfg = mock_backend(rules=[("thing 1", reply)], default="['Humor']")
+    assignments = generate_topics(corpus, make_demos(1), cfg)
+    assert [a.doc_id for a in assignments] == ["m0", "m1", "m2"]
+    assert [a.topics for a in assignments][::2] == [("Humor",), ("Humor",)]
+
+
+# Replies are drawn from text weighted toward the characters the parser
+# treats specially, so brackets, quotes and commas meet often.
+REPLY_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("[]'\",\\ \n\t"), st.characters()), max_size=60
+)
+EDGE_CHARS = "'\""
+
+
+@settings(max_examples=200, deadline=None)
+@given(reply=st.one_of(REPLY_TEXT, st.lists(REPLY_TEXT, max_size=4).map(str)))
+@example(reply="[\"'\\\" 'a\"]")  # label '" 'a: quote, space, quote on its left
+def test_parse_any_text_gives_clean_unique_labels_or_parse_error(reply):
+    try:
+        labels = parse_topic_list(reply)
+    except TopicParseError:
+        return
+    assert labels
+    for label in labels:
+        assert label
+        assert not (label[0].isspace() or label[0] in EDGE_CHARS)
+        assert not (label[-1].isspace() or label[-1] in EDGE_CHARS)
+    assert len({label.casefold() for label in labels}) == len(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(
+        st.text(alphabet=st.characters(blacklist_characters="'\"\\"), max_size=12),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_parse_inverts_format_up_to_trimming_and_dedup(labels):
+    expected: list[str] = []
+    seen: set[str] = set()
+    for label in labels:
+        cleaned = label.strip()
+        if cleaned and cleaned.casefold() not in seen:
+            seen.add(cleaned.casefold())
+            expected.append(cleaned)
+    rendered = format_topic_list(labels)
+    if not expected:
+        with pytest.raises(TopicParseError):
+            parse_topic_list(rendered)
+    else:
+        assert parse_topic_list(rendered) == expected
 
 
 # -- generation routing -------------------------------------------------------

@@ -13,6 +13,7 @@ from memetopics.llm import (
     BackendConfig,
     ChatExchange,
     LlmGateway,
+    LlmOutcome,
     RateLimiter,
     ReplayMissError,
     canonical_request_hash,
@@ -393,6 +394,58 @@ def test_recording_resumes_after_a_cut_at_any_byte(before, after, point):
         for query in first[len(complete) :]:
             with pytest.raises(ReplayMissError):
                 gateway.complete(exchange(query))
+
+
+# Reply and query text: any characters, with the ones JSON and the cache's
+# line framing escape (quotes, backslashes, newlines, non-ASCII) drawn often.
+WIRE_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("'\"\\\n\r\u00e9\u2028\u4e2d\U0001f600"), st.characters()),
+    max_size=40,
+)
+POLICY_BODY = {"error": {"code": "content_policy_violation", "message": "blocked"}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    query=WIRE_TEXT,
+    text=WIRE_TEXT,
+    kind=st.sampled_from(["ok", "refusal", "policy", "http_error", "transport_raise"]),
+    prompt_tokens=st.integers(0, 10_000),
+    completion_tokens=st.integers(0, 10_000),
+)
+def test_http_record_then_replay_roundtrip_property(
+    query, text, kind, prompt_tokens, completion_tokens
+):
+    if kind == "ok":
+        text = "['" + text + "']"  # nonempty and no refusal phrase
+    elif kind == "refusal":
+        text = "I'm sorry, " + text
+    response = {
+        "ok": (200, http_body(text, prompt_tokens, completion_tokens)),
+        "refusal": (200, http_body(text, prompt_tokens, completion_tokens)),
+        "policy": (400, POLICY_BODY),
+        "http_error": (404, text),
+        "transport_raise": OSError(text),
+    }[kind]
+    ex = exchange(query, turns=DEMO_TURNS[:2])
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = str(Path(tmp) / "cache.jsonl")
+        cfg = http_cfg(cache_path=cache, record=True, max_retries=0)
+        recorded = LlmGateway(
+            cfg, transport=CountingTransport([response]), sleep=lambda s: None
+        ).complete(ex)
+        replaying = LlmGateway(
+            BackendConfig(kind="replay", model_name="test-model", cache_path=cache)
+        )
+        if kind in ("http_error", "transport_raise"):
+            assert recorded.status == "transport_error"
+            with pytest.raises(ReplayMissError):
+                replaying.complete(ex)
+            return
+        assert recorded.status == ("ok" if kind == "ok" else "refused")
+        replayed = replaying.complete(ex)
+        assert isinstance(replayed, LlmOutcome)
+        assert replayed == recorded
 
 
 # -- http backend -------------------------------------------------------------

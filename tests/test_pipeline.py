@@ -639,6 +639,43 @@ def test_cli_stage_failure_exit_one(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--epsilon", "0"), ("--window", "1"), ("--rpm", "0")]
+)
+def test_cli_bad_config_value_is_usage_error_before_any_stage(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "run"
+    code = main(
+        [
+            "run",
+            "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+            "--backend-kind", "replay",
+            "--model", "mock-model",
+            "--cache", str(FIXTURES_DIR / "replay_cache.jsonl"),
+            "--collapse-method", "pbm",
+            "--representation", "llm",
+            "--k", "5",
+            "--out", str(outdir),
+            flag, value,
+        ]
+    )
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("k", 0), ("window", 1), ("epsilon", 0.0), ("epsilon", -1e-6)]
+)
+def test_run_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(corpus_path="memes.jsonl", **{field: value})
+
+
+def test_backend_config_rejects_zero_rate():
+    with pytest.raises(ValueError, match="requests_per_minute"):
+        BackendConfig(requests_per_minute=0)
+
+
 def test_fixture_rules_file_loads(tmp_path):
     rules = load_mock_rules(FIXTURES_DIR / "mock_rules.json")
     assert any("parliament" == needle for needle, _ in rules)

@@ -142,7 +142,7 @@ def test_llm_representation_dedupes_reply():
 
 def test_llm_words_always_from_candidate_list():
     table = table_with_words(descending(25))
-    candidates = set(top_words(table, "topic", 100).words)
+    candidates = set(top_words(table, "topic", 100))
     reply = format_topic_list(["alien", "w003", "w001", "other"])
     rep = represent_llm("topic", table, mock_backend(default=reply))
     assert set(rep.words) <= candidates

@@ -96,7 +96,7 @@ def assert_index_is_fresh(index, live, corpus, top_n):
     assert index.df == fresh.df
     assert index.num_classes == fresh.num_classes
     for label in live:
-        assert index.top[label] == set(top_words(fresh, label, top_n).words)
+        assert index.top[label] == set(top_words(fresh, label, top_n))
 
 
 def ladder_state(seed):

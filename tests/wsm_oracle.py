@@ -15,10 +15,11 @@ from memetopics.collapse import (
     CollapseState,
     _frequency_order,
     _merge_orientation,
-    topic_similarity,
 )
 from memetopics.corpus import Corpus
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
+
+from topic_helpers import topic_similarity
 
 log = logging.getLogger(__name__)
 
@@ -51,10 +52,10 @@ def collapse_wsm(
         best_sim = 0.0
         best_pair: tuple[str, str] | None = None
         for i, label_a in enumerate(labels):
-            if not word_sets[label_a].words:
+            if not word_sets[label_a]:
                 continue
             for label_b in labels[i + 1 :]:
-                if not word_sets[label_b].words:
+                if not word_sets[label_b]:
                     continue
                 sim = topic_similarity(word_sets[label_a], word_sets[label_b])
                 # Iteration order makes ties resolve to the smallest pair.
