@@ -128,6 +128,20 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+def _parse_k_values(text: str) -> list[int]:
+    """The K list of `sweep --k-values`: comma-separated integers, at least
+    one, each >= 1."""
+    try:
+        k_values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"--k-values must be comma-separated integers, got {text!r}") from None
+    if not k_values:
+        raise ValueError("--k-values must name at least one K")
+    if min(k_values) < 1:
+        raise ValueError(f"--k-values: every K must be >= 1, got {min(k_values)}")
+    return k_values
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -136,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = config_from_args(args)
+        if args.command == "sweep":
+            k_values = _parse_k_values(args.k_values)
     except (OSError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -146,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
             run_pipeline(cfg)
             print(f"run complete: {outdir / 'manifest.json'}")
         elif args.command == "sweep":
-            k_values = [int(v) for v in args.k_values.split(",") if v.strip()]
             rows = sweep(cfg, k_values)
             print(f"sweep complete: {len(rows)} of {len(k_values)} K values succeeded")
             print(f"results: {outdir / 'sweep.csv'}")

@@ -43,7 +43,10 @@ GENERATION_USER_TEMPLATE = (
     "Topics:"
 )
 
-_QUOTED = re.compile(r"'([^']*)'|\"([^\"]*)\"")
+# A quote closes a label only where optional whitespace and then a comma or
+# the end of the list follow it, so an apostrophe inside a label (as in
+# 'Children's Rights') stays part of the label.
+_QUOTED = re.compile(r"'(.*?)'(?=\s*(?:,|\Z))|\"(.*?)\"(?=\s*(?:,|\Z))", re.DOTALL)
 
 
 class TopicParseError(ValueError):

@@ -16,6 +16,10 @@ A stage that prompts once per item fans its calls out through
 LlmGateway.map: over http up to MAX_IN_FLIGHT requests run at once, with
 results in input order; mock and replay answer without waiting on
 anything, so they run one call at a time.
+
+Replay and mock runs never load the http stack (urllib, http.client, ssl,
+socket) or the thread pool: the http transport and the http fan-out import
+them on first use, so a run that sends nothing starts without them.
 """
 
 from __future__ import annotations
@@ -27,10 +31,7 @@ import logging
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
@@ -198,6 +199,10 @@ class RateLimiter:
 
 def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, object]:
     """Default POST transport. Returns (status_code, parsed body or text)."""
+    # Imported here, not at module level: replay and mock runs never send.
+    import urllib.error
+    import urllib.request
+
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
@@ -258,6 +263,9 @@ class LlmGateway:
         """
         if self.cfg.kind != "http":
             return [fn(item) for item in items]
+        # Imported here, not at module level: replay and mock runs never fan out.
+        from concurrent.futures import ThreadPoolExecutor
+
         failed = threading.Event()
 
         def call(item: _Item) -> _Result | None:

@@ -130,6 +130,15 @@ def test_parse_blank_labels_fail():
         parse_topic_list("['', '  ']")
 
 
+def test_parse_keeps_apostrophes_inside_labels():
+    # Neither reply passes ast.literal_eval, so both take the regex path.
+    assert parse_topic_list("['Children's Rights', 'Women's Day']") == [
+        "Children's Rights",
+        "Women's Day",
+    ]
+    assert parse_topic_list("['Children's Rights']") == ["Children's Rights"]
+
+
 def test_format_topic_list_roundtrips():
     rendered = format_topic_list(["Politics", "Financial Crisis"])
     assert rendered == "['Politics', 'Financial Crisis']"
@@ -190,14 +199,22 @@ def test_parse_any_text_gives_clean_unique_labels_or_parse_error(reply):
     assert len({label.casefold() for label in labels}) == len(labels)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    labels=st.lists(
-        st.text(alphabet=st.characters(blacklist_characters="'\"\\"), max_size=12),
-        min_size=1,
-        max_size=6,
-    )
+PLAIN_LABEL = st.text(alphabet=st.characters(blacklist_characters="'\"\\"), max_size=12)
+WORD = st.text(alphabet=st.characters(categories=("L", "N")), min_size=1, max_size=6)
+# An apostrophe inside a word, as in "Children's Rights". The word after it
+# is never a lone string prefix: ast.literal_eval reads ['a'u', 'u'b'] as
+# 'a' u', ' u'b', one label.
+APOSTROPHE_LABEL = st.builds(
+    lambda head, tail, rest: f"{head}'{tail}{rest}",
+    WORD,
+    WORD.filter(lambda w: w.lower() not in ("u", "r")),
+    st.sampled_from(["", " Rights", " Day"]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.one_of(PLAIN_LABEL, APOSTROPHE_LABEL), min_size=1, max_size=6))
+@example(labels=["Children's Rights", "Women's Day"])
 def test_parse_inverts_format_up_to_trimming_and_dedup(labels):
     expected: list[str] = []
     seen: set[str] = set()

@@ -663,6 +663,25 @@ def test_cli_bad_config_value_is_usage_error_before_any_stage(tmp_path, capsys, 
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("k_values", ["0,5", "x", ","])
+def test_cli_bad_k_values_are_a_usage_error_before_any_stage(tmp_path, capsys, k_values):
+    outdir = tmp_path / "sweep"
+    code = main(
+        [
+            "sweep",
+            "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+            "--backend-kind", "replay",
+            "--model", "mock-model",
+            "--cache", str(FIXTURES_DIR / "replay_cache.jsonl"),
+            "--k-values", k_values,
+            "--out", str(outdir),
+        ]
+    )
+    assert code == 2
+    assert "configuration error: --k-values" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "field, value", [("k", 0), ("window", 1), ("epsilon", 0.0), ("epsilon", -1e-6)]
 )
