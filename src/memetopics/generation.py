@@ -9,7 +9,6 @@ document is ever dropped.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 from collections import Counter
@@ -43,10 +42,15 @@ GENERATION_USER_TEMPLATE = (
     "Topics:"
 )
 
-# A quote closes a label only where optional whitespace and then a comma or
-# the end of the list follow it, so an apostrophe inside a label (as in
-# 'Children's Rights') stays part of the label.
-_QUOTED = re.compile(r"'(.*?)'(?=\s*(?:,|\Z))|\"(.*?)\"(?=\s*(?:,|\Z))", re.DOTALL)
+# A quoted label ends at the first unescaped quote of its kind that optional
+# whitespace and then a comma or the end of the list follow, so an apostrophe
+# inside a label (as in 'Children's Rights') stays in it. A backslash escapes
+# the next character; no character matches both alternatives (an escape pair,
+# or anything but a backslash), so a run of backslashes costs linear time.
+_QUOTED = re.compile(
+    r"'((?:\\.|[^\\])*?)'(?=\s*(?:,|\Z))|\"((?:\\.|[^\\])*?)\"(?=\s*(?:,|\Z))", re.DOTALL
+)
+_ESCAPED = re.compile(r"\\(['\"\\])")
 
 
 class TopicParseError(ValueError):
@@ -156,33 +160,25 @@ def _trim(label: str) -> str:
 def parse_topic_list(reply: str) -> list[str]:
     """Parse a bracketed quoted list of labels out of a model reply.
 
-    Tolerates either quote style, stray whitespace, and prose around the
-    brackets. Labels are trimmed and deduplicated case-insensitively,
-    keeping the first-seen casing. Raises TopicParseError for prose without
-    a list, an empty list, or unmatched brackets.
+    The list runs from the first '[' to the last ']', prose around it
+    ignored. Its labels are its quoted strings in either quote style (see
+    _QUOTED), or its comma-separated parts when nothing is quoted. In a
+    quoted label \\', \\" and \\\\ read as ', " and \\; other backslashes stay.
+    Labels are trimmed of whitespace and quotes and deduplicated
+    case-insensitively, keeping the first-seen casing, so a reply without a
+    backslash contains every label it gives. Raises TopicParseError for
+    prose without a list, an empty list, or unmatched brackets.
     """
     start = reply.find("[")
     end = reply.rfind("]")
     if start == -1 or end < start:
         raise TopicParseError("reply contains no bracketed list")
-    snippet = reply[start : end + 1]
-
-    labels: list[str] | None = None
-    try:
-        value = ast.literal_eval(snippet)
-        if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
-            labels = list(value)
-    except (ValueError, SyntaxError, RecursionError, MemoryError):
-        # A malformed or hostile reply (one nested past the parser's depth
-        # limits) takes the regex path below like any other.
-        pass
-    if labels is None:
-        inner = snippet[1:-1]
-        quoted = _QUOTED.findall(inner)
-        if quoted:
-            labels = [a or b for a, b in quoted]
-        else:
-            labels = inner.split(",")
+    inner = reply[start + 1 : end]
+    quoted = _QUOTED.findall(inner)
+    if quoted:
+        labels = [_ESCAPED.sub(r"\1", a or b) for a, b in quoted]
+    else:
+        labels = inner.split(",")
 
     out: list[str] = []
     seen: set[str] = set()

@@ -101,7 +101,8 @@ class BackendConfig:
     kind selects the backend: "http" for a live endpoint, "mock" for the
     scripted rule table, "replay" for the response cache alone. With a
     cache_path every backend serves recorded responses first; record=True
-    makes http and mock append each answer to a miss to cache_path.
+    makes http and mock append each answer to a miss to cache_path (replay
+    cannot record).
     Mock rules are not part of the request hash, so a cache recorded under
     other rules keeps serving their answers.
     """
@@ -130,6 +131,9 @@ class BackendConfig:
             raise ValueError("requests_per_minute must be >= 1")
         if self.kind == "replay" and not self.cache_path:
             raise ValueError("replay backend requires cache_path")
+        if self.kind == "replay" and self.record:
+            # A replay answers only from the cache, so it has nothing to record.
+            raise ValueError("replay backend cannot record")
 
 
 @dataclass
@@ -329,9 +333,8 @@ class LlmGateway:
         first append starts a line of its own. A malformed line raises."""
         index: dict[str, dict] = {}
         path = Path(self.cfg.cache_path)
-        recording = self.cfg.record and self.cfg.kind != "replay"
         try:
-            f = open(path, "r+b" if recording else "rb")
+            f = open(path, "r+b" if self.cfg.record else "rb")
         except FileNotFoundError:
             return index
         with f:
@@ -339,7 +342,7 @@ class LlmGateway:
             for line in f:
                 if not line.endswith(b"\n"):
                     log.warning("skipping torn last line of response cache %s", path)
-                    if recording:
+                    if self.cfg.record:
                         f.truncate(complete_bytes)
                     break
                 complete_bytes += len(line)

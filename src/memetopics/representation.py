@@ -138,10 +138,8 @@ def represent_llm(
     kept: list[str] = []
     seen: set[str] = set()
     dropped = 0
-    for word in replied:
+    for word in replied:  # unique case-insensitively, as parse_topic_list returns them
         key = word.casefold()
-        if key in seen:
-            continue
         if key in by_key:
             kept.append(by_key[key])
             seen.add(key)

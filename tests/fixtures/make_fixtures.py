@@ -4,7 +4,9 @@ Builds a deterministic 50-meme corpus with ten known topic groups, a mock
 rule table that scripts every model reply the pipeline will ask for, and a
 recorded response cache produced by actually running the prompt-matched
 pipeline against the mock backend. The word-similarity variant is then
-replayed from that cache as a coverage check.
+replayed from that cache as a coverage check. Last, five fixture runs are
+made in a temporary directory and the SHA-256 of every file they write goes
+to golden_runs.json, which tests/test_golden_runs.py checks.
 
 Run from the repository root after changing prompt construction or the
 fixture design:
@@ -14,23 +16,28 @@ fixture design:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 from memetopics.generation import format_topic_list
 from memetopics.llm import BackendConfig, load_mock_rules
-from memetopics.pipeline import RunConfig, run_pipeline
+from memetopics.pipeline import RunConfig, run_pipeline, sweep
 
 FIXTURES = Path(__file__).parent
 
 CORPUS_FILE = FIXTURES / "memes50.jsonl"
 RULES_FILE = FIXTURES / "mock_rules.json"
 CACHE_FILE = FIXTURES / "replay_cache.jsonl"
+GOLDEN_FILE = FIXTURES / "golden_runs.json"
 
 K = 5
 WINDOW = 40
+SWEEP_K = (3, 5, 8)
 
 # (label, doc count, rule keyword, theme vocabulary). Keywords are unique to
 # their group and appear in every document of the group; satellite groups
@@ -139,6 +146,52 @@ def fixture_config(kind: str, outdir: str, collapse: str, representation: str) -
     )
 
 
+def golden_runs(workdir: Path) -> dict[str, str]:
+    """SHA-256 of every file the five golden runs write, keyed by its path
+    relative to workdir.
+
+    The fixture inputs are copied into workdir and each run names them and
+    its output directory relative to it, so the path strings in the
+    manifests, and with them the digests, do not depend on where workdir is.
+    The runs: pbm+llm at K and wsm+ctfidf at K=3 replayed from the cache, a
+    pbm+llm sweep over SWEEP_K answered by the mock rules, a wsm+ctfidf
+    sweep over SWEEP_K replayed, and wsm+llm at K answered by the mock rules.
+    """
+    for path in (CORPUS_FILE, RULES_FILE, CACHE_FILE):
+        shutil.copyfile(path, workdir / path.name)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        replay = BackendConfig(kind="replay", model_name="mock-model", cache_path=CACHE_FILE.name)
+        mock = BackendConfig(
+            kind="mock", model_name="mock-model", mock_rules=load_mock_rules(RULES_FILE.name)
+        )
+
+        def config(name, backend, collapse, representation, k=K) -> RunConfig:
+            return RunConfig(
+                corpus_path=CORPUS_FILE.name,
+                backend=backend,
+                collapse_method=collapse,
+                representation_method=representation,
+                k=k,
+                window=WINDOW,
+                output_dir=f"runs/{name}",
+            )
+
+        run_pipeline(config("pbm-llm", replay, "pbm", "llm"))
+        run_pipeline(config("wsm-ctfidf-k3", replay, "wsm", "ctfidf", k=3))
+        sweep(config("pbm-llm-sweep", mock, "pbm", "llm"), SWEEP_K)
+        sweep(config("wsm-ctfidf-sweep", replay, "wsm", "ctfidf"), SWEEP_K)
+        run_pipeline(config("wsm-llm-mock", mock, "wsm", "llm"))
+        return {
+            path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path("runs").rglob("*"))
+            if path.is_file()
+        }
+    finally:
+        os.chdir(cwd)
+
+
 def main() -> int:
     with open(CORPUS_FILE, "w", encoding="utf-8") as f:
         for record in build_documents():
@@ -175,6 +228,13 @@ def main() -> int:
 
     entries = [json.loads(line) for line in CACHE_FILE.read_text().splitlines() if line.strip()]
     print(f"cache entries: {len(entries)}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = golden_runs(Path(tmp))
+    with open(GOLDEN_FILE, "w", encoding="utf-8") as f:
+        json.dump(digests, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {GOLDEN_FILE}: {len(digests)} files")
     return 0
 
 

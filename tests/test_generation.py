@@ -131,12 +131,19 @@ def test_parse_blank_labels_fail():
 
 
 def test_parse_keeps_apostrophes_inside_labels():
-    # Neither reply passes ast.literal_eval, so both take the regex path.
     assert parse_topic_list("['Children's Rights', 'Women's Day']") == [
         "Children's Rights",
         "Women's Day",
     ]
     assert parse_topic_list("['Children's Rights']") == ["Children's Rights"]
+    assert parse_topic_list("['a'u', 'u'b']") == ["a'u", "u'b"]
+
+
+def test_parse_backslash_escapes_quotes_and_backslashes_only():
+    assert parse_topic_list(r"['Children\'s Rights']") == ["Children's Rights"]
+    assert parse_topic_list(r'["He said \"hi\""]') == ['He said "hi']  # edge quotes trimmed
+    assert parse_topic_list(r"['a\\b']") == ["a\\b"]
+    assert parse_topic_list(r"['caf\u00e9']") == ["caf\\u00e9"]
 
 
 def test_format_topic_list_roundtrips():
@@ -145,16 +152,16 @@ def test_format_topic_list_roundtrips():
     assert parse_topic_list(rendered) == ["Politics", "Financial Crisis"]
 
 
-# Replies nested past ast.literal_eval's limits: the first two raise
-# RecursionError in the parser, the third MemoryError.
+# Long runs of the characters a parser might nest or backtrack on.
 HOSTILE_REPLIES = (
     "['a'" + "+'a'" * 3000 + "]",
     "[" + "-" * 3000 + "1]",
     "[" + "-" * 10000 + "1]",
+    "['" + "\\" * 5000 + "x'y]",
 )
 
 
-HOSTILE_IDS = ["concat", "unary-3000", "unary-10000"]
+HOSTILE_IDS = ["concat", "unary-3000", "unary-10000", "backslashes-5000"]
 
 
 @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=HOSTILE_IDS)
@@ -186,6 +193,8 @@ EDGE_CHARS = "'\""
 @settings(max_examples=200, deadline=None)
 @given(reply=st.one_of(REPLY_TEXT, st.lists(REPLY_TEXT, max_size=4).map(str)))
 @example(reply="[\"'\\\" 'a\"]")  # label '" 'a: quote, space, quote on its left
+@example(reply="['a'u', 'u'b']")  # no label may join two quoted strings
+@example(reply="['a' 'b']")
 def test_parse_any_text_gives_clean_unique_labels_or_parse_error(reply):
     try:
         labels = parse_topic_list(reply)
@@ -196,18 +205,18 @@ def test_parse_any_text_gives_clean_unique_labels_or_parse_error(reply):
         assert label
         assert not (label[0].isspace() or label[0] in EDGE_CHARS)
         assert not (label[-1].isspace() or label[-1] in EDGE_CHARS)
+        # Only an escape can make a label that is not part of the reply.
+        assert "\\" in reply or label in reply
     assert len({label.casefold() for label in labels}) == len(labels)
 
 
 PLAIN_LABEL = st.text(alphabet=st.characters(blacklist_characters="'\"\\"), max_size=12)
 WORD = st.text(alphabet=st.characters(categories=("L", "N")), min_size=1, max_size=6)
-# An apostrophe inside a word, as in "Children's Rights". The word after it
-# is never a lone string prefix: ast.literal_eval reads ['a'u', 'u'b'] as
-# 'a' u', ' u'b', one label.
+# An apostrophe inside a word, as in "Children's Rights".
 APOSTROPHE_LABEL = st.builds(
     lambda head, tail, rest: f"{head}'{tail}{rest}",
     WORD,
-    WORD.filter(lambda w: w.lower() not in ("u", "r")),
+    WORD,
     st.sampled_from(["", " Rights", " Day"]),
 )
 

@@ -233,6 +233,13 @@ def test_replay_requires_cache_path():
         BackendConfig(kind="replay")
 
 
+def test_replay_rejects_record(tmp_path):
+    # A recording replay would hash its cache as output, so replays over
+    # different caches would share a config digest.
+    with pytest.raises(ValueError, match="cannot record"):
+        BackendConfig(kind="replay", cache_path=str(tmp_path / "cache.jsonl"), record=True)
+
+
 def test_cache_entry_shape(tmp_path):
     cache = tmp_path / "cache.jsonl"
     cfg = mock_backend(default="['Z']", cache_path=str(cache), record=True)

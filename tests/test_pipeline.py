@@ -663,6 +663,24 @@ def test_cli_bad_config_value_is_usage_error_before_any_stage(tmp_path, capsys, 
     assert not outdir.exists()
 
 
+def test_cli_replay_with_record_is_usage_error_before_any_stage(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code = main(
+        [
+            "run",
+            "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+            "--backend-kind", "replay",
+            "--model", "mock-model",
+            "--cache", str(FIXTURES_DIR / "replay_cache.jsonl"),
+            "--record",
+            "--out", str(outdir),
+        ]
+    )
+    assert code == 2
+    assert "configuration error: replay backend cannot record" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("k_values", ["0,5", "x", ","])
 def test_cli_bad_k_values_are_a_usage_error_before_any_stage(tmp_path, capsys, k_values):
     outdir = tmp_path / "sweep"
