@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
@@ -546,24 +544,3 @@ def collapse_wsm(
         if state.non_reserved_count() == state.k_target:
             return state
         index.merge(source, target, both_docs)
-
-
-def save_merge_log(state: CollapseState, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for source, target, method in state.merge_log:
-            record = {"source": source, "target": target, "method": method}
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
-
-
-def save_clusters(state: CollapseState, path: str | Path) -> None:
-    """Final clustering as JSON {topic: [doc ids]}, ids sorted for stability."""
-    payload = {label: sorted(ids) for label, ids in state.clusters().items()}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, ensure_ascii=True, indent=2)
-        f.write("\n")
-
-
-def load_clusters(path: str | Path) -> dict[str, set[str]]:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    return {label: set(ids) for label, ids in payload.items()}

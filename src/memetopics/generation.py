@@ -242,27 +242,3 @@ def generate_topics(
 def provenance_counts(assignments: Iterable[TopicAssignment]) -> dict[str, int]:
     counts = Counter(a.provenance for a in assignments)
     return {key: counts.get(key, 0) for key in ("generated", "miscellaneous", "inappropriate")}
-
-
-def save_assignments(assignments: Iterable[TopicAssignment], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for a in assignments:
-            record = {"doc_id": a.doc_id, "topics": list(a.topics), "provenance": a.provenance}
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
-
-
-def load_assignments(path: str | Path) -> list[TopicAssignment]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            out.append(
-                TopicAssignment(
-                    doc_id=record["doc_id"],
-                    topics=tuple(record["topics"]),
-                    provenance=record["provenance"],
-                )
-            )
-    return out

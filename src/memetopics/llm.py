@@ -101,8 +101,8 @@ class BackendConfig:
     kind selects the backend: "http" for a live endpoint, "mock" for the
     scripted rule table, "replay" for the response cache alone. With a
     cache_path every backend serves recorded responses first; record=True
-    makes http and mock append each answer to a miss to cache_path (replay
-    cannot record).
+    makes http and mock append each answer to a miss to cache_path, which
+    it then requires (replay cannot record).
     Mock rules are not part of the request hash, so a cache recorded under
     other rules keeps serving their answers.
     """
@@ -134,6 +134,8 @@ class BackendConfig:
         if self.kind == "replay" and self.record:
             # A replay answers only from the cache, so it has nothing to record.
             raise ValueError("replay backend cannot record")
+        if self.record and not self.cache_path:
+            raise ValueError("record requires cache_path")
 
 
 @dataclass

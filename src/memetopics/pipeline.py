@@ -2,15 +2,16 @@
 
 A run executes preprocess -> generate -> collapse -> represent -> evaluate.
 Each stage writes its artifact into the run directory, so a run can be
-inspected and replayed, and hands it to the next stage in memory; the
-artifacts are read back from disk only by a lone stage command
-(run_stage). One driver runs the stages for run_pipeline, sweep and
-run_stage and is the only writer of the manifest. Each of those calls
-makes one LlmGateway and hands it to every prompting stage, so one rate
-limiter gates the whole run. The manifest records the configuration
-digest, token usage, failure routing counts, a merge-log summary, and the
-final metrics; it carries no timestamps, so identical inputs produce
-identical bytes.
+inspected and replayed, and hands it to the next stage in memory; only a
+lone stage command (run_stage) reads artifacts back. This module owns the
+run directory: its JSON and JSONL files are written and read here through
+one codec each, all but the processed corpus, which corpus.py writes. One
+driver runs the stages for run_pipeline, sweep and run_stage and is the
+only writer of the manifest. Each of those calls makes one LlmGateway and
+hands it to every prompting stage, so one rate limiter gates the whole
+run. The manifest records the configuration digest, token usage, failure
+routing counts, a merge-log summary, and the final metrics; it carries no
+timestamps, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,17 +23,21 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from . import collapse as collapse_mod
 from . import corpus as corpus_mod
-from . import generation as generation_mod
-from . import representation as representation_mod
 from .collapse import CollapseState, collapse_pbm, collapse_wsm
 from .corpus import Corpus, PreprocessConfig, default_stopwords, load_stopwords
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
-from .generation import DemonstrationSet, TopicAssignment, generate_topics, provenance_counts
+from .generation import (
+    INAPPROPRIATE,
+    MISCELLANEOUS,
+    DemonstrationSet,
+    TopicAssignment,
+    generate_topics,
+    provenance_counts,
+)
 from .llm import BackendConfig, LlmGateway, TokenUsage, load_mock_rules
 from .representation import TopicRepresentation, represent_ctfidf, represent_llm
 
@@ -154,8 +159,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(_read_json(Path(path)))
 
     def input_hashes(self) -> dict:
         """SHA-256 of every input file by role, None for a role without one. A
@@ -216,10 +220,31 @@ def _sorted_lines_sha256(path: str | Path) -> str:
     return hashlib.sha256(b"".join(lines)).hexdigest()
 
 
+# -- run-directory files -----------------------------------------------------
+#
+# Keys sorted, text ASCII-escaped: JSON as one indented object and a final
+# newline, JSONL as one compact record per line.
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=True, indent=2)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _read_json(path: Path) -> dict:
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, ensure_ascii=True, indent=2)
-        f.write("\n")
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f if line.strip()]
 
 
 # -- stages ------------------------------------------------------------------
@@ -239,7 +264,10 @@ def stage_generate(
     cfg: RunConfig, outdir: Path, corpus: Corpus, gateway: LlmGateway
 ) -> tuple[list[TopicAssignment], dict]:
     assignments = generate_topics(corpus, cfg.demonstrations(), gateway)
-    generation_mod.save_assignments(assignments, outdir / ASSIGNMENTS_FILE)
+    records = (
+        {"doc_id": a.doc_id, "topics": a.topics, "provenance": a.provenance} for a in assignments
+    )
+    _write_jsonl(outdir / ASSIGNMENTS_FILE, records)
     routing = provenance_counts(assignments)
     # A meme can carry several labels, so both counts are reported.
     summary = {
@@ -274,13 +302,15 @@ def stage_collapse(
         state = collapse_pbm(state, gateway)
     else:
         state = collapse_wsm(state, corpus)
-    collapse_mod.save_clusters(state, outdir / CLUSTERS_FILE)
-    collapse_mod.save_merge_log(state, outdir / MERGE_LOG_FILE)
+    clusters = {label: sorted(ids) for label, ids in state.clusters().items()}
+    _write_json(outdir / CLUSTERS_FILE, clusters)
+    merges = ({"source": s, "target": t, "method": m} for s, t, m in state.merge_log)
+    _write_jsonl(outdir / MERGE_LOG_FILE, merges)
     targets = [target for _, target, _ in state.merge_log]
     summary = {
         "method": cfg.collapse_method,
-        "merges": sum(target != generation_mod.MISCELLANEOUS for target in targets),
-        "misc_routed_topics": targets.count(generation_mod.MISCELLANEOUS),
+        "merges": sum(target != MISCELLANEOUS for target in targets),
+        "misc_routed_topics": targets.count(MISCELLANEOUS),
         "misc_routed_docs": len(state.misc) - misc_before,
         "zero_similarity_merges": sum(method == "wsm-zero" for _, _, method in state.merge_log),
         "final_topics": state.non_reserved_count(),
@@ -298,7 +328,11 @@ def stage_represent(
         reps = gateway.map(lambda topic: represent_llm(topic, table, gateway), sorted(state.topics))
     else:
         reps = [represent_ctfidf(table, topic) for topic in sorted(state.topics)]
-    representation_mod.save_representations(reps, outdir / REPRESENTATIONS_FILE)
+    entries = {
+        rep.topic: {"words": rep.words, "method": rep.method, "backfilled": rep.backfilled}
+        for rep in reps
+    }
+    _write_json(outdir / REPRESENTATIONS_FILE, entries)
     summary = {
         "method": cfg.representation_method,
         "backfilled_words": sum(rep.backfilled for rep in reps),
@@ -387,12 +421,24 @@ def run_pipeline(cfg: RunConfig) -> Path:
     return outdir
 
 
-def _load_state(path: Path) -> CollapseState:
+def _load_assignments(outdir: Path) -> list[TopicAssignment]:
+    return [
+        TopicAssignment(record["doc_id"], tuple(record["topics"]), record["provenance"])
+        for record in _read_jsonl(outdir / ASSIGNMENTS_FILE)
+    ]
+
+
+def _load_state(outdir: Path) -> CollapseState:
     """The collapsed state a clusters file records."""
-    clusters = collapse_mod.load_clusters(path)
-    misc = clusters.pop(generation_mod.MISCELLANEOUS, set())
-    inappropriate = clusters.pop(generation_mod.INAPPROPRIATE, set())
+    clusters = {label: set(ids) for label, ids in _read_json(outdir / CLUSTERS_FILE).items()}
+    misc = clusters.pop(MISCELLANEOUS, set())
+    inappropriate = clusters.pop(INAPPROPRIATE, set())
     return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+
+
+def _load_representations(outdir: Path) -> list[TopicRepresentation]:
+    entries = _read_json(outdir / REPRESENTATIONS_FILE)
+    return [TopicRepresentation(topic, **entry) for topic, entry in sorted(entries.items())]
 
 
 def run_stage(cfg: RunConfig, stage: str):
@@ -400,8 +446,9 @@ def run_stage(cfg: RunConfig, stage: str):
     and return the artifact it makes.
 
     The only code that reads artifacts back from disk. preprocess starts a
-    fresh manifest and every later stage continues the one on disk, so the
-    five stages run one at a time leave the manifest run_pipeline writes.
+    fresh manifest; every later stage continues the one on disk, less
+    itself and every later stage in stages_completed and token_usage, so
+    the five stages run one at a time leave the manifest run_pipeline writes.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -409,11 +456,9 @@ def run_stage(cfg: RunConfig, stage: str):
         "gateway": lambda: LlmGateway(cfg.backend),
         "input_hashes": cfg.input_hashes,
         "corpus": lambda: corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE),
-        "assignments": lambda: generation_mod.load_assignments(outdir / ASSIGNMENTS_FILE),
-        "state": lambda: _load_state(outdir / CLUSTERS_FILE),
-        "representations": lambda: representation_mod.load_representations(
-            outdir / REPRESENTATIONS_FILE
-        ),
+        "assignments": lambda: _load_assignments(outdir),
+        "state": lambda: _load_state(outdir),
+        "representations": lambda: _load_representations(outdir),
     }
     reads, makes = _FLOW[stage]
     artifacts = {name: loaders[name]() for name in reads}
@@ -421,9 +466,14 @@ def run_stage(cfg: RunConfig, stage: str):
     if stage == "preprocess" or not path.exists():
         manifest = _run_header(cfg, artifacts.get("input_hashes"))
     else:
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-        # Running a stage again supersedes an earlier failure.
+        manifest = _read_json(path)
+        # Running a stage again supersedes its earlier run, every later
+        # stage's and an earlier failure.
+        superseded = STAGES[STAGES.index(stage) :]
+        done = manifest["stages_completed"]
+        manifest["stages_completed"] = [name for name in done if name not in superseded]
+        for name in superseded:
+            manifest["token_usage"].pop(name, None)
         manifest.pop("failed_stage", None)
         manifest.pop("error", None)
     return _run_stages(cfg, outdir, (stage,), artifacts, manifest)[makes]

@@ -11,10 +11,8 @@ back to the direct route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ctfidf import CtfidfTable, top_words
 from .generation import TopicParseError, format_topic_list, parse_topic_list
@@ -159,27 +157,3 @@ def represent_llm(
     return TopicRepresentation(
         topic=topic, words=kept, method="llm", backfilled=backfilled, dropped=dropped
     )
-
-
-def save_representations(reps: Iterable[TopicRepresentation], path: str | Path) -> None:
-    payload = {
-        rep.topic: {"words": rep.words, "method": rep.method, "backfilled": rep.backfilled}
-        for rep in reps
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, ensure_ascii=True, indent=2)
-        f.write("\n")
-
-
-def load_representations(path: str | Path) -> list[TopicRepresentation]:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    return [
-        TopicRepresentation(
-            topic=topic,
-            words=list(entry["words"]),
-            method=entry["method"],
-            backfilled=entry.get("backfilled", 0),
-        )
-        for topic, entry in sorted(payload.items())
-    ]

@@ -12,12 +12,11 @@ from memetopics.generation import (
     build_generation_prompt,
     format_topic_list,
     generate_topics,
-    load_assignments,
     parse_topic_list,
     provenance_counts,
-    save_assignments,
 )
 from memetopics.llm import BackendConfig, LlmGateway
+from memetopics.pipeline import RunConfig, _load_assignments, stage_generate
 
 from conftest import mock_backend
 
@@ -310,11 +309,16 @@ def test_replay_reproduces_assignments(tmp_path):
 
 
 def test_assignments_roundtrip_file(tmp_path):
-    corpus = make_corpus(3)
-    assignments = generate_topics(corpus, make_demos(1), mock_backend(default="['A', 'B']"))
-    path = tmp_path / "assignments.jsonl"
-    save_assignments(assignments, path)
-    assert load_assignments(path) == assignments
+    # The run directory's writer and reader give back what generation made,
+    # failure buckets included.
+    backend = mock_backend(
+        rules=[("thing 1", "not a list"), ("thing 2", "I cannot help with that.")],
+        default="['A', 'B']",
+    )
+    cfg = RunConfig(corpus_path="unused", num_demonstrations=1, backend=backend)
+    assignments, _ = stage_generate(cfg, tmp_path, make_corpus(4), LlmGateway(backend))
+    assert {a.provenance for a in assignments} == {"generated", "miscellaneous", "inappropriate"}
+    assert _load_assignments(tmp_path) == assignments
 
 
 def test_gateway_instance_accepted_directly():

@@ -233,6 +233,13 @@ def test_replay_requires_cache_path():
         BackendConfig(kind="replay")
 
 
+@pytest.mark.parametrize("kind", ["mock", "http"])
+def test_record_requires_a_cache(kind):
+    # Without a cache_path the answers a recording paid for would be lost.
+    with pytest.raises(ValueError, match="record requires cache_path"):
+        BackendConfig(kind=kind, record=True)
+
+
 def test_replay_rejects_record(tmp_path):
     # A recording replay would hash its cache as output, so replays over
     # different caches would share a config digest.

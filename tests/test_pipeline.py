@@ -8,14 +8,11 @@ import threading
 
 import pytest
 
-from memetopics import collapse as collapse_mod
 from memetopics import corpus as corpus_mod
-from memetopics import generation as generation_mod
 from memetopics import llm as llm_mod
-from memetopics import representation as representation_mod
+from memetopics import pipeline as pipeline_mod
 from memetopics.cli import main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
-from memetopics.generation import load_assignments
 from memetopics.llm import (
     BackendConfig,
     ChatExchange,
@@ -23,7 +20,15 @@ from memetopics.llm import (
     canonical_request_hash,
     load_mock_rules,
 )
-from memetopics.pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
+from memetopics.pipeline import (
+    STAGES,
+    PipelineStageError,
+    RunConfig,
+    _load_assignments,
+    run_pipeline,
+    run_stage,
+    sweep,
+)
 
 from conftest import FIXTURES_DIR, write_jsonl
 
@@ -320,6 +325,40 @@ def test_stages_chain_individually(tmp_path):
     assert manifest_path.read_bytes() == staged
 
 
+def run_dir_bytes(outdir):
+    return {
+        str(path.relative_to(outdir)): path.read_bytes()
+        for path in sorted(outdir.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("method,representation,k", [("pbm", "llm", 5), ("wsm", "ctfidf", 3)])
+def test_lone_stages_write_the_files_of_a_run(tmp_path, method, representation, k):
+    # Each lone stage reads back what the one before wrote, so every reader
+    # must rebuild exactly what the stage handed on in memory. The second
+    # pass uses the same directory, since the manifest records output_dir.
+    cfg = fixture_config(
+        tmp_path, "out", collapse_method=method, representation_method=representation, k=k
+    )
+    outdir = run_pipeline(cfg)
+    whole = run_dir_bytes(outdir)
+    assert len(whole) == 7
+    shutil.rmtree(outdir)
+    for stage in STAGES:
+        run_stage(cfg, stage)
+    assert run_dir_bytes(outdir) == whole
+
+
+def test_running_a_stage_again_drops_it_and_later_stages_from_the_manifest(tmp_path):
+    cfg = tiny_config(tmp_path)
+    run_pipeline(cfg)
+    run_stage(cfg, "generate")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages_completed"] == ["preprocess", "generate"]
+    assert sorted(manifest["token_usage"]) == ["generate"]
+
+
 def test_stage_collapse_records_summary(tmp_path):
     cfg = fixture_config(tmp_path, "out")
     for stage in ("preprocess", "generate", "collapse"):
@@ -354,9 +393,8 @@ def test_run_and_sweep_read_no_artifact_back(tmp_path, monkeypatch):
 
     for module, name in (
         (corpus_mod, "load_processed"),
-        (generation_mod, "load_assignments"),
-        (collapse_mod, "load_clusters"),
-        (representation_mod, "load_representations"),
+        (pipeline_mod, "_read_json"),
+        (pipeline_mod, "_read_jsonl"),
     ):
         monkeypatch.setattr(module, name, read_back)
     run_pipeline(fixture_config(tmp_path, "run"))
@@ -437,7 +475,7 @@ def collapse_entries(cache):
 
 
 def topics_before_collapse(outdir):
-    assignments = load_assignments(outdir / "assignments.jsonl")
+    assignments = _load_assignments(outdir)
     return len(CollapseState.from_assignments(assignments, k_target=1).topics)
 
 
@@ -678,6 +716,24 @@ def test_cli_replay_with_record_is_usage_error_before_any_stage(tmp_path, capsys
     )
     assert code == 2
     assert "configuration error: replay backend cannot record" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_record_without_cache_is_usage_error_before_any_stage(tmp_path, capsys):
+    # Recording with nowhere to record to would drop every paid answer.
+    outdir = tmp_path / "run"
+    code = main(
+        [
+            "run",
+            "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+            "--backend-kind", "mock",
+            "--mock-rules", str(FIXTURES_DIR / "mock_rules.json"),
+            "--record",
+            "--out", str(outdir),
+        ]
+    )
+    assert code == 2
+    assert "configuration error: record requires cache_path" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -2,15 +2,12 @@
 
 import pytest
 
+from memetopics.collapse import CollapseState
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
 from memetopics.generation import format_topic_list
-from memetopics.representation import (
-    build_wordrank_prompt,
-    load_representations,
-    represent_ctfidf,
-    represent_llm,
-    save_representations,
-)
+from memetopics.llm import LlmGateway
+from memetopics.pipeline import RunConfig, _load_representations, stage_represent
+from memetopics.representation import build_wordrank_prompt, represent_ctfidf, represent_llm
 
 from conftest import corpus_from_tokens, mock_backend
 
@@ -163,11 +160,19 @@ def test_llm_representation_empty_class_falls_back_without_prompting():
 
 
 def test_representations_roundtrip(tmp_path):
-    table = table_with_words(descending(12))
-    reps = [represent_ctfidf(table, "topic")]
-    path = tmp_path / "reps.json"
-    save_representations(reps, path)
-    loaded = load_representations(path)
-    assert loaded[0].topic == "topic"
-    assert loaded[0].words == reps[0].words
-    assert loaded[0].method == "ctfidf"
+    # The run directory's writer and reader keep topic, words, method and
+    # backfill count; drops and fallbacks live in the manifest summary.
+    tokens = [w for w, n in descending(12) for _ in range(n)]
+    corpus = corpus_from_tokens([("d1", tokens), ("d2", ["x", "y"])])
+    state = CollapseState(topics={"topic": {"d1"}, "other": {"d2"}})
+    backend = mock_backend(default=format_topic_list(["w003", "invented", "x"]))
+    for method in ("ctfidf", "llm"):
+        outdir = tmp_path / method
+        outdir.mkdir()
+        cfg = RunConfig(corpus_path="unused", representation_method=method, backend=backend)
+        reps, _ = stage_represent(cfg, outdir, corpus, state, LlmGateway(backend))
+        if method == "llm":
+            assert reps[1].backfilled > 0
+        fields = [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in reps]
+        loaded = _load_representations(outdir)
+        assert [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in loaded] == fields
