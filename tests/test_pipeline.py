@@ -257,26 +257,26 @@ FIXTURE_RUN_DIGESTS = {
     ("wsm", "ctfidf", 3): (
         "b34681bacc58a4f685d0da5cd0c6337f42eb8703a135c0f55ce1b6891323f157",
         "afe262533841d4fb8206c2bd14e1e122f15181a1f7416f396e0da5fb448a84be",
-        "93dae7d4b44c7b991fb25858cdf74327d3b54e3db763f82ab1efb0ea76dce622",
-        "d09aa99c7712341d275d1e489e0438d2118f1e980491630355633a596c96c4cd",
+        "1b02c11a9d95e62fcd2f08882a31638aa73519b386d6dd027b47be31fde8eab9",
+        "e7bdffc218f6eae840a6b206c6ea105a54382532fda44411b41f22b212cd0bc1",
     ),
     ("wsm", "ctfidf", 5): (
         "de97d453c3fbf83abce34c5a6efca8d7e83db131b2e24064f8cedd6aa69ca737",
         "9a73944d13a46f9ce212f14c8b5498cd8674f54d8a58b22a30987b75b5881f0b",
-        "dfcd32b4a505172fee55e2184aee5561fc541c838fa2689ae5c5568e1aca3184",
-        "45d2e9bc55e4acb6cdfee75bd6417e9ce0924024ec1b7e2725c34e2aa59acc2f",
+        "9a06b41e53e4735eed738402c634eddf593078b8728456932318b240aeb22526",
+        "db624c1d646f09a0595469446778aa3d9549796e3d5825d34fa4bbd8dbf1b98a",
     ),
     ("wsm", "ctfidf", 8): (
         "974fb0fb794353266eb4ac1c19b6c969757d4815be747e65ecf2434c163e8f29",
         "da076b4bf6a7352b95798fc08303c2376786b8bbe48cd9332b69d56e77a77411",
-        "fb98281bdaa7007d1b5f7e3138fd489281d6547819b6f593bf99de99b5086693",
-        "8e5b27e9913810db422d91523dc370a537617b4a84a686f18db9400c630ccd8f",
+        "3552e0315d2079ed79451ef64a37a25a27511e114ae75c6bc33709ee2b9c0259",
+        "6163bc827b5919595858963c9371b7597544d0bb5bb6b9cfb1d318621e515d6d",
     ),
     ("pbm", "llm", 5): (
         "94294f6caa7c9dc62b35b4f14f6034f573c425c32d42a47cceeec841a37a9b28",
         "0625d159cf686377ffd4beb41d09a2beb26bf6123579fa30943e4f1e1ca8f4ed",
-        "43a20ed82e4333cf3bfb4cec35ce98f7b4ddaaf500c7720abb46cf5931e58339",
-        "cc3164b899bec2168c2547a34fa0c8e006b340b26be50e3d16e61c4c17433943",
+        "c36ee0eb846de41cfd77ff6a6c36bac14c16a83d0b8fd279b414f79f156cd217",
+        "7a84fb986fc23b2438d1cbb9a7c618e5e191df4e27c8db83a592734b1b6a19fa",
     ),
 }
 FIXTURE_RUN_FILES = ("merge_log.jsonl", "clusters.json", "report.json", "manifest.json")
