@@ -188,25 +188,40 @@ def tokenize(text: str, cfg: PreprocessConfig) -> list[str]:
     Every surviving token is a substring-derived unit of the input after
     case folding; the function never invents tokens.
     """
+    return _tokenize(text, cfg, {})
+
+
+def _tokenize(text: str, cfg: PreprocessConfig, memo: dict[str, str]) -> list[str]:
+    """tokenize, cleaning each distinct word once: memo maps each word seen
+    under cfg to its token, "" for a word that is dropped."""
     tokens = []
     for raw in text.split():
-        word = raw.lower() if cfg.lowercase else raw
-        if word.startswith(URL_PREFIXES) or word.startswith(USERNAME_PREFIX):
-            continue
-        # No alphanumeric character is punctuation: such edges need no scan.
-        if not (word[0].isalnum() and word[-1].isalnum()):
-            start, end = 0, len(word)
-            while start < end and _is_punct(word[start]):
-                start += 1
-            while end > start and _is_punct(word[end - 1]):
-                end -= 1
-            word = word[start:end]
-        if len(word) < cfg.min_token_len:
-            continue
-        if word in cfg.stopwords or word in cfg.extra_blocklist:
-            continue
-        tokens.append(word)
+        word = memo.get(raw)
+        if word is None:
+            word = memo[raw] = _clean(raw, cfg)
+        if word:
+            tokens.append(word)
     return tokens
+
+
+def _clean(raw: str, cfg: PreprocessConfig) -> str:
+    """The token one whitespace-split word becomes, "" if it is dropped."""
+    word = raw.lower() if cfg.lowercase else raw
+    if word.startswith(URL_PREFIXES) or word.startswith(USERNAME_PREFIX):
+        return ""
+    # No alphanumeric character is punctuation: such edges need no scan.
+    if not (word[0].isalnum() and word[-1].isalnum()):
+        start, end = 0, len(word)
+        while start < end and _is_punct(word[start]):
+            start += 1
+        while end > start and _is_punct(word[end - 1]):
+            end -= 1
+        word = word[start:end]
+    if len(word) < cfg.min_token_len:
+        return ""
+    if word in cfg.stopwords or word in cfg.extra_blocklist:
+        return ""
+    return word
 
 
 def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> Corpus:
@@ -214,11 +229,15 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> Corpus:
 
     Documents whose tokens come out empty are retained: they can still be
     assigned topics from their raw text. Idempotent, and deterministic for
-    a fixed input corpus and config.
+    a fixed input corpus and config. Memes repeat their words, so each
+    distinct word is cleaned once per call.
     """
+    memo: dict[str, str] = {}
     return Corpus(
         [
-            MemeDocument(doc.id, doc.caption, doc.overlay_text, tuple(tokenize(doc.raw_text, cfg)))
+            MemeDocument(
+                doc.id, doc.caption, doc.overlay_text, tuple(_tokenize(doc.raw_text, cfg, memo))
+            )
             for doc in corpus.documents
         ]
     )

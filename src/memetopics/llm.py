@@ -12,6 +12,11 @@ the answer, so a resumed recording pays only for misses; replay has no live
 fallback and raises ReplayMissError. Without a cache, http still answers a
 request it has sent before from memory.
 
+A gateway reads its cache file once, line by line: the one pass builds the
+request-hash index and the sorted-line SHA-256 that a run's configuration
+digest records (LlmGateway.cache_sha256). Of each record it decodes only
+the response; the request stays undecoded bytes.
+
 A stage that prompts once per item fans its calls out through
 LlmGateway.map: over http up to MAX_IN_FLIGHT requests run at once, with
 results in input order; mock and replay answer without waiting on
@@ -156,15 +161,18 @@ def canonical_request_hash(exchange: ChatExchange, model_name: str) -> str:
     """Stable hex digest of (system, turns, query, model) across runs and platforms:
     the SHA-256 of their sorted-key, compact, ASCII-only JSON object."""
     head = f'{{"model":{json.dumps(model_name)},"query":{json.dumps(exchange.query)}'
-    blob = head + _shared_tail(exchange.system, exchange.turns)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(head.encode("ascii"))
+    digest.update(_shared_tail(exchange.system, exchange.turns))
+    return digest.hexdigest()
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_tail(system: str, turns: tuple[tuple[str, str], ...]) -> str:
-    """The `,"system":...,"turns":[...]}` tail of the hash blob; a stage's prompts share it."""
+def _shared_tail(system: str, turns: tuple[tuple[str, str], ...]) -> bytes:
+    """The `,"system":...,"turns":[...]}` tail of the hash blob, encoded; a
+    stage's prompts share it."""
     payload = {"system": system, "turns": [[role, content] for role, content in turns]}
-    return "," + json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))[1:]
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return ("," + blob[1:]).encode("ascii")
 
 
 def _approx_tokens(text: str) -> int:
@@ -242,7 +250,7 @@ class LlmGateway:
         self._limiter = RateLimiter(cfg.requests_per_minute, clock=clock, sleep=sleep)
         self._cache_lock = threading.Lock()
         self._usage_lock = threading.Lock()
-        self._cache_index: dict[str, dict] | None = None
+        self._cache: _Cache | None = None
         self.total_usage = TokenUsage(0, 0)
 
     # -- public API ---------------------------------------------------------
@@ -258,6 +266,13 @@ class LlmGateway:
                 self.total_usage.completion + outcome.token_usage.completion,
             )
         return outcome
+
+    def cache_sha256(self) -> str | None:
+        """SHA-256 of the sorted SHA-256s of the cache file's nonblank lines,
+        which a run's configuration digest records; None without a cache
+        file, or when recording, since then the cache is output. Taken in the
+        pass that indexes the cache, so a run reads its cache once."""
+        return self._loaded_cache().sha256
 
     def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
         """[fn(item) for item in items], with calls overlapping over http.
@@ -309,10 +324,11 @@ class LlmGateway:
 
     def _complete_through_cache(self, exchange: ChatExchange) -> LlmOutcome:
         digest = canonical_request_hash(exchange, self.cfg.model_name)
+        cache = self._loaded_cache()
+        if cache.error is not None:
+            raise cache.error
         with self._cache_lock:
-            if self._cache_index is None:
-                self._cache_index = self._load_cache() if self.cfg.cache_path else {}
-            response = self._cache_index.get(digest)
+            response = cache.index.get(digest)
         if response is not None:
             usage = response.get("usage", {})
             tokens = TokenUsage(usage.get("prompt", 0), usage.get("completion", 0))
@@ -327,33 +343,12 @@ class LlmGateway:
             self._keep(digest, exchange, outcome)
         return outcome
 
-    def _load_cache(self) -> dict[str, dict]:
-        """Index the cache file by request hash in one pass, the last record
-        of a hash winning; the caller holds the cache lock. A record counts
-        once its newline is on disk: an unterminated last line, cut short by
-        a crash mid-write, is skipped, and a recording gateway cuts it so its
-        first append starts a line of its own. A malformed line raises."""
-        index: dict[str, dict] = {}
-        path = Path(self.cfg.cache_path)
-        try:
-            f = open(path, "r+b" if self.cfg.record else "rb")
-        except FileNotFoundError:
-            return index
-        with f:
-            complete_bytes = 0
-            for line in f:
-                if not line.endswith(b"\n"):
-                    log.warning("skipping torn last line of response cache %s", path)
-                    if self.cfg.record:
-                        f.truncate(complete_bytes)
-                    break
-                complete_bytes += len(line)
-                if line.strip():
-                    entry = json.loads(line)
-                    # The request is not kept: a run shares its gateway,
-                    # so the index lives as long as the run does.
-                    index[entry["hash"]] = entry["response"]
-        return index
+    def _loaded_cache(self) -> _Cache:
+        """The cache as the first call found it; that call reads the file."""
+        with self._cache_lock:
+            if self._cache is None:
+                self._cache = _read_cache(self.cfg.cache_path, self.cfg.record)
+            return self._cache
 
     def _keep(self, digest: str, exchange: ChatExchange, outcome: LlmOutcome) -> None:
         """Add one answer to the index and, when recording, to the cache file,
@@ -375,7 +370,7 @@ class LlmGateway:
             if self.cfg.record and self.cfg.cache_path:
                 with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
                     f.write(line)
-            self._cache_index[digest] = response
+            self._cache.index[digest] = response
 
     # -- http ---------------------------------------------------------------
 
@@ -441,6 +436,102 @@ class LlmGateway:
         if not text.strip():
             return LlmOutcome("transport_error", "empty completion", tokens)
         return LlmOutcome("ok", text, tokens)
+
+
+class _Cache(NamedTuple):
+    """What one pass over a cache file found: the responses by request hash,
+    the hash of its lines (None when recording), and the error of its first
+    malformed record, which every call through the cache raises."""
+
+    index: dict[str, dict]
+    sha256: str | None
+    error: Exception | None
+
+
+# A record as LlmGateway._keep writes it starts with its 64-digit hex hash
+# and ends with its response: json.dumps sorts the keys.
+_HASH_KEY = b'"hash": '
+_RECORD_HEAD = b"{" + _HASH_KEY + b'"'
+_HASH_END = len(_RECORD_HEAD) + 64
+_RESPONSE_KEY = b'"response": '
+
+
+def _read_cache(path: str | None, record: bool) -> _Cache:
+    """Read a cache file in one pass, line by line: index it by request hash,
+    the last record of a hash winning, and, unless recording, hash it for
+    LlmGateway.cache_sha256.
+
+    A record counts once its newline is on disk: an unterminated last line,
+    cut short by a crash mid-write, is skipped (and hashed all the same), and
+    a recording gateway cuts it so its first append starts a line of its
+    own. A malformed line stops the indexing, not the hashing: its error is
+    kept, so it surfaces in the stage that first asks the cache.
+    """
+    index: dict[str, dict] = {}
+    if not path:
+        return _Cache(index, None, None)
+    try:
+        f = open(path, "r+b" if record else "rb")
+    except FileNotFoundError:
+        return _Cache(index, None, None)
+    line_hashes: list[bytes] = []
+    error = None
+    with f:
+        complete_bytes = 0
+        for line in f:
+            blank = line.isspace()
+            terminated = line.endswith(b"\n")
+            if not (record or blank):
+                line_hashes.append(hashlib.sha256(line[:-1] if terminated else line).digest())
+            if not terminated:
+                log.warning("skipping torn last line of response cache %s", path)
+                if record:
+                    f.truncate(complete_bytes)
+                break
+            complete_bytes += len(line)
+            if blank or error is not None:
+                continue
+            try:
+                digest, response = _parse_record(line)
+            # Not JSON, or not an object with a hash and a response.
+            except (ValueError, KeyError, TypeError) as exc:
+                error = exc
+            else:
+                # The request is not kept: a run shares its gateway, so the
+                # index lives as long as the run does.
+                index[digest] = response
+    sha256 = None if record else hashlib.sha256(b"".join(sorted(line_hashes))).hexdigest()
+    return _Cache(index, sha256, error)
+
+
+def _parse_record(line: bytes) -> tuple[str, dict]:
+    """(request hash, response) of one terminated cache line.
+
+    A line as _keep writes it, with one hash key, is not decoded whole: the
+    hash sits at a fixed offset, and the response is the value after the
+    last `"response": `. JSON escapes every `"` inside a string (RFC 8259
+    section 7), so those bytes are a key, the top-level one when its value
+    runs to the record's closing brace. Other lines, such as one with a key
+    after response or a torn record that a later append continued, are
+    decoded whole and raise if malformed. The request's bytes go unchecked.
+    """
+    if (
+        line.startswith(_RECORD_HEAD)
+        and line[_HASH_END : _HASH_END + 3] == b'", '
+        and line[len(_RECORD_HEAD) : _HASH_END].isalnum()
+        and line.endswith(b"}\n")
+        and line.count(_HASH_KEY) == 1
+    ):
+        start = line.rfind(_RESPONSE_KEY) + len(_RESPONSE_KEY)
+        if start > _HASH_END:
+            try:
+                response = json.loads(line[start:-2])
+            except ValueError:
+                pass  # more after the response: the whole line decides
+            else:
+                return line[len(_RECORD_HEAD) : _HASH_END].decode("ascii"), response
+    entry = json.loads(line)
+    return entry["hash"], entry["response"]
 
 
 def as_gateway(backend: "BackendConfig | LlmGateway") -> LlmGateway:

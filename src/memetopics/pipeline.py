@@ -9,9 +9,11 @@ one codec each, all but the processed corpus, which corpus.py writes. One
 driver runs the stages for run_pipeline, sweep and run_stage and is the
 only writer of the manifest. Each of those calls makes one LlmGateway and
 hands it to every prompting stage, so one rate limiter gates the whole
-run. The manifest records the configuration digest, token usage, failure
-routing counts, a merge-log summary, and the final metrics; it carries no
-timestamps, so identical inputs produce identical bytes.
+run, and takes the cache's hash for the configuration digest from it, so
+the run reads its cache file once. The manifest records the configuration
+digest, token usage, failure routing counts, a merge-log summary, and the
+final metrics; it carries no timestamps, so identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ MERGE_LOG_FILE = "merge_log.jsonl"
 REPRESENTATIONS_FILE = "representations.json"
 REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
+
+# stage -> (the files it writes, the manifest entries it sets)
+_OUTPUTS = {
+    "preprocess": ((PROCESSED_CORPUS_FILE,), ()),
+    "generate": ((ASSIGNMENTS_FILE,), ("generation_summary", "failure_counts")),
+    "collapse": ((CLUSTERS_FILE, MERGE_LOG_FILE), ("collapse_summary",)),
+    "represent": ((REPRESENTATIONS_FILE,), ("representation_summary",)),
+    "evaluate": ((REPORT_FILE,), ("metrics",)),
+}
 
 
 class PipelineStageError(RuntimeError):
@@ -161,16 +172,17 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(_read_json(Path(path)))
 
-    def input_hashes(self) -> dict:
+    def input_hashes(self, gateway: LlmGateway | None = None) -> dict:
         """SHA-256 of every input file by role, None for a role without one. A
         replay cache is hashed line by line, in sorted order, since the order
-        of its entries does not matter; a cache being recorded into is output."""
+        of its entries does not matter; a cache being recorded into is output.
+        The cache's hash comes from gateway, the run's, which takes it in the
+        pass that indexes the cache, so a run reads its cache once; without a
+        gateway, one is made for it."""
         optional = {"stopwords": self.stopwords_path, "demonstrations": self.demonstrations_path}
         hashes = {role: _file_sha256(path) if path else None for role, path in optional.items()}
         hashes["corpus"] = _file_sha256(self.corpus_path)
-        cache = self.backend.cache_path
-        replayed = cache and not self.backend.record and Path(cache).exists()
-        hashes["cache"] = _sorted_lines_sha256(cache) if replayed else None
+        hashes["cache"] = (gateway or LlmGateway(self.backend)).cache_sha256()
         return hashes
 
     def config_digest(self, input_hashes: dict | None = None) -> str:
@@ -211,13 +223,6 @@ def _file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _sorted_lines_sha256(path: str | Path) -> str:
-    """SHA-256 of the sorted SHA-256s of a file's nonblank lines, read one at a time."""
-    with open(path, "rb") as f:
-        lines = sorted(hashlib.sha256(line.rstrip(b"\n")).digest() for line in f if line.strip())
-    return hashlib.sha256(b"".join(lines)).hexdigest()
 
 
 # -- run-directory files -----------------------------------------------------
@@ -402,7 +407,7 @@ def _run_stages(
     return artifacts
 
 
-def _run_header(cfg: RunConfig, input_hashes: dict | None) -> dict:
+def _run_header(cfg: RunConfig, input_hashes: dict) -> dict:
     digest = cfg.config_digest(input_hashes)
     return {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
 
@@ -416,9 +421,16 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts = {"gateway": LlmGateway(cfg.backend), "input_hashes": cfg.input_hashes()}
+    artifacts = _run_inputs(cfg)
     _run_stages(cfg, outdir, STAGES, artifacts, _run_header(cfg, artifacts["input_hashes"]))
     return outdir
+
+
+def _run_inputs(cfg: RunConfig) -> dict:
+    """The gateway a run shares and the input hashes it records; the
+    cache's hash comes from the gateway, so the run reads its cache once."""
+    gateway = LlmGateway(cfg.backend)
+    return {"gateway": gateway, "input_hashes": cfg.input_hashes(gateway)}
 
 
 def _load_assignments(outdir: Path) -> list[TopicAssignment]:
@@ -446,15 +458,18 @@ def run_stage(cfg: RunConfig, stage: str):
     and return the artifact it makes.
 
     The only code that reads artifacts back from disk. preprocess starts a
-    fresh manifest; every later stage continues the one on disk, less
-    itself and every later stage in stages_completed and token_usage, so
-    the five stages run one at a time leave the manifest run_pipeline writes.
+    fresh manifest; every later stage continues the one on disk. Running a
+    stage supersedes its earlier run and every later stage's: their files
+    go, and so do their entries, stages_completed and token_usage included,
+    so the five stages run one at a time leave the manifest run_pipeline
+    writes.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    gateway = LlmGateway(cfg.backend)
     loaders = {
-        "gateway": lambda: LlmGateway(cfg.backend),
-        "input_hashes": cfg.input_hashes,
+        "gateway": lambda: gateway,
+        "input_hashes": lambda: cfg.input_hashes(gateway),
         "corpus": lambda: corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE),
         "assignments": lambda: _load_assignments(outdir),
         "state": lambda: _load_state(outdir),
@@ -462,18 +477,24 @@ def run_stage(cfg: RunConfig, stage: str):
     }
     reads, makes = _FLOW[stage]
     artifacts = {name: loaders[name]() for name in reads}
+    superseded = STAGES[STAGES.index(stage) :]
+    for name in superseded:
+        files, _ = _OUTPUTS[name]
+        for file in files:
+            (outdir / file).unlink(missing_ok=True)
     path = outdir / MANIFEST_FILE
     if stage == "preprocess" or not path.exists():
-        manifest = _run_header(cfg, artifacts.get("input_hashes"))
+        manifest = _run_header(cfg, cfg.input_hashes(gateway))
     else:
         manifest = _read_json(path)
-        # Running a stage again supersedes its earlier run, every later
-        # stage's and an earlier failure.
-        superseded = STAGES[STAGES.index(stage) :]
         done = manifest["stages_completed"]
         manifest["stages_completed"] = [name for name in done if name not in superseded]
         for name in superseded:
+            _, entries = _OUTPUTS[name]
             manifest["token_usage"].pop(name, None)
+            for entry in entries:
+                manifest.pop(entry, None)
+        # An earlier failure is superseded too.
         manifest.pop("failed_stage", None)
         manifest.pop("error", None)
     return _run_stages(cfg, outdir, (stage,), artifacts, manifest)[makes]
@@ -497,7 +518,7 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     root.mkdir(parents=True, exist_ok=True)
-    artifacts = {"gateway": LlmGateway(cfg.backend), "input_hashes": cfg.input_hashes()}
+    artifacts = _run_inputs(cfg)
     _run_stages(cfg, root, ("preprocess", "generate"), artifacts, {})
 
     reports: dict[int, dict] = {}

@@ -218,6 +218,27 @@ def test_tokenize_equals_the_per_character_version(text, cfg):
     assert tokenize(text, cfg) == per_character_tokenize(text, cfg)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    # Each word with its case swapped too, so words differ only in case.
+    words=st.lists(meme_text, min_size=1, max_size=4).map(
+        lambda words: words + [word.swapcase() for word in words]
+    ),
+    picks=st.lists(st.tuples(*[st.lists(st.integers(0, 7), max_size=8)] * 2), max_size=6),
+    cfg=preprocess_cfgs,
+)
+def test_preprocess_over_shared_words_equals_the_per_character_version(words, picks, cfg):
+    # preprocess cleans each distinct word once per call; documents built
+    # from one small word pool repeat words within and across documents.
+    def text(pick):
+        return " ".join(words[i % len(words)] for i in pick)
+
+    docs = [_doc(f"m{i}", text(cap), text(overlay)) for i, (cap, overlay) in enumerate(picks)]
+    processed = preprocess(Corpus(docs), cfg)
+    expected = [tuple(per_character_tokenize(doc.raw_text, cfg)) for doc in docs]
+    assert [doc.tokens for doc in processed.documents] == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=meme_text, cfg=preprocess_cfgs)
 def test_tokenize_never_invents_tokens(text, cfg):

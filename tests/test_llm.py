@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memetopics.llm import (
@@ -16,10 +16,12 @@ from memetopics.llm import (
     LlmOutcome,
     RateLimiter,
     ReplayMissError,
+    _read_cache,
     canonical_request_hash,
     load_mock_rules,
 )
 
+from cache_oracle import json_loads_index, sorted_lines_sha256
 from conftest import mock_backend
 
 
@@ -308,8 +310,13 @@ def test_replay_rejects_malformed_middle_line(tmp_path):
     lines = cache.read_text().splitlines(keepends=True)
     cache.write_text(lines[0][:20] + "\n" + lines[1], encoding="utf-8")
     cfg = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(cache))
-    with pytest.raises(json.JSONDecodeError):
-        LlmGateway(cfg).complete(exchange("second"))
+    gateway = LlmGateway(cfg)
+    # A run hashes its cache before any stage; the error surfaces in the
+    # stage that first asks the cache, and in every later call.
+    assert gateway.cache_sha256() == sorted_lines_sha256(cache)
+    for _ in range(2):
+        with pytest.raises(json.JSONDecodeError):
+            gateway.complete(exchange("second"))
 
 
 def test_recording_cuts_torn_last_line(tmp_path, caplog):
@@ -408,6 +415,108 @@ def test_recording_resumes_after_a_cut_at_any_byte(before, after, point):
         for query in first[len(complete) :]:
             with pytest.raises(ReplayMissError):
                 gateway.complete(exchange(query))
+
+
+# Cache record texts: any characters, with the bytes the one-pass reader
+# looks for (a record head, the response key, a closing brace), escapes
+# and non-ASCII drawn often.
+RECORD_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(['"response": ', '"hash": ', '{"hash": "', "}", '"', "\\", "\n"]),
+        st.sampled_from(["\u00e9", "\u2028", "\u4e2d", "\U0001f600"]),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=6,
+).map("".join)
+RECORD_HASHES = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
+RECORD_FIELDS = st.fixed_dictionaries(
+    {
+        # Mostly the hex hashes the gateway writes, repeated so that a later
+        # record of a hash replaces an earlier one.
+        "hash": st.one_of(st.sampled_from(RECORD_HASHES), RECORD_TEXT),
+        "model": RECORD_TEXT,
+        "request": st.fixed_dictionaries(
+            {"query": RECORD_TEXT, "system": RECORD_TEXT, "turns": st.lists(
+                st.lists(RECORD_TEXT, min_size=2, max_size=2), max_size=2)}
+        ),
+        # A number too, whose every prefix is a number.
+        "response": st.one_of(
+            st.fixed_dictionaries(
+                {"status": st.sampled_from(["ok", "refused"]), "text": RECORD_TEXT,
+                 "usage": st.fixed_dictionaries({"prompt": st.integers(0, 99),
+                                                 "completion": st.integers(0, 99)})}
+            ),
+            st.integers(100, 10**6),
+        ),
+    }
+)
+# Keys that sort before "hash", between it and "response", and after it,
+# some holding a "response" or "hash" key of their own; half the records
+# have none, as the gateway writes them.
+EXTRA_FIELDS = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "aaa": RECORD_TEXT,
+            "meta": st.fixed_dictionaries({"hash": RECORD_TEXT}),
+            "timestamp": st.floats(allow_nan=False),
+            "zzz": st.fixed_dictionaries({"response": RECORD_TEXT}),
+        },
+    ),
+)
+CACHE_RECORDS = st.builds(lambda fields, extra: {**fields, **extra}, RECORD_FIELDS, EXTRA_FIELDS)
+# How a line reaches the file: whole, cut short with its newline written
+# anyway, or cut short with the next line appended onto it (a torn record
+# that a later append continued; on the last line, a torn tail). A cut
+# keeps a share of the line's bytes or drops a few from its end.
+CACHE_LINES = st.lists(
+    st.tuples(
+        st.one_of(CACHE_RECORDS, st.sampled_from(["", "  ", "\t"])),
+        st.booleans(),
+        st.sampled_from(["whole", "whole", "cut", "torn"]),
+        st.one_of(st.floats(0, 1, exclude_max=True), st.integers(1, 8)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def cache_record(response, **extra):
+    request = {"query": 'q "response": 1}', "system": "s", "turns": []}
+    record = {"hash": RECORD_HASHES[0], "model": "m", "request": request, "response": response}
+    return {**record, **extra}
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=CACHE_LINES)
+# A torn record that the next one continued, a cut that leaves a number,
+# and a key after the response.
+@example(lines=[(cache_record("a"), True, "torn", 0.6), (cache_record(7), True, "whole", 0)])
+@example(lines=[(cache_record(123456), True, "cut", 2)])
+@example(lines=[(cache_record("b", zzz={"response": 2}), False, "whole", 0)])
+def test_one_pass_cache_read_equals_the_json_loads_index_and_the_sorted_lines_hash(lines):
+    blob = b""
+    for record, ensure_ascii, damage, cut in lines:
+        if not isinstance(record, str):
+            record = json.dumps(record, sort_keys=True, ensure_ascii=ensure_ascii)
+        line = record.encode("utf-8")
+        if damage != "whole":
+            line = line[: max(len(line) - cut, 0) if isinstance(cut, int) else int(cut * len(line))]
+        blob += line if damage == "torn" else line + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        path.write_bytes(blob)
+        cache = _read_cache(str(path), record=False)
+        try:
+            expected = json_loads_index(path)
+        except Exception as exc:
+            assert type(cache.error) is type(exc) and str(cache.error) == str(exc)
+        else:
+            assert cache.error is None
+            assert cache.index == expected
+        assert cache.sha256 == sorted_lines_sha256(path)
+        assert _read_cache(str(path), record=True).sha256 is None
 
 
 # Reply and query text: any characters, with the ones JSON and the cache's

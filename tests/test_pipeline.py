@@ -1,8 +1,11 @@
 """Staged pipeline runs, manifests, sweeps, and the command line."""
 
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import shutil
 import threading
 
@@ -203,6 +206,58 @@ def test_one_gateway_per_run_sweep_and_stage(tmp_path, monkeypatch):
     assert len(built) == 3
 
 
+def count_opens(monkeypatch, path):
+    """The list that every later open of path appends to."""
+    opened = []
+    real_open = io.open
+    target = os.path.abspath(path)
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == target:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    return opened
+
+
+def test_a_replay_run_sweep_and_stage_open_the_cache_once(tmp_path, monkeypatch):
+    # One pass over the cache serves both the replay index and the cache's
+    # hash in the configuration digest.
+    opened = count_opens(monkeypatch, FIXTURES_DIR / "replay_cache.jsonl")
+    run_pipeline(fixture_config(tmp_path, "run"))
+    assert len(opened) == 1
+    sweep(fixture_config(tmp_path, "sweep"), [3, 5])
+    assert len(opened) == 2
+    cfg = fixture_config(tmp_path, "staged")
+    run_stage(cfg, "preprocess")  # a fresh manifest: the digest hashes the cache
+    assert len(opened) == 3
+    run_stage(cfg, "generate")
+    assert len(opened) == 4
+    shutil.rmtree(tmp_path / "staged")
+    run_stage(cfg, "preprocess")
+    (tmp_path / "staged" / "manifest.json").unlink()
+    run_stage(cfg, "generate")  # both the digest and the index, from one read
+    assert len(opened) == 6
+
+
+def test_a_malformed_cache_line_fails_the_generate_stage(tmp_path):
+    lines = (FIXTURES_DIR / "replay_cache.jsonl").read_text(encoding="utf-8").splitlines(True)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(lines[:5] + [lines[5][:40] + "\n"] + lines[6:]), encoding="utf-8")
+    cfg = fixture_config(tmp_path, "out")
+    cfg.backend.cache_path = str(cache)
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "generate"
+    assert isinstance(err.value.cause, json.JSONDecodeError)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "generate"
+    assert manifest["stages_completed"] == ["preprocess"]
+    assert manifest["config_digest"] == cfg.config_digest()
+
+
 def test_config_roundtrip_through_json(tmp_path):
     cfg = tiny_config(tmp_path, k=3, collapse_method="pbm", representation_method="llm")
     path = tmp_path / "config.json"
@@ -357,6 +412,21 @@ def test_running_a_stage_again_drops_it_and_later_stages_from_the_manifest(tmp_p
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["stages_completed"] == ["preprocess", "generate"]
     assert sorted(manifest["token_usage"]) == ["generate"]
+
+
+def test_running_an_earlier_stage_again_drops_the_later_stages_outputs(tmp_path):
+    cfg = fixture_config(tmp_path, "out")
+    outdir = run_pipeline(cfg)
+    whole = run_dir_bytes(outdir)
+    run_stage(cfg, "generate")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert not {"collapse_summary", "representation_summary", "metrics"} & set(manifest)
+    assert manifest["generation_summary"]["documents"] == 50
+    files = sorted(path.name for path in outdir.iterdir())
+    assert files == ["assignments.jsonl", "corpus_processed.jsonl", "manifest.json"]
+    for stage in STAGES[2:]:
+        run_stage(cfg, stage)
+    assert run_dir_bytes(outdir) == whole
 
 
 def test_stage_collapse_records_summary(tmp_path):
