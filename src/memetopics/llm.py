@@ -509,11 +509,14 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
 
     A line as _keep writes it, with one hash key, is not decoded whole: the
     hash sits at a fixed offset, and the response is the value after the
-    last `"response": `. JSON escapes every `"` inside a string (RFC 8259
-    section 7), so those bytes are a key, the top-level one when its value
-    runs to the record's closing brace. Other lines, such as one with a key
-    after response or a torn record that a later append continued, are
-    decoded whole and raise if malformed. The request's bytes go unchecked.
+    first `"response": `. JSON escapes every `"` inside a string (RFC 8259
+    section 7), so those bytes are a key; keys are sorted and the request
+    holds none, so it is the top-level one, taken when its value runs to
+    the record's closing brace. (The last one may be nested in a key after
+    response, and a cut record can end in that key's brace.) Other lines,
+    such as one with a key after response or a torn record that a later
+    append continued, are decoded whole and raise if malformed. The
+    request's bytes go unchecked.
     """
     if (
         line.startswith(_RECORD_HEAD)
@@ -522,7 +525,7 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
         and line.endswith(b"}\n")
         and line.count(_HASH_KEY) == 1
     ):
-        start = line.rfind(_RESPONSE_KEY) + len(_RESPONSE_KEY)
+        start = line.find(_RESPONSE_KEY, _HASH_END) + len(_RESPONSE_KEY)
         if start > _HASH_END:
             try:
                 response = json.loads(line[start:-2])

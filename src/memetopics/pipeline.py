@@ -1,19 +1,18 @@
 """End-to-end orchestration: staged runs, manifests and K sweeps.
 
 A run executes preprocess -> generate -> collapse -> represent -> evaluate.
-Each stage writes its artifact into the run directory, so a run can be
-inspected and replayed, and hands it to the next stage in memory; only a
-lone stage command (run_stage) reads artifacts back. This module owns the
-run directory: its JSON and JSONL files are written and read here through
-one codec each, all but the processed corpus, which corpus.py writes. One
-driver runs the stages for run_pipeline, sweep and run_stage and is the
-only writer of the manifest. Each of those calls makes one LlmGateway and
-hands it to every prompting stage, so one rate limiter gates the whole
-run, and takes the cache's hash for the configuration digest from it, so
-the run reads its cache file once. The manifest records the configuration
-digest, token usage, failure routing counts, a merge-log summary, and the
-final metrics; it carries no timestamps, so identical inputs produce
-identical bytes.
+One table, _FLOW, says what each stage reads, the artifact it makes, the
+files it writes and the manifest entries it sets. Each stage writes its
+artifact into the run directory, so a run can be inspected and replayed,
+and hands it to the next stage in memory. This module owns the run
+directory, through one JSON and one JSONL codec (corpus.py writes the
+processed corpus). One driver, _run_stages, runs the stages for
+run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
+from stage s first clears what the last run of s and of every later stage
+left. One function, _run, serves run_pipeline and run_stage: it makes the
+run's LlmGateway, shared by every prompting stage and the source of the
+cache's hash, and reads back only what a lone stage needs. The manifest
+carries no timestamps, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from .collapse import CollapseState, collapse_pbm, collapse_wsm
@@ -45,17 +44,6 @@ from .representation import TopicRepresentation, represent_ctfidf, represent_llm
 
 log = logging.getLogger(__name__)
 
-# stage -> (what it reads, the artifact it makes), by argument name. A stage
-# that reads the gateway has its token usage recorded in the manifest.
-_FLOW = {
-    "preprocess": ((), "corpus"),
-    "generate": (("corpus", "gateway"), "assignments"),
-    "collapse": (("corpus", "assignments", "gateway"), "state"),
-    "represent": (("corpus", "state", "gateway"), "representations"),
-    "evaluate": (("corpus", "representations", "input_hashes"), "report"),
-}
-STAGES = tuple(_FLOW)
-
 PROCESSED_CORPUS_FILE = "corpus_processed.jsonl"
 ASSIGNMENTS_FILE = "assignments.jsonl"
 CLUSTERS_FILE = "clusters.json"
@@ -64,14 +52,35 @@ REPRESENTATIONS_FILE = "representations.json"
 REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
 
-# stage -> (the files it writes, the manifest entries it sets)
-_OUTPUTS = {
-    "preprocess": ((PROCESSED_CORPUS_FILE,), ()),
-    "generate": ((ASSIGNMENTS_FILE,), ("generation_summary", "failure_counts")),
-    "collapse": ((CLUSTERS_FILE, MERGE_LOG_FILE), ("collapse_summary",)),
-    "represent": ((REPRESENTATIONS_FILE,), ("representation_summary",)),
-    "evaluate": ((REPORT_FILE,), ("metrics",)),
+
+class _Stage(NamedTuple):
+    reads: tuple[str, ...]  # the artifacts it reads, by argument name
+    makes: str  # the artifact it makes
+    files: tuple[str, ...]  # the files it writes into the run directory
+    entries: tuple[str, ...]  # the manifest entries it sets
+
+
+# A stage that reads the gateway has its token usage recorded in the manifest.
+_FLOW = {
+    "preprocess": _Stage((), "corpus", (PROCESSED_CORPUS_FILE,), ()),
+    "generate": _Stage(
+        ("corpus", "gateway"), "assignments",
+        (ASSIGNMENTS_FILE,), ("generation_summary", "failure_counts"),
+    ),
+    "collapse": _Stage(
+        ("corpus", "assignments", "gateway"), "state",
+        (CLUSTERS_FILE, MERGE_LOG_FILE), ("collapse_summary",),
+    ),
+    "represent": _Stage(
+        ("corpus", "state", "gateway"), "representations",
+        (REPRESENTATIONS_FILE,), ("representation_summary",),
+    ),
+    "evaluate": _Stage(
+        ("corpus", "representations", "input_hashes"), "report",
+        (REPORT_FILE,), ("metrics",),
+    ),
 }
+STAGES = tuple(_FLOW)
 
 
 class PipelineStageError(RuntimeError):
@@ -112,6 +121,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.num_demonstrations < 1:
+            raise ValueError("num_demonstrations must be >= 1")
+        if self.min_token_len < 1:
+            raise ValueError("min_token_len must be >= 1")
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.epsilon <= 0:
@@ -367,22 +380,34 @@ def stage_evaluate(
 def _run_stages(
     cfg: RunConfig, outdir: Path, stages: Sequence[str], artifacts: dict, manifest: dict
 ) -> dict:
-    """Run `stages` in order in outdir, handing each what it reads from
-    `artifacts` and adding the artifact it makes, then return `artifacts`.
+    """Run `stages`, consecutive entries of STAGES, in order in outdir,
+    handing each what it reads from `artifacts` and adding the artifact it
+    makes, then return `artifacts`.
 
-    The only writer of manifest.json. `manifest` is written first; after
-    each stage it gains the stage in stages_completed, its entries and,
-    for a stage that reads the gateway, its token usage: the change in the
-    gateway's total across the stage. When a stage raises, everything
-    written so far stays on disk, the manifest names the failed stage and
-    the error, and PipelineStageError propagates.
+    The only writer of manifest.json and the only code that deletes from
+    a run directory. A run from stage s supersedes the last run of s and
+    of every later stage: before `manifest` is first written their files
+    go, and so do their manifest entries, stages_completed and token_usage
+    included, and any earlier failed_stage and error. After each stage the
+    manifest gains the stage in stages_completed, its entries and, for a
+    stage that reads the gateway, its token usage. When a stage raises,
+    everything written so far stays on disk, the manifest names the failed
+    stage and the error, and PipelineStageError propagates.
     """
-    manifest.setdefault("stages_completed", [])
-    manifest.setdefault("token_usage", {})
+    outdir.mkdir(parents=True, exist_ok=True)
+    superseded = STAGES[STAGES.index(stages[0]) :]
+    for name in superseded:
+        for file in _FLOW[name].files:
+            (outdir / file).unlink(missing_ok=True)
+    stale = {"failed_stage", "error"}.union(*(_FLOW[name].entries for name in superseded))
+    manifest = {key: value for key, value in manifest.items() if key not in stale}
+    done = manifest.get("stages_completed", [])
+    manifest["stages_completed"] = [name for name in done if name not in superseded]
+    spent = manifest.get("token_usage", {})
+    manifest["token_usage"] = {name: spent[name] for name in spent if name not in superseded}
     _write_json(outdir / MANIFEST_FILE, manifest)
     for stage in stages:
-        reads, makes = _FLOW[stage]
-        inputs = {name: artifacts[name] for name in reads}
+        inputs = {name: artifacts[name] for name in _FLOW[stage].reads}
         if stage == "collapse":
             # A sweep continues the collapse of the previous, larger K.
             inputs["start"] = artifacts.get("state")
@@ -396,7 +421,7 @@ def _run_stages(
             manifest.update(failed_stage=stage, error=str(exc))
             _write_json(outdir / MANIFEST_FILE, manifest)
             raise PipelineStageError(stage, exc) from exc
-        artifacts[makes] = artifact
+        artifacts[_FLOW[stage].makes] = artifact
         manifest["stages_completed"].append(stage)
         if gateway is not None:
             after = gateway.total_usage
@@ -407,97 +432,71 @@ def _run_stages(
     return artifacts
 
 
-def _run_header(cfg: RunConfig, input_hashes: dict) -> dict:
-    digest = cfg.config_digest(input_hashes)
-    return {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
+def _load_artifact(outdir: Path, name: str):
+    """The artifact `name` as the stage that makes it wrote it into outdir."""
+    if name == "corpus":
+        return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
+    if name == "assignments":
+        return [
+            TopicAssignment(record["doc_id"], tuple(record["topics"]), record["provenance"])
+            for record in _read_jsonl(outdir / ASSIGNMENTS_FILE)
+        ]
+    if name == "state":
+        clusters = {label: set(ids) for label, ids in _read_json(outdir / CLUSTERS_FILE).items()}
+        misc = clusters.pop(MISCELLANEOUS, set())
+        inappropriate = clusters.pop(INAPPROPRIATE, set())
+        return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+    entries = _read_json(outdir / REPRESENTATIONS_FILE)  # the representations
+    return [TopicRepresentation(topic, **entry) for topic, entry in sorted(entries.items())]
+
+
+def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
+    """Run `stages` in cfg.output_dir with one gateway and return the
+    artifacts. Loads what the stages read and do not make, before anything
+    is deleted. A run from preprocess, or with no manifest to continue,
+    starts a fresh manifest; any other continues the one on disk. The
+    input files are hashed only for a fresh manifest or for evaluate.
+    """
+    outdir = Path(cfg.output_dir)
+    manifest_path = outdir / MANIFEST_FILE
+    fresh = stages[0] == "preprocess" or not manifest_path.exists()
+    made = {_FLOW[stage].makes for stage in stages}
+    reads = [name for stage in stages for name in _FLOW[stage].reads if name not in made]
+    gateway = LlmGateway(cfg.backend)
+    artifacts = {"gateway": gateway}
+    if fresh or "input_hashes" in reads:
+        # The cache's hash comes from the gateway, so the run reads its cache once.
+        artifacts["input_hashes"] = cfg.input_hashes(gateway)
+    for name in reads:
+        if name not in artifacts:
+            artifacts[name] = _load_artifact(outdir, name)
+    if fresh:
+        digest = cfg.config_digest(artifacts["input_hashes"])
+        manifest = {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
+    else:
+        manifest = _read_json(manifest_path)
+    return _run_stages(cfg, outdir, stages, artifacts, manifest)
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
-    """Execute every stage in order and assemble the manifest, replacing
-    any manifest left over in the directory.
+    """Execute every stage in order under a fresh manifest, superseding
+    every stage file an earlier run left in the directory.
 
     On a stage failure, everything written so far stays on disk, the
     manifest marks the failed stage, and PipelineStageError propagates.
     """
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    artifacts = _run_inputs(cfg)
-    _run_stages(cfg, outdir, STAGES, artifacts, _run_header(cfg, artifacts["input_hashes"]))
-    return outdir
-
-
-def _run_inputs(cfg: RunConfig) -> dict:
-    """The gateway a run shares and the input hashes it records; the
-    cache's hash comes from the gateway, so the run reads its cache once."""
-    gateway = LlmGateway(cfg.backend)
-    return {"gateway": gateway, "input_hashes": cfg.input_hashes(gateway)}
-
-
-def _load_assignments(outdir: Path) -> list[TopicAssignment]:
-    return [
-        TopicAssignment(record["doc_id"], tuple(record["topics"]), record["provenance"])
-        for record in _read_jsonl(outdir / ASSIGNMENTS_FILE)
-    ]
-
-
-def _load_state(outdir: Path) -> CollapseState:
-    """The collapsed state a clusters file records."""
-    clusters = {label: set(ids) for label, ids in _read_json(outdir / CLUSTERS_FILE).items()}
-    misc = clusters.pop(MISCELLANEOUS, set())
-    inappropriate = clusters.pop(INAPPROPRIATE, set())
-    return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
-
-
-def _load_representations(outdir: Path) -> list[TopicRepresentation]:
-    entries = _read_json(outdir / REPRESENTATIONS_FILE)
-    return [TopicRepresentation(topic, **entry) for topic, entry in sorted(entries.items())]
+    _run(cfg, STAGES)
+    return Path(cfg.output_dir)
 
 
 def run_stage(cfg: RunConfig, stage: str):
     """Run one stage on the artifacts earlier stages left in cfg.output_dir
-    and return the artifact it makes.
-
-    The only code that reads artifacts back from disk. preprocess starts a
-    fresh manifest; every later stage continues the one on disk. Running a
-    stage supersedes its earlier run and every later stage's: their files
-    go, and so do their entries, stages_completed and token_usage included,
-    so the five stages run one at a time leave the manifest run_pipeline
-    writes.
+    and return the artifact it makes. preprocess starts a fresh manifest;
+    every later stage continues the one on disk. Like any run, the stage
+    supersedes its own last run and every later stage's, so the five
+    stages run one at a time leave the files and manifest of run_pipeline.
     """
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    gateway = LlmGateway(cfg.backend)
-    loaders = {
-        "gateway": lambda: gateway,
-        "input_hashes": lambda: cfg.input_hashes(gateway),
-        "corpus": lambda: corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE),
-        "assignments": lambda: _load_assignments(outdir),
-        "state": lambda: _load_state(outdir),
-        "representations": lambda: _load_representations(outdir),
-    }
-    reads, makes = _FLOW[stage]
-    artifacts = {name: loaders[name]() for name in reads}
-    superseded = STAGES[STAGES.index(stage) :]
-    for name in superseded:
-        files, _ = _OUTPUTS[name]
-        for file in files:
-            (outdir / file).unlink(missing_ok=True)
-    path = outdir / MANIFEST_FILE
-    if stage == "preprocess" or not path.exists():
-        manifest = _run_header(cfg, cfg.input_hashes(gateway))
-    else:
-        manifest = _read_json(path)
-        done = manifest["stages_completed"]
-        manifest["stages_completed"] = [name for name in done if name not in superseded]
-        for name in superseded:
-            _, entries = _OUTPUTS[name]
-            manifest["token_usage"].pop(name, None)
-            for entry in entries:
-                manifest.pop(entry, None)
-        # An earlier failure is superseded too.
-        manifest.pop("failed_stage", None)
-        manifest.pop("error", None)
-    return _run_stages(cfg, outdir, (stage,), artifacts, manifest)[makes]
+    return _run(cfg, (stage,))[_FLOW[stage].makes]
 
 
 def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
@@ -517,8 +516,8 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
         raise ValueError("k_values must not be empty")
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
-    root.mkdir(parents=True, exist_ok=True)
-    artifacts = _run_inputs(cfg)
+    gateway = LlmGateway(cfg.backend)
+    artifacts = {"gateway": gateway, "input_hashes": cfg.input_hashes(gateway)}
     _run_stages(cfg, root, ("preprocess", "generate"), artifacts, {})
 
     reports: dict[int, dict] = {}
@@ -526,7 +525,6 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     for k in sorted(sub_cfgs, reverse=True):
         sub_cfg = sub_cfgs[k]
         subdir = Path(sub_cfg.output_dir)
-        subdir.mkdir(exist_ok=True)
         try:
             _run_stages(sub_cfg, subdir, ("collapse", "represent", "evaluate"), artifacts, {})
         except PipelineStageError as exc:

@@ -16,7 +16,7 @@ from memetopics.generation import (
     provenance_counts,
 )
 from memetopics.llm import BackendConfig, LlmGateway
-from memetopics.pipeline import RunConfig, _load_assignments, stage_generate
+from memetopics.pipeline import RunConfig, _load_artifact, stage_generate
 
 from conftest import mock_backend
 
@@ -318,7 +318,7 @@ def test_assignments_roundtrip_file(tmp_path):
     cfg = RunConfig(corpus_path="unused", num_demonstrations=1, backend=backend)
     assignments, _ = stage_generate(cfg, tmp_path, make_corpus(4), LlmGateway(backend))
     assert {a.provenance for a in assignments} == {"generated", "miscellaneous", "inappropriate"}
-    assert _load_assignments(tmp_path) == assignments
+    assert _load_artifact(tmp_path, "assignments") == assignments
 
 
 def test_gateway_instance_accepted_directly():

@@ -491,10 +491,11 @@ def cache_record(response, **extra):
 @settings(max_examples=150, deadline=None)
 @given(lines=CACHE_LINES)
 # A torn record that the next one continued, a cut that leaves a number,
-# and a key after the response.
+# a key after the response, and one whose cut leaves it the closing brace.
 @example(lines=[(cache_record("a"), True, "torn", 0.6), (cache_record(7), True, "whole", 0)])
 @example(lines=[(cache_record(123456), True, "cut", 2)])
 @example(lines=[(cache_record("b", zzz={"response": 2}), False, "whole", 0)])
+@example(lines=[(cache_record(100, zzz={"response": ""}), False, "cut", 1)])
 def test_one_pass_cache_read_equals_the_json_loads_index_and_the_sorted_lines_hash(lines):
     blob = b""
     for record, ensure_ascii, damage, cut in lines:

@@ -27,7 +27,7 @@ from memetopics.pipeline import (
     STAGES,
     PipelineStageError,
     RunConfig,
-    _load_assignments,
+    _load_artifact,
     run_pipeline,
     run_stage,
     sweep,
@@ -155,6 +155,34 @@ def test_failed_stage_preserves_artifacts_and_marks_manifest(tmp_path):
     assert manifest["failed_stage"] == "generate"
 
 
+def test_a_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path):
+    # A run from preprocess supersedes every stage of the run before it, so
+    # a re-run that fails in generate keeps only what it wrote itself.
+    cfg = fixture_config(tmp_path, "out")
+    outdir = run_pipeline(cfg)
+    missing = BackendConfig(
+        kind="replay", model_name="mock-model", cache_path=str(tmp_path / "missing.jsonl")
+    )
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(dataclasses.replace(cfg, backend=missing))
+    assert err.value.stage == "generate"
+    assert sorted(p.name for p in outdir.iterdir()) == ["corpus_processed.jsonl", "manifest.json"]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["stages_completed"] == ["preprocess"]
+    assert manifest["failed_stage"] == "generate"
+    assert not {"generation_summary", "collapse_summary", "metrics"} & set(manifest)
+
+
+@pytest.mark.parametrize("method,representation", [("pbm", "llm"), ("wsm", "ctfidf")])
+def test_the_stage_table_names_every_file_a_run_writes(tmp_path, method, representation):
+    cfg = fixture_config(
+        tmp_path, "out", collapse_method=method, representation_method=representation
+    )
+    outdir = run_pipeline(cfg)
+    files = {"manifest.json"}.union(*(stage.files for stage in pipeline_mod._FLOW.values()))
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(files)
+
+
 def test_variant_labels():
     base = dict(corpus_path="x.jsonl")
     assert RunConfig(**base, collapse_method="pbm", representation_method="llm").variant() == "pbm"
@@ -240,6 +268,20 @@ def test_a_replay_run_sweep_and_stage_open_the_cache_once(tmp_path, monkeypatch)
     (tmp_path / "staged" / "manifest.json").unlink()
     run_stage(cfg, "generate")  # both the digest and the index, from one read
     assert len(opened) == 6
+
+
+def test_a_lone_stage_hashes_the_input_files_only_for_a_fresh_manifest_or_evaluate(
+    tmp_path, monkeypatch
+):
+    cfg = fixture_config(tmp_path, "out")
+    outdir = run_pipeline(cfg)
+    opened = count_opens(monkeypatch, FIXTURES_DIR / "memes50.jsonl")
+    for stage in ("collapse", "represent"):
+        run_stage(cfg, stage)
+    assert opened == []  # both continue the manifest and read the corpus back
+    (outdir / "manifest.json").unlink()
+    run_stage(cfg, "evaluate")  # one hash serves the fresh header and the report
+    assert len(opened) == 1
 
 
 def test_a_malformed_cache_line_fails_the_generate_stage(tmp_path):
@@ -544,8 +586,20 @@ def collapse_entries(cache):
     return [e for e in entries if COLLAPSE_QUESTION in e["request"]["query"]]
 
 
+def cache_without(cache, entry, path):
+    """A copy of cache at path, less every record of entry's hash."""
+    path.write_text(
+        "".join(
+            line + "\n"
+            for line in cache.read_text().splitlines()
+            if json.loads(line)["hash"] != entry["hash"]
+        )
+    )
+    return path
+
+
 def topics_before_collapse(outdir):
-    assignments = _load_assignments(outdir)
+    assignments = _load_artifact(outdir, "assignments")
     return len(CollapseState.from_assignments(assignments, k_target=1).topics)
 
 
@@ -580,14 +634,7 @@ def test_sweep_replay_miss_fails_the_same_points_as_single_runs(tmp_path):
     sweep(recording_fixture_config(tmp_path, "recording", recorded), [3, 5, 8])
     # Drop the first merge past K=8, so K=8 succeeds and K=5, K=3 miss.
     missing = collapse_entries(recorded)[topics_before_collapse(tmp_path / "recording") - 8]
-    trimmed = tmp_path / "trimmed.jsonl"
-    trimmed.write_text(
-        "".join(
-            line + "\n"
-            for line in recorded.read_text().splitlines()
-            if json.loads(line)["hash"] != missing["hash"]
-        )
-    )
+    trimmed = cache_without(recorded, missing, tmp_path / "trimmed.jsonl")
     backend = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(trimmed))
     cfg = fixture_config(tmp_path, "sweep", backend=backend)
 
@@ -619,6 +666,26 @@ def test_sweep_replay_miss_fails_the_same_points_as_single_runs(tmp_path):
         assert [p.name for p in (root / f"k_{k}").iterdir()] == ["manifest.json"]
         manifest = json.loads((root / f"k_{k}" / "manifest.json").read_text())
         assert (manifest["failed_stage"], manifest["error"]) == ("collapse", expected[k])
+
+
+def test_a_failed_sweep_point_keeps_no_file_of_an_earlier_sweep(tmp_path):
+    recorded = tmp_path / "recorded.jsonl"
+    cfg = recording_fixture_config(tmp_path, "sweep", recorded)
+    sweep(cfg, [3, 5, 8])
+    root = tmp_path / "sweep"
+    # Without the first merge every K's collapse misses in the cache.
+    missing = collapse_entries(recorded)[0]
+    trimmed = cache_without(recorded, missing, tmp_path / "trimmed.jsonl")
+    backend = BackendConfig(kind="replay", model_name="mock-model", cache_path=str(trimmed))
+    assert sweep(dataclasses.replace(cfg, backend=backend), [3, 5, 8]) == []
+    errors = json.loads((root / "sweep_manifest.json").read_text())["errors"]
+    assert sorted(errors) == ["3", "5", "8"]
+    for k in (3, 5, 8):
+        assert [p.name for p in (root / f"k_{k}").iterdir()] == ["manifest.json"]
+        manifest = json.loads((root / f"k_{k}" / "manifest.json").read_text())
+        assert manifest["stages_completed"] == []
+        assert manifest["failed_stage"] == "collapse"
+        assert "collapse_summary" not in manifest
 
 
 class RuleServer:
@@ -748,7 +815,14 @@ def test_cli_stage_failure_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--epsilon", "0"), ("--window", "1"), ("--rpm", "0")]
+    "flag, value",
+    [
+        ("--epsilon", "0"),
+        ("--window", "1"),
+        ("--rpm", "0"),
+        ("--num-demos", "0"),
+        ("--min-token-len", "0"),
+    ],
 )
 def test_cli_bad_config_value_is_usage_error_before_any_stage(tmp_path, capsys, flag, value):
     outdir = tmp_path / "run"
@@ -827,7 +901,15 @@ def test_cli_bad_k_values_are_a_usage_error_before_any_stage(tmp_path, capsys, k
 
 
 @pytest.mark.parametrize(
-    "field, value", [("k", 0), ("window", 1), ("epsilon", 0.0), ("epsilon", -1e-6)]
+    "field, value",
+    [
+        ("k", 0),
+        ("window", 1),
+        ("epsilon", 0.0),
+        ("epsilon", -1e-6),
+        ("num_demonstrations", 0),
+        ("min_token_len", 0),
+    ],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -6,7 +6,7 @@ from memetopics.collapse import CollapseState
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
 from memetopics.generation import format_topic_list
 from memetopics.llm import LlmGateway
-from memetopics.pipeline import RunConfig, _load_representations, stage_represent
+from memetopics.pipeline import RunConfig, _load_artifact, stage_represent
 from memetopics.representation import build_wordrank_prompt, represent_ctfidf, represent_llm
 
 from conftest import corpus_from_tokens, mock_backend
@@ -174,5 +174,5 @@ def test_representations_roundtrip(tmp_path):
         if method == "llm":
             assert reps[1].backfilled > 0
         fields = [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in reps]
-        loaded = _load_representations(outdir)
+        loaded = _load_artifact(outdir, "representations")
         assert [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in loaded] == fields
