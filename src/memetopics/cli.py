@@ -15,7 +15,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .llm import load_mock_rules
+from .llm import BackendConfig
 from .pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
 
 log = logging.getLogger(__name__)
@@ -30,30 +30,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--corpus", help="corpus file path")
-        p.add_argument("--format", choices=["jsonl", "csv"], help="corpus file format")
-        p.add_argument("--stopwords", help="stopword list file (one word per line)")
-        p.add_argument("--blocklist", help="comma-separated extra blocklist words")
-        p.add_argument("--min-token-len", type=int, help="minimum token length")
-        p.add_argument("--demos", help="demonstrations JSON file")
-        p.add_argument("--num-demos", type=int, help="demonstrations per prompt")
-        p.add_argument("--backend-kind", choices=["http", "mock", "replay"])
-        p.add_argument("--endpoint", help="chat-completions endpoint URL")
-        p.add_argument("--model", help="model name")
-        p.add_argument("--max-tokens", type=int)
-        p.add_argument("--temperature", type=float)
-        p.add_argument("--rpm", type=int, help="requests per minute")
-        p.add_argument("--cache", help="response cache path; any backend serves its hits first")
-        p.add_argument("--record", action="store_true", help="record the answers to cache misses")
-        p.add_argument("--mock-rules", help="mock rule table JSON file")
-        p.add_argument("--mock-default", help="mock reply when no rule matches")
-        p.add_argument("--collapse-method", choices=["pbm", "wsm"])
-        p.add_argument("--k", type=int, help="target number of topics")
-        p.add_argument("--window", type=int, help="candidate window size for prompt matching")
-        p.add_argument("--representation", choices=["ctfidf", "llm"])
-        p.add_argument("--epsilon", type=float, help="NPMI smoothing constant")
-        p.add_argument("--out", help="output directory")
+        # Each dest is the RunConfig key, or the BackendConfig one, it sets.
+        add = p.add_argument
+        add("--config", help="JSON run configuration file")
+        add("--corpus", dest="corpus_path", help="corpus file path")
+        add("--format", dest="corpus_format", choices=["jsonl", "csv"], help="corpus file format")
+        add("--stopwords", dest="stopwords_path", help="stopword list file (one word per line)")
+        add(
+            "--blocklist",
+            dest="extra_blocklist",
+            type=lambda text: tuple(w.strip() for w in text.split(",") if w.strip()),
+            help="comma-separated extra blocklist words",
+        )
+        add("--min-token-len", type=int, help="minimum token length")
+        add("--demos", dest="demonstrations_path", help="demonstrations JSON file")
+        add("--num-demos", dest="num_demonstrations", type=int, help="demonstrations per prompt")
+        add("--backend-kind", dest="kind", choices=["http", "mock", "replay"])
+        add("--endpoint", help="chat-completions endpoint URL")
+        add("--model", dest="model_name", help="model name")
+        add("--max-tokens", type=int)
+        add("--temperature", type=float)
+        add("--rpm", dest="requests_per_minute", type=int, help="requests per minute")
+        add(
+            "--cache",
+            dest="cache_path",
+            help="response cache path; any backend serves its hits first",
+        )
+        add(
+            "--record", action="store_true", default=None, help="record the answers to cache misses"
+        )
+        add("--mock-rules", dest="mock_rules_path", help="mock rule table JSON file")
+        add("--mock-default", help="mock reply when no rule matches")
+        add("--collapse-method", choices=["pbm", "wsm"])
+        add("--k", type=int, help="target number of topics")
+        add("--window", type=int, help="candidate window size for prompt matching")
+        add("--representation", dest="representation_method", choices=["ctfidf", "llm"])
+        add("--epsilon", type=float, help="NPMI smoothing constant")
+        add("--out", dest="output_dir", help="output directory")
 
     for name, help_text in [
         ("preprocess", "load and clean the corpus"),
@@ -73,59 +86,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# mock_rules_path is the key RunConfig.from_dict loads mock_rules from.
+_BACKEND_KEYS = {f.name for f in dataclasses.fields(BackendConfig)} | {"mock_rules_path"}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's JSON (or none) with every given flag written over
+    the key it names, validated once by RunConfig.from_dict, so a flag can
+    repair the file value it overrides. The demonstrations are built here
+    too, so a bad set or count fails before any stage runs."""
     if args.config:
-        cfg = RunConfig.from_file(args.config)
-    elif args.corpus:
-        cfg = RunConfig(corpus_path=args.corpus)
+        with open(args.config, encoding="utf-8") as f:
+            data = dict(json.load(f))
+    elif args.corpus_path:
+        data = {}
     else:
         raise ValueError("either --config or --corpus is required")
-
-    overrides = {}
-    for flag, field_name in [
-        ("corpus", "corpus_path"),
-        ("format", "corpus_format"),
-        ("stopwords", "stopwords_path"),
-        ("min_token_len", "min_token_len"),
-        ("demos", "demonstrations_path"),
-        ("num_demos", "num_demonstrations"),
-        ("collapse_method", "collapse_method"),
-        ("k", "k"),
-        ("window", "window"),
-        ("representation", "representation_method"),
-        ("epsilon", "epsilon"),
-        ("out", "output_dir"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if args.blocklist:
-        overrides["extra_blocklist"] = tuple(
-            w.strip() for w in args.blocklist.split(",") if w.strip()
-        )
-
-    backend_overrides = {}
-    for flag, field_name in [
-        ("backend_kind", "kind"),
-        ("endpoint", "endpoint"),
-        ("model", "model_name"),
-        ("max_tokens", "max_tokens"),
-        ("temperature", "temperature"),
-        ("rpm", "requests_per_minute"),
-        ("cache", "cache_path"),
-        ("mock_default", "mock_default"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            backend_overrides[field_name] = value
-    if getattr(args, "record", False):
-        backend_overrides["record"] = True
-    if getattr(args, "mock_rules", None):
-        backend_overrides["mock_rules"] = load_mock_rules(args.mock_rules)
-    if backend_overrides:
-        overrides["backend"] = dataclasses.replace(cfg.backend, **backend_overrides)
-
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    backend = dict(data.get("backend", {}))
+    for key, value in vars(args).items():
+        if value is None:
+            continue
+        if key in _RUN_KEYS:
+            data[key] = value
+        elif key in _BACKEND_KEYS:
+            backend[key] = value
+    data["backend"] = backend
+    cfg = RunConfig.from_dict(data)
+    cfg.demonstrations()
+    return cfg
 
 
 def _parse_k_values(text: str) -> list[int]:
@@ -152,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config_from_args(args)
         if args.command == "sweep":
             k_values = _parse_k_values(args.k_values)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, LookupError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

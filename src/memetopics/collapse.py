@@ -494,11 +494,7 @@ def _merge_orientation(state: CollapseState, a: str, b: str) -> tuple[str, str]:
     return a, b
 
 
-def collapse_wsm(
-    state: CollapseState,
-    corpus: Corpus,
-    top_n_words: int = TOP_WORDS_FOR_SIMILARITY,
-) -> CollapseState:
+def collapse_wsm(state: CollapseState, corpus: Corpus) -> CollapseState:
     """Word-similarity collapse.
 
     Each step merges the pair of highest similarity, ties going to the
@@ -528,7 +524,7 @@ def collapse_wsm(
         )
     if state.non_reserved_count() <= state.k_target:
         return state
-    index = _WordSimilarityIndex(state.topics, corpus, top_n_words)
+    index = _WordSimilarityIndex(state.topics, corpus, TOP_WORDS_FOR_SIMILARITY)
     while True:
         best_pair = index.best_pair()
         if best_pair is None:

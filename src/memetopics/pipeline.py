@@ -9,10 +9,11 @@ directory, through one JSON and one JSONL codec (corpus.py writes the
 processed corpus). One driver, _run_stages, runs the stages for
 run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
 from stage s first clears what the last run of s and of every later stage
-left. One function, _run, serves run_pipeline and run_stage: it makes the
-run's LlmGateway, shared by every prompting stage and the source of the
-cache's hash, and reads back only what a lone stage needs. The manifest
-carries no timestamps, so identical inputs produce identical bytes.
+left (from preprocess, a sweep's output too). One function, _run, serves
+run_pipeline and run_stage: it makes the run's LlmGateway, shared by every
+prompting stage and the source of the cache's hash, and reads back only
+what a lone stage needs. The manifest carries no timestamps, so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import dataclasses
 import hashlib
 import json
 import logging
+import re
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -51,6 +54,8 @@ MERGE_LOG_FILE = "merge_log.jsonl"
 REPRESENTATIONS_FILE = "representations.json"
 REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
+_SWEEP_CSV_FILE = "sweep.csv"
+_SWEEP_MANIFEST_FILE = "sweep_manifest.json"
 
 
 class _Stage(NamedTuple):
@@ -388,9 +393,11 @@ def _run_stages(
     a run directory. A run from stage s supersedes the last run of s and
     of every later stage: before `manifest` is first written their files
     go, and so do their manifest entries, stages_completed and token_usage
-    included, and any earlier failed_stage and error. After each stage the
-    manifest gains the stage in stages_completed, its entries and, for a
-    stage that reads the gateway, its token usage. When a stage raises,
+    included, and any earlier failed_stage and error. A run from preprocess
+    also supersedes a sweep in outdir: sweep.csv, sweep_manifest.json and
+    every k_<digits> subdirectory go. After each stage the manifest gains
+    the stage in stages_completed, its entries and, for a stage that reads
+    the gateway, its token usage. When a stage raises,
     everything written so far stays on disk, the manifest names the failed
     stage and the error, and PipelineStageError propagates.
     """
@@ -399,6 +406,12 @@ def _run_stages(
     for name in superseded:
         for file in _FLOW[name].files:
             (outdir / file).unlink(missing_ok=True)
+    if stages[0] == "preprocess":
+        for file in (_SWEEP_CSV_FILE, _SWEEP_MANIFEST_FILE):
+            (outdir / file).unlink(missing_ok=True)
+        for path in outdir.iterdir():
+            if re.fullmatch(r"k_[0-9]+", path.name) and path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
     stale = {"failed_stage", "error"}.union(*(_FLOW[name].entries for name in superseded))
     manifest = {key: value for key, value in manifest.items() if key not in stale}
     done = manifest.get("stages_completed", [])
@@ -538,9 +551,9 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
         if k in reports
     ]
 
-    with open(root / "sweep.csv", "w", encoding="utf-8", newline="") as f:
+    with open(root / _SWEEP_CSV_FILE, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["k", "mean_npmi", "diversity"])
         writer.writeheader()
         writer.writerows(rows)
-    _write_json(root / "sweep_manifest.json", {"rows": rows, "errors": errors})
+    _write_json(root / _SWEEP_MANIFEST_FILE, {"rows": rows, "errors": errors})
     return rows

@@ -14,7 +14,7 @@ import pytest
 from memetopics import corpus as corpus_mod
 from memetopics import llm as llm_mod
 from memetopics import pipeline as pipeline_mod
-from memetopics.cli import main
+from memetopics.cli import build_parser, config_from_args, main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
 from memetopics.llm import (
     BackendConfig,
@@ -688,6 +688,23 @@ def test_a_failed_sweep_point_keeps_no_file_of_an_earlier_sweep(tmp_path):
         assert "collapse_summary" not in manifest
 
 
+def test_a_run_from_preprocess_keeps_no_output_of_an_earlier_sweep(tmp_path):
+    cfg = fixture_config(tmp_path, "sweep", collapse_method="wsm", representation_method="ctfidf")
+    root = tmp_path / "sweep"
+    # Named like sweep output but not sweep output, so it stays.
+    root.mkdir()
+    for name in ("k_notes", "k_5.txt", "notes.txt"):
+        (root / name).write_text("mine\n", encoding="utf-8")
+    sweep(cfg, [3, 5, 8])
+    assert sorted(p.name for p in root.glob("k_*") if p.is_dir()) == ["k_3", "k_5", "k_8"]
+    sweep(cfg, [3, 8])
+    assert sorted(p.name for p in root.glob("k_*") if p.is_dir()) == ["k_3", "k_8"]
+    run_pipeline(cfg)
+    written = {name for stage in pipeline_mod._FLOW.values() for name in stage.files}
+    mine = {"k_notes", "k_5.txt", "notes.txt"}
+    assert {p.name for p in root.iterdir()} == written | mine | {"manifest.json"}
+
+
 class RuleServer:
     """http transport answering as the fixture's mock rule table does, and
     recording the request hash of every request it receives."""
@@ -796,6 +813,72 @@ def test_cli_flag_overrides(tmp_path):
     assert manifest["config"]["k"] == 2
 
 
+# A valid config file; each flag below changes one of its keys.
+FILE_CONFIG = {
+    "corpus_path": "memes.jsonl",
+    "num_demonstrations": 1,
+    "backend": {"kind": "mock", "model_name": "mock-model", "cache_path": "cache.jsonl"},
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, key, expected",
+    [
+        ("--corpus", "other.jsonl", "corpus_path", "other.jsonl"),
+        ("--format", "csv", "corpus_format", "csv"),
+        ("--stopwords", "stop.txt", "stopwords_path", "stop.txt"),
+        ("--blocklist", "lol, meme,", "extra_blocklist", ("lol", "meme")),
+        ("--min-token-len", "3", "min_token_len", 3),
+        ("--demos", "demos.json", "demonstrations_path", "demos.json"),
+        ("--num-demos", "2", "num_demonstrations", 2),
+        ("--backend-kind", "http", "backend.kind", "http"),
+        ("--endpoint", "http://localhost:1/v1", "backend.endpoint", "http://localhost:1/v1"),
+        ("--model", "other-model", "backend.model_name", "other-model"),
+        ("--max-tokens", "64", "backend.max_tokens", 64),
+        ("--temperature", "0.5", "backend.temperature", 0.5),
+        ("--rpm", "120", "backend.requests_per_minute", 120),
+        ("--cache", "other.jsonl", "backend.cache_path", "other.jsonl"),
+        ("--record", None, "backend.record", True),
+        (
+            "--mock-rules",
+            str(FIXTURES_DIR / "mock_rules.json"),
+            "backend.mock_rules",
+            load_mock_rules(FIXTURES_DIR / "mock_rules.json"),
+        ),
+        ("--mock-default", "['Other']", "backend.mock_default", "['Other']"),
+        ("--collapse-method", "pbm", "collapse_method", "pbm"),
+        ("--k", "7", "k", 7),
+        ("--window", "9", "window", 9),
+        ("--representation", "llm", "representation_method", "llm"),
+        ("--epsilon", "0.5", "epsilon", 0.5),
+        ("--out", "elsewhere", "output_dir", "elsewhere"),
+    ],
+)
+def test_cli_flag_sets_the_key_it_names_over_the_config_file(
+    tmp_path, monkeypatch, flag, value, key, expected
+):
+    monkeypatch.chdir(tmp_path)
+    demos = [{"caption": "a cat", "text": "naps", "topics": ["Cats"]}]
+    (tmp_path / "demos.json").write_text(json.dumps(demos), encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps(FILE_CONFIG), encoding="utf-8")
+    argv = ["run", "--config", "run.json", flag] + ([] if value is None else [value])
+    cfg = config_from_args(build_parser().parse_args(argv))
+    want = RunConfig.from_dict(FILE_CONFIG).to_dict()
+    section, _, name = key.rpartition(".")
+    (want[section] if section else want)[name] = expected
+    assert cfg.to_dict() == want
+
+
+def test_cli_flag_overrides_an_out_of_range_file_value(tmp_path):
+    data = tiny_config(tmp_path).to_dict()
+    data["k"] = 0
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--k", "3"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["k"] == 3
+
+
 def test_cli_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["run"]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -822,6 +905,8 @@ def test_cli_stage_failure_exit_one(tmp_path, capsys):
         ("--rpm", "0"),
         ("--num-demos", "0"),
         ("--min-token-len", "0"),
+        # The fixture run takes its demonstrations from the bundled set of 8.
+        ("--num-demos", "9"),
     ],
 )
 def test_cli_bad_config_value_is_usage_error_before_any_stage(tmp_path, capsys, flag, value):

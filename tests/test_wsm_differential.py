@@ -10,11 +10,13 @@ re-cut as classes merge, are checked against the oracle too.
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from memetopics import collapse as collapse_mod
 from memetopics.collapse import (
     TOP_WORDS_FOR_SIMILARITY as TOP_N,
     CollapseState,
@@ -46,6 +48,12 @@ def collapse_inputs(draw):
     return docs, topics, k, top_n
 
 
+def collapse_top_n(state, corpus, top_n):
+    """collapse_wsm over top-n word sets: small n re-cuts top sets often."""
+    with mock.patch.object(collapse_mod, "TOP_WORDS_FOR_SIMILARITY", top_n):
+        return collapse_wsm(state, corpus)
+
+
 def build(docs, topics, k):
     corpus = corpus_from_tokens([(f"d{i}", tokens) for i, tokens in enumerate(docs)])
     state = CollapseState(topics={label: set(ids) for label, ids in topics.items()}, k_target=k)
@@ -63,12 +71,12 @@ def test_incremental_wsm_matches_full_rebuild(inputs):
     docs, topics, k, top_n = inputs
     corpus, state = build(docs, topics, k)
     expected = wsm_oracle.collapse_wsm(state, corpus, top_n)
-    actual = collapse_wsm(state, corpus, top_n)
+    actual = collapse_top_n(state, corpus, top_n)
     assert actual.merge_log == expected.merge_log
     assert actual.topics == expected.topics
     # A collapse continued from a larger K's result ends where a fresh one does.
-    larger = collapse_wsm(dataclasses.replace(state, k_target=k + 1), corpus, top_n)
-    continued = collapse_wsm(dataclasses.replace(larger, k_target=k), corpus, top_n)
+    larger = collapse_top_n(dataclasses.replace(state, k_target=k + 1), corpus, top_n)
+    continued = collapse_top_n(dataclasses.replace(larger, k_target=k), corpus, top_n)
     assert continued.merge_log == expected.merge_log
     assert continued.topics == expected.topics
 
@@ -141,10 +149,10 @@ def test_ladder_states_match_full_rebuild(seed):
         index.merge(source, target, both_docs)
         assert_index_is_fresh(index, live, corpus, TOP_N)
     for k, want in expected.items():
-        actual = collapse_wsm(dataclasses.replace(state, k_target=k), corpus, TOP_N)
+        actual = collapse_wsm(dataclasses.replace(state, k_target=k), corpus)
         assert actual.merge_log == want.merge_log
         assert actual.topics == want.topics
-        larger = collapse_wsm(dataclasses.replace(state, k_target=k + 9), corpus, TOP_N)
-        continued = collapse_wsm(dataclasses.replace(larger, k_target=k), corpus, TOP_N)
+        larger = collapse_wsm(dataclasses.replace(state, k_target=k + 9), corpus)
+        continued = collapse_wsm(dataclasses.replace(larger, k_target=k), corpus)
         assert continued.merge_log == want.merge_log
         assert continued.topics == want.topics
