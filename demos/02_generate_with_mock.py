@@ -11,6 +11,7 @@ from memetopics import (
     BackendConfig,
     Corpus,
     DemonstrationSet,
+    LlmGateway,
     MemeDocument,
     build_generation_prompt,
     generate_topics,
@@ -52,13 +53,15 @@ corpus = Corpus(
         MemeDocument(id="odd", caption="static noise", overlay_text="???"),
     ]
 )
-backend = BackendConfig(
-    kind="mock",
-    mock_rules=(
-        ("offensive", "I cannot describe this meme."),
-        ("static", "hmm, that is hard to say"),
-    ),
-    mock_default="['Music', 'Humor']",
+gateway = LlmGateway(
+    BackendConfig(
+        kind="mock",
+        mock_rules=(
+            ("offensive", "I cannot describe this meme."),
+            ("static", "hmm, that is hard to say"),
+        ),
+        mock_default="['Music', 'Humor']",
+    )
 )
-for assignment in generate_topics(corpus, demos, backend):
+for assignment in generate_topics(corpus, demos, gateway):
     print(f"  {assignment.doc_id}: provenance={assignment.provenance} topics={list(assignment.topics)}")

@@ -34,7 +34,7 @@ from .generation import (
     format_topic_list,
     parse_topic_list,
 )
-from .llm import BackendConfig, ChatExchange, LlmGateway, as_gateway
+from .llm import ChatExchange, LlmGateway
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def build_collapse_prompt(candidates: Sequence[str], current: str) -> ChatExchan
     )
 
 
-def collapse_pbm(state: CollapseState, backend: BackendConfig | LlmGateway) -> CollapseState:
+def collapse_pbm(state: CollapseState, gateway: LlmGateway) -> CollapseState:
     """Prompt-matched collapse.
 
     Each cycle takes the currently least frequent topic and asks the model
@@ -201,7 +201,6 @@ def collapse_pbm(state: CollapseState, backend: BackendConfig | LlmGateway) -> C
             state.k_target,
         )
         return state
-    gateway = as_gateway(backend)
     while state.non_reserved_count() > state.k_target:
         order = _frequency_order(state)
         current = order[-1]

@@ -4,13 +4,14 @@ A meme arrives flattened to text: an image caption from a captioning model
 plus the text superimposed on the image. This module loads those records
 from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
-counted once per corpus, and co-occurrences of a chosen word set, counted
-from postings built in one pass over the documents.
+counted once per corpus when first read, and co-occurrences of a chosen
+word set, counted from postings built in one pass over the documents.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import unicodedata
 from collections import Counter
@@ -65,34 +66,33 @@ class PreprocessConfig:
 class Corpus:
     """A collection of meme documents plus the statistics derived from them.
 
-    doc_freq (the number of documents holding each token) and total_docs
-    are computed from the documents on construction, the one place they
-    are counted; a corpus not yet preprocessed has no tokens, so its
-    doc_freq is empty.
+    total_docs is counted on construction. doc_freq, the number of
+    documents holding each token, is counted the first time it is read,
+    since a run never reads it; a corpus not yet preprocessed has no
+    tokens, so its doc_freq is empty.
     """
 
     documents: list[MemeDocument]
-    doc_freq: dict[str, int] = field(init=False)
     total_docs: int = field(init=False)
 
     def __post_init__(self) -> None:
         self._index = {doc.id: doc for doc in self.documents}
         if len(self._index) != len(self.documents):
             raise CorpusFormatError("duplicate document ids in corpus")
+        self.total_docs = len(self.documents)
+
+    @functools.cached_property
+    def doc_freq(self) -> dict[str, int]:
         doc_freq: Counter[str] = Counter()
         for doc in self.documents:
             doc_freq.update(set(doc.tokens))
-        self.doc_freq = dict(doc_freq)
-        self.total_docs = len(self.documents)
+        return dict(doc_freq)
 
     def document(self, doc_id: str) -> MemeDocument:
         try:
             return self._index[doc_id]
         except KeyError:
             raise KeyError(f"unknown document id {doc_id!r}") from None
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
 
 
 def default_stopwords() -> frozenset[str]:
@@ -225,7 +225,7 @@ def _clean(raw: str, cfg: PreprocessConfig) -> str:
 
 
 def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> Corpus:
-    """Populate tokens for every document and recompute corpus statistics.
+    """Populate tokens for every document.
 
     Documents whose tokens come out empty are retained: they can still be
     assigned topics from their raw text. Idempotent, and deterministic for
@@ -304,7 +304,7 @@ def save_processed(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_processed(path: str | Path) -> Corpus:
-    """Read a corpus written by save_processed, recomputing statistics."""
+    """Read a corpus written by save_processed."""
     documents = []
     with open(path, encoding="utf-8") as f:
         for line in f:

@@ -537,14 +537,6 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
     return entry["hash"], entry["response"]
 
 
-def as_gateway(backend: "BackendConfig | LlmGateway") -> LlmGateway:
-    """Accept either a config or a ready gateway; stages use this so tests
-    can inject counting transports."""
-    if isinstance(backend, LlmGateway):
-        return backend
-    return LlmGateway(backend)
-
-
 def load_mock_rules(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read a mock rule table: JSON list of [substring, reply] pairs, or an
     object whose "rules" key holds that list."""

@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
 from dataclasses import dataclass, field
@@ -190,20 +191,19 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(_read_json(Path(path)))
 
-    def input_hashes(self, gateway: LlmGateway | None = None) -> dict:
+    def input_hashes(self, gateway: LlmGateway) -> dict:
         """SHA-256 of every input file by role, None for a role without one. A
         replay cache is hashed line by line, in sorted order, since the order
         of its entries does not matter; a cache being recorded into is output.
         The cache's hash comes from gateway, the run's, which takes it in the
-        pass that indexes the cache, so a run reads its cache once; without a
-        gateway, one is made for it."""
+        pass that indexes the cache, so a run reads its cache once."""
         optional = {"stopwords": self.stopwords_path, "demonstrations": self.demonstrations_path}
         hashes = {role: _file_sha256(path) if path else None for role, path in optional.items()}
         hashes["corpus"] = _file_sha256(self.corpus_path)
-        hashes["cache"] = (gateway or LlmGateway(self.backend)).cache_sha256()
+        hashes["cache"] = gateway.cache_sha256()
         return hashes
 
-    def config_digest(self, input_hashes: dict | None = None) -> str:
+    def config_digest(self, input_hashes: dict) -> str:
         """Content-addressed digest: configuration values plus input_hashes(),
         so equal digests mean re-runnable equal runs regardless of where the
         files live. A run passes in the input_hashes() it took once, so it
@@ -229,7 +229,7 @@ class RunConfig:
                 "mock_default": backend.mock_default,
                 "refusal_phrases": list(backend.refusal_phrases),
             },
-            "inputs": input_hashes or self.input_hashes(),
+            "inputs": input_hashes,
         }
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -250,8 +250,16 @@ def _file_sha256(path: str | Path) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write beside path, then rename over it: a write that fails midway
+    leaves the old file whole."""
     text = json.dumps(payload, sort_keys=True, ensure_ascii=True, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path: Path) -> dict:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .ctfidf import CtfidfTable, top_words
 from .generation import TopicParseError, format_topic_list, parse_topic_list
-from .llm import BackendConfig, ChatExchange, LlmGateway, as_gateway
+from .llm import ChatExchange, LlmGateway
 
 REPRESENTATION_SIZE = 10
 CANDIDATE_POOL_SIZE = 100
@@ -103,18 +103,13 @@ def build_wordrank_prompt(topic: str, candidates: Sequence[str]) -> ChatExchange
     return ChatExchange(system=WORDRANK_SYSTEM, turns=turns, query=render(topic, candidates))
 
 
-def represent_llm(
-    topic: str,
-    table: CtfidfTable,
-    backend: BackendConfig | LlmGateway,
-) -> TopicRepresentation:
+def represent_llm(topic: str, table: CtfidfTable, gateway: LlmGateway) -> TopicRepresentation:
     """Ask the model for the topic's ten most related candidate words.
 
     Out-of-list words are dropped and counted; shortfalls are backfilled
     from the weight ranking. A refusal or unparseable reply returns the
     direct representation with fallback=True.
     """
-    gateway = as_gateway(backend)
     candidates = top_words(table, topic, CANDIDATE_POOL_SIZE)
 
     def fallback() -> TopicRepresentation:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from memetopics.corpus import Corpus, MemeDocument
-from memetopics.llm import BackendConfig
+from memetopics.llm import BackendConfig, LlmGateway
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -31,6 +31,12 @@ def mock_backend(rules=(), default="[]", **kwargs) -> BackendConfig:
         mock_default=default,
         **kwargs,
     )
+
+
+def run_digest(cfg) -> str:
+    """cfg.config_digest as a run takes it: over the input hashes that a
+    gateway of its own reads."""
+    return cfg.config_digest(cfg.input_hashes(LlmGateway(cfg.backend)))
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -16,11 +16,11 @@ import pytest
 from memetopics.collapse import CollapseState, collapse_pbm, collapse_wsm
 from memetopics.evaluation import coherence, diversity, npmi_pair
 from memetopics.generation import TopicAssignment, generate_topics, DemonstrationSet
-from memetopics.llm import BackendConfig, load_mock_rules
+from memetopics.llm import BackendConfig, LlmGateway, load_mock_rules
 from memetopics.pipeline import RunConfig, run_pipeline
 from memetopics.representation import TopicRepresentation
 
-from conftest import FIXTURES_DIR, corpus_from_tokens, mock_backend, write_jsonl
+from conftest import FIXTURES_DIR, corpus_from_tokens, mock_backend, run_digest, write_jsonl
 
 from test_ctfidf import direct_weights
 from test_evaluation import brute_force_coherence
@@ -212,7 +212,7 @@ def test_collapse_terminates_and_conserves():
         for n, k in [(10, 3), (25, 5), (60, 10)]:
             state, cfg = _pbm_scenario(n, k)
             before = _multiset(state)
-            result = collapse_pbm(state, cfg)
+            result = collapse_pbm(state, LlmGateway(cfg))
             assert result.non_reserved_count() == k
             misc_routings = sum(
                 1 for _, target, _ in result.merge_log if target == "Miscellaneous"
@@ -253,7 +253,7 @@ def test_pbm_routing_outcomes():
                 ],
                 default="['Big']",
             )
-            return collapse_pbm(state, cfg)
+            return collapse_pbm(state, LlmGateway(cfg))
 
         first = run_once()
         log = {source: target for source, target, _ in first.merge_log}
@@ -305,8 +305,8 @@ def test_end_to_end_replay_byte_identical(tmp_path):
         report_a = (out_a / "report.json").read_bytes()
         report_b = (out_b / "report.json").read_bytes()
         assert report_a == report_b
-        assert cfg_a.config_digest() == cfg_b.config_digest()
-        assert json.loads(report_a)["config_digest"] == cfg_a.config_digest()
+        assert run_digest(cfg_a) == run_digest(cfg_b)
+        assert json.loads(report_a)["config_digest"] == run_digest(cfg_a)
 
         # The other variant replays from the same cache.
         out_c = run_pipeline(

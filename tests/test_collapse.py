@@ -77,7 +77,7 @@ def test_pbm_single_merge_trace():
         {"Military": {f"m{i}" for i in range(10)}, "War": {"w1", "w2"}}, k=1
     )
     cfg = mock_backend(default="['Military']")
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert set(result.topics) == {"Military"}
     assert result.topics["Military"] >= {"w1", "w2"}
     assert result.merge_log == [("War", "Military", "pbm")]
@@ -86,7 +86,7 @@ def test_pbm_single_merge_trace():
 def test_pbm_out_of_list_reply_goes_to_miscellaneous():
     state = state_from({"Military": {"m1", "m2"}, "X": {"x1"}}, k=1)
     cfg = mock_backend(rules=[("current topic : x", "['Banana']")], default="['Military']")
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert result.misc == {"x1"}
     assert result.merge_log == [("X", "Miscellaneous", "pbm")]
 
@@ -94,13 +94,13 @@ def test_pbm_out_of_list_reply_goes_to_miscellaneous():
 def test_pbm_refusal_goes_to_miscellaneous():
     state = state_from({"A": {"a1", "a2"}, "B": {"b1"}}, k=1)
     cfg = mock_backend(rules=[("current topic : b", "I cannot choose a topic here.")])
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert result.misc == {"b1"}
 
 
 def test_pbm_already_at_k_is_fixed_point():
     state = state_from({"A": {"a"}, "B": {"b"}}, k=2)
-    result = collapse_pbm(state, mock_backend(default="['A']"))
+    result = collapse_pbm(state, LlmGateway(mock_backend(default="['A']")))
     assert result.topics == state.topics
     assert result.merge_log == []
 
@@ -108,7 +108,7 @@ def test_pbm_already_at_k_is_fixed_point():
 def test_pbm_fewer_than_k_warns_and_noops(caplog):
     state = state_from({"A": {"a"}}, k=5)
     with caplog.at_level("WARNING"):
-        result = collapse_pbm(state, mock_backend(default="['A']"))
+        result = collapse_pbm(state, LlmGateway(mock_backend(default="['A']")))
     assert result.topics == state.topics
     assert any("no-op" in record.message for record in caplog.records)
 
@@ -123,7 +123,7 @@ def test_pbm_least_frequent_first_and_window_cap():
         window=2,
     )
     cfg = mock_backend(rules=[("current topic : d", "['C']")], default="['A']")
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert result.merge_log == [("D", "Miscellaneous", "pbm")]
     assert result.misc == {"d1"}
 
@@ -132,7 +132,7 @@ def test_pbm_recomputes_ordering_after_each_merge():
     # B starts above C, but after B merges into A the least frequent is C.
     state = state_from({"A": {"a1", "a2", "a3"}, "B": {"b1"}, "C": {"c1", "c2"}}, k=1)
     cfg = mock_backend(default="['A']")
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert result.merge_log == [("B", "A", "pbm"), ("C", "A", "pbm")]
     assert result.topics["A"] == {"a1", "a2", "a3", "b1", "c1", "c2"}
 
@@ -140,7 +140,7 @@ def test_pbm_recomputes_ordering_after_each_merge():
 def test_pbm_case_insensitive_reply_matching():
     state = state_from({"Military": {"m1", "m2"}, "War": {"w1"}}, k=1)
     cfg = mock_backend(default="['military']")
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert set(result.topics) == {"Military"}
 
 
@@ -150,7 +150,7 @@ def test_pbm_conserves_documents():
     )
     before = doc_multiset(state)
     cfg = mock_backend(rules=[("current topic : t5", "['Nonsense']")], default="['T0']")
-    result = collapse_pbm(state, cfg)
+    result = collapse_pbm(state, LlmGateway(cfg))
     assert doc_multiset(result) == before
     assert result.non_reserved_count() == 2
 
@@ -161,7 +161,7 @@ def test_pbm_deterministic_across_runs():
             {"A": set("a1 a2 a3".split()), "B": {"b1", "b2"}, "C": {"c1"}}, k=1
         )
         cfg = mock_backend(rules=[("current topic : c", "['Zzz']")], default="['A']")
-        return collapse_pbm(state, cfg).merge_log
+        return collapse_pbm(state, LlmGateway(cfg)).merge_log
 
     logs = {tuple(run()) for _ in range(5)}
     assert len(logs) == 1

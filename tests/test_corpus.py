@@ -297,6 +297,15 @@ def test_top_frequent_words_k_beyond_vocab():
     assert len(top_frequent_words(corpus, 99)) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.text(alphabet="ab", min_size=1, max_size=2), max_size=6), max_size=8))
+def test_doc_freq_is_a_per_document_recount(token_lists):
+    corpus = corpus_from_tokens([(f"d{i}", tokens) for i, tokens in enumerate(token_lists)])
+    assert "doc_freq" not in vars(corpus)  # counted when first read
+    words = set().union(*token_lists)
+    assert corpus.doc_freq == {word: sum(word in tokens for tokens in token_lists) for word in words}
+
+
 def test_cooccurrence_saturated_word():
     corpus = corpus_from_tokens([("a", ["w", "q"]), ("b", ["w"]), ("c", ["w", "z"])])
     counts = cooccurrence_counts(corpus, ["w"])

@@ -2,15 +2,27 @@
 
 import builtins
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from memetopics import (
+    collapse_pbm,
+    ctfidf_from_clusters,
+    generate_topics,
+    load_corpus,
+    preprocess,
+    represent_llm,
+)
 from memetopics import corpus as corpus_mod
 from memetopics import llm as llm_mod
 from memetopics import pipeline as pipeline_mod
@@ -33,7 +45,7 @@ from memetopics.pipeline import (
     sweep,
 )
 
-from conftest import FIXTURES_DIR, write_jsonl
+from conftest import FIXTURES_DIR, run_digest, write_jsonl
 
 
 def tiny_corpus(tmp_path):
@@ -134,7 +146,7 @@ def test_report_carries_config_digest(tmp_path):
     cfg = tiny_config(tmp_path)
     outdir = run_pipeline(cfg)
     report = json.loads((outdir / "report.json").read_text())
-    assert report["config_digest"] == cfg.config_digest()
+    assert report["config_digest"] == run_digest(cfg)
     assert report["epsilon"] == 1e-6
 
 
@@ -173,6 +185,40 @@ def test_a_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path):
     assert not {"generation_summary", "collapse_summary", "metrics"} & set(manifest)
 
 
+# Writes a small JSON file, then rewrites it with more than a file size
+# limit 64 bytes above it allows, SIGXFSZ ignored so the write fails with
+# EFBIG; prints that errno.
+REWRITE_OVER_THE_SIZE_LIMIT = """
+import resource, signal, sys
+from pathlib import Path
+from memetopics.pipeline import _write_json
+
+path = Path(sys.argv[1])
+_write_json(path, {"stages_completed": ["preprocess"]})
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (path.stat().st_size + 64, hard))
+try:
+    _write_json(path, {"stages_completed": ["preprocess"], "pad": "x" * 200})
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_failed_rewrite_leaves_the_old_json_file_whole(tmp_path):
+    # The size limit covers every file the child writes, so its stdout is a pipe.
+    path = tmp_path / "manifest.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", REWRITE_OVER_THE_SIZE_LIMIT, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(errno.EFBIG)]
+    assert json.loads(path.read_text(encoding="utf-8")) == {"stages_completed": ["preprocess"]}
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("method,representation", [("pbm", "llm"), ("wsm", "ctfidf")])
 def test_the_stage_table_names_every_file_a_run_writes(tmp_path, method, representation):
     cfg = fixture_config(
@@ -192,11 +238,11 @@ def test_variant_labels():
 
 def test_config_digest_tracks_input_content(tmp_path):
     cfg = tiny_config(tmp_path)
-    digest = cfg.config_digest()
-    assert digest == cfg.config_digest()  # stable
+    digest = run_digest(cfg)
+    assert digest == run_digest(cfg)  # stable
     with open(cfg.corpus_path, "a", encoding="utf-8") as f:
         f.write(json.dumps({"id": "extra", "caption": "x", "text": "y"}) + "\n")
-    assert cfg.config_digest() != digest
+    assert run_digest(cfg) != digest
 
 
 def test_config_digest_ignores_cache_line_order(tmp_path):
@@ -207,7 +253,7 @@ def test_config_digest_ignores_cache_line_order(tmp_path):
 
     def digest(entries):
         cache.write_text("".join(line + "\n" for line in entries), encoding="utf-8")
-        return cfg.config_digest()
+        return run_digest(cfg)
 
     recorded = digest(lines)
     assert digest(lines[::-1]) == recorded
@@ -270,6 +316,32 @@ def test_a_replay_run_sweep_and_stage_open_the_cache_once(tmp_path, monkeypatch)
     assert len(opened) == 6
 
 
+def test_the_library_flow_on_one_gateway_reads_the_cache_once_behind_one_limiter(
+    tmp_path, monkeypatch
+):
+    # generate, a pbm collapse to K=5 and one represent_llm per topic, all
+    # given the one gateway, as the README's library quickstart calls them.
+    opened = count_opens(monkeypatch, FIXTURES_DIR / "replay_cache.jsonl")
+    limiters = []
+
+    class CountingLimiter(llm_mod.RateLimiter):
+        def __init__(self, *args, **kwargs):
+            limiters.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(llm_mod, "RateLimiter", CountingLimiter)
+    cfg = fixture_config(tmp_path, "out")
+    gateway = LlmGateway(cfg.backend)
+    corpus = preprocess(load_corpus(cfg.corpus_path), cfg.preprocess_config())
+    assignments = generate_topics(corpus, cfg.demonstrations(), gateway)
+    state = collapse_pbm(CollapseState.from_assignments(assignments, k_target=5), gateway)
+    table = ctfidf_from_clusters(state.topics, corpus)
+    reps = [represent_llm(topic, table, gateway) for topic in sorted(state.topics)]
+    assert [rep.method for rep in reps] == ["llm"] * 5
+    assert len(opened) == 1
+    assert len(limiters) == 1
+
+
 def test_a_lone_stage_hashes_the_input_files_only_for_a_fresh_manifest_or_evaluate(
     tmp_path, monkeypatch
 ):
@@ -297,7 +369,7 @@ def test_a_malformed_cache_line_fails_the_generate_stage(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["failed_stage"] == "generate"
     assert manifest["stages_completed"] == ["preprocess"]
-    assert manifest["config_digest"] == cfg.config_digest()
+    assert manifest["config_digest"] == run_digest(cfg)
 
 
 def test_config_roundtrip_through_json(tmp_path):
@@ -469,6 +541,12 @@ def test_running_an_earlier_stage_again_drops_the_later_stages_outputs(tmp_path)
     for stage in STAGES[2:]:
         run_stage(cfg, stage)
     assert run_dir_bytes(outdir) == whole
+
+
+def test_a_run_never_counts_document_frequencies(tmp_path):
+    cfg = fixture_config(tmp_path, "out")
+    assert "doc_freq" not in vars(run_stage(cfg, "preprocess"))
+    assert "doc_freq" not in vars(pipeline_mod._run(cfg, STAGES)["corpus"])
 
 
 def test_stage_collapse_records_summary(tmp_path):

@@ -86,7 +86,7 @@ def test_llm_representation_happy_path():
     table = table_with_words(descending(40))
     wanted = [f"w{i:03d}" for i in range(20, 30)]
     cfg = mock_backend(default=format_topic_list(wanted))
-    rep = represent_llm("topic", table, cfg)
+    rep = represent_llm("topic", table, LlmGateway(cfg))
     assert rep.words == wanted
     assert (rep.method, rep.backfilled, rep.dropped, rep.fallback) == ("llm", 0, 0, False)
 
@@ -97,7 +97,7 @@ def test_llm_representation_filters_and_backfills():
         [f"w{i:03d}" for i in range(8)] + ["hallucinated", "invented"]
     )
     cfg = mock_backend(default=reply)
-    rep = represent_llm("topic", table, cfg)
+    rep = represent_llm("topic", table, LlmGateway(cfg))
     # 8 kept + 2 backfilled from the ranking (w008, w009 are next unused)
     assert rep.words == [f"w{i:03d}" for i in range(10)]
     assert rep.backfilled == 2
@@ -108,7 +108,7 @@ def test_llm_representation_filters_and_backfills():
 def test_llm_representation_refusal_falls_back():
     table = table_with_words(descending(15))
     cfg = mock_backend(default="I cannot rank these words.")
-    rep = represent_llm("topic", table, cfg)
+    rep = represent_llm("topic", table, LlmGateway(cfg))
     assert rep.words == [f"w{i:03d}" for i in range(10)]
     assert rep.method == "ctfidf"
     assert rep.fallback is True
@@ -117,7 +117,7 @@ def test_llm_representation_refusal_falls_back():
 def test_llm_representation_prose_falls_back():
     table = table_with_words(descending(15))
     cfg = mock_backend(default="here are some words I like")
-    rep = represent_llm("topic", table, cfg)
+    rep = represent_llm("topic", table, LlmGateway(cfg))
     assert rep.method == "ctfidf"
     assert rep.fallback is True
 
@@ -125,14 +125,14 @@ def test_llm_representation_prose_falls_back():
 def test_llm_representation_caps_long_replies_at_ten():
     table = table_with_words(descending(40))
     reply = format_topic_list([f"w{i:03d}" for i in range(15)])
-    rep = represent_llm("topic", table, mock_backend(default=reply))
+    rep = represent_llm("topic", table, LlmGateway(mock_backend(default=reply)))
     assert len(rep.words) == 10
 
 
 def test_llm_representation_dedupes_reply():
     table = table_with_words(descending(12))
     reply = format_topic_list(["w000", "W000", "w001"])
-    rep = represent_llm("topic", table, mock_backend(default=reply))
+    rep = represent_llm("topic", table, LlmGateway(mock_backend(default=reply)))
     assert rep.words[:2] == ["w000", "w001"]
     assert len(rep.words) == len(set(rep.words)) == 10
 
@@ -141,20 +141,22 @@ def test_llm_words_always_from_candidate_list():
     table = table_with_words(descending(25))
     candidates = set(top_words(table, "topic", 100))
     reply = format_topic_list(["alien", "w003", "w001", "other"])
-    rep = represent_llm("topic", table, mock_backend(default=reply))
+    rep = represent_llm("topic", table, LlmGateway(mock_backend(default=reply)))
     assert set(rep.words) <= candidates
 
 
 def test_llm_small_class_backfill_stops_at_class_size():
     table = table_with_words(descending(6))
-    rep = represent_llm("topic", table, mock_backend(default=format_topic_list(["w000"])))
+    rep = represent_llm(
+        "topic", table, LlmGateway(mock_backend(default=format_topic_list(["w000"])))
+    )
     assert len(rep.words) == 6  # min(10, distinct words available)
 
 
 def test_llm_representation_empty_class_falls_back_without_prompting():
     corpus = corpus_from_tokens([("d1", []), ("d2", ["x"])])
     table = ctfidf_from_clusters({"empty": {"d1"}, "full": {"d2"}}, corpus)
-    rep = represent_llm("empty", table, mock_backend(default="['x']"))
+    rep = represent_llm("empty", table, LlmGateway(mock_backend(default="['x']")))
     assert rep.words == []
     assert rep.fallback is True
 
