@@ -119,7 +119,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _parse_k_values(text: str) -> list[int]:
     """The K list of `sweep --k-values`: comma-separated integers, at least
-    one, each >= 1."""
+    one, each >= 1 and given once."""
     try:
         k_values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -128,6 +128,8 @@ def _parse_k_values(text: str) -> list[int]:
         raise ValueError("--k-values must name at least one K")
     if min(k_values) < 1:
         raise ValueError(f"--k-values: every K must be >= 1, got {min(k_values)}")
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"--k-values: each K must be given once, got {text!r}")
     return k_values
 
 

@@ -6,6 +6,8 @@ from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
 counted once per corpus when first read, and co-occurrences of a chosen
 word set, counted from postings built in one pass over the documents.
+It also holds the package's one JSONL codec, for corpus input and for
+every JSONL file of a run directory.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ class Corpus:
 
 
 def default_stopwords() -> frozenset[str]:
-    """The bundled English stopword list (one word per line, UTF-8)."""
-    text = resources.files("memetopics.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
+    """The bundled English stopword list, read by load_stopwords."""
+    with resources.as_file(resources.files("memetopics.data") / "stopwords.txt") as path:
+        return load_stopwords(path)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -151,7 +153,11 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     return Corpus(documents=documents)
 
 
-def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
+def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """The (line number, record) pairs of a JSONL file, blank lines skipped;
+    a line that is not a JSON object raises CorpusFormatError naming it.
+    With _write_jsonl, the package's one JSONL codec."""
+    name = Path(path).name
     rows = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -160,11 +166,18 @@ def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path.name}:{lineno}: invalid JSON ({exc.msg})") from exc
+                raise CorpusFormatError(f"{name}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path.name}:{lineno}: record must be a JSON object")
+                raise CorpusFormatError(f"{name}:{lineno}: record must be a JSON object")
             rows.append((lineno, record))
     return rows
+
+
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write records one compact line each, keys sorted, text ASCII-escaped."""
+    with open(path, "w", encoding="utf-8") as f:
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
 
 
 def _read_csv(path: Path) -> list[tuple[int, dict]]:
@@ -291,32 +304,19 @@ def cooccurrence_counts(corpus: Corpus, words: Iterable[str]) -> Cooccurrence:
 
 
 def save_processed(corpus: Corpus, path: str | Path) -> None:
-    """Write a processed corpus as JSONL with stable key order and encoding."""
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in corpus.documents:
-            record = {
-                "id": doc.id,
-                "caption": doc.caption,
-                "text": doc.overlay_text,
-                "tokens": list(doc.tokens),
-            }
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
+    """Write a processed corpus as JSONL, one record per document."""
+    records = (
+        {"id": doc.id, "caption": doc.caption, "text": doc.overlay_text, "tokens": doc.tokens}
+        for doc in corpus.documents
+    )
+    _write_jsonl(path, records)
 
 
 def load_processed(path: str | Path) -> Corpus:
     """Read a corpus written by save_processed."""
-    documents = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            documents.append(
-                MemeDocument(
-                    id=record["id"],
-                    caption=record["caption"],
-                    overlay_text=record["text"],
-                    tokens=tuple(record["tokens"]),
-                )
-            )
-    return Corpus(documents)
+    return Corpus(
+        [
+            MemeDocument(record["id"], record["caption"], record["text"], tuple(record["tokens"]))
+            for _, record in _read_jsonl(path)
+        ]
+    )

@@ -70,13 +70,14 @@ class Demonstration:
 
 @dataclass(frozen=True)
 class DemonstrationSet:
-    """Ordered in-context examples; n of them are prepended to every prompt."""
+    """Ordered in-context examples, at least one; all of them are prepended
+    to every prompt."""
 
     items: tuple[Demonstration, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.items)
+    def __post_init__(self) -> None:
+        if not self.items:
+            raise ValueError("a demonstration set needs at least one demonstration")
 
     @cached_property
     def turns(self) -> tuple[tuple[str, str], ...]:
@@ -109,17 +110,8 @@ class DemonstrationSet:
 
     @classmethod
     def _from_records(cls, data: list) -> "DemonstrationSet":
-        items = tuple(
-            Demonstration(
-                caption=record["caption"],
-                overlay_text=record["text"],
-                topics=tuple(record["topics"]),
-            )
-            for record in data
-        )
-        if not items:
-            raise ValueError("demonstration file contains no examples")
-        return cls(items=items)
+        items = (Demonstration(rec["caption"], rec["text"], tuple(rec["topics"])) for rec in data)
+        return cls(items=tuple(items))
 
 
 @dataclass(frozen=True)
@@ -138,10 +130,8 @@ def format_topic_list(topics: Sequence[str]) -> str:
 
 
 def build_generation_prompt(doc: MemeDocument, demos: DemonstrationSet) -> ChatExchange:
-    """Few-shot exchange for one meme: system rules, n demonstration pairs,
+    """Few-shot exchange for one meme: system rules, the demonstration pairs,
     then the meme's own caption/text as the final user turn."""
-    if demos.n < 1:
-        raise ValueError("at least one demonstration is required")
     query = GENERATION_USER_TEMPLATE.format(caption=doc.caption, text=doc.overlay_text)
     return ChatExchange(system=GENERATION_SYSTEM, turns=demos.turns, query=query)
 

@@ -423,12 +423,16 @@ class LlmGateway:
         try:
             text = body["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError):
+            text = None
+        if not isinstance(text, str):
             return LlmOutcome("transport_error", "malformed completion body", TokenUsage(0, 0))
-        usage = body.get("usage", {})
-        tokens = TokenUsage(
-            prompt=int(usage.get("prompt_tokens", 0)),
-            completion=int(usage.get("completion_tokens", 0)),
-        )
+        usage = body.get("usage")
+        try:
+            tokens = TokenUsage(
+                int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
+            )
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            tokens = TokenUsage(0, 0)  # no usable counts: estimated below
         if not tokens.prompt and not tokens.completion:
             tokens = _usage_estimate(exchange, text)
         if self._is_refusal_text(text):

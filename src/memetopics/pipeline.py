@@ -5,8 +5,8 @@ One table, _FLOW, says what each stage reads, the artifact it makes, the
 files it writes and the manifest entries it sets. Each stage writes its
 artifact into the run directory, so a run can be inspected and replayed,
 and hands it to the next stage in memory. This module owns the run
-directory, through one JSON and one JSONL codec (corpus.py writes the
-processed corpus). One driver, _run_stages, runs the stages for
+directory, through one JSON codec of its own and corpus.py's JSONL codec,
+the package's one. One driver, _run_stages, runs the stages for
 run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
 from stage s first clears what the last run of s and of every later stage
 left (from preprocess, a sweep's output too). One function, _run, serves
@@ -28,11 +28,11 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import corpus as corpus_mod
-from .collapse import CollapseState, collapse_pbm, collapse_wsm
-from .corpus import Corpus, PreprocessConfig, default_stopwords, load_stopwords
+from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
+from .corpus import Corpus, PreprocessConfig, _read_jsonl, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -57,6 +57,13 @@ REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
 _SWEEP_CSV_FILE = "sweep.csv"
 _SWEEP_MANIFEST_FILE = "sweep_manifest.json"
+
+# Left out of config_digest: where the files live and how the backend
+# reaches the model. Any other field, one added later too, is digested.
+_LOCATION_KEYS = frozenset({"corpus_path", "stopwords_path", "demonstrations_path", "output_dir"})
+_BACKEND_LOCATION_KEYS = frozenset(
+    "endpoint api_key_env timeout max_retries requests_per_minute cache_path record".split()
+)
 
 
 class _Stage(NamedTuple):
@@ -119,7 +126,7 @@ class RunConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     collapse_method: str = "wsm"
     k: int = 10
-    window: int = 40
+    window: int = DEFAULT_WINDOW
     representation_method: str = "ctfidf"
     epsilon: float = DEFAULT_EPSILON
     output_dir: str = "run_output"
@@ -148,9 +155,8 @@ class RunConfig:
         return "custom"
 
     def preprocess_config(self) -> PreprocessConfig:
-        stopwords = (
-            load_stopwords(self.stopwords_path) if self.stopwords_path else default_stopwords()
-        )
+        path = self.stopwords_path
+        stopwords = corpus_mod.load_stopwords(path) if path else corpus_mod.default_stopwords()
         return PreprocessConfig(
             stopwords=stopwords,
             extra_blocklist=frozenset(self.extra_blocklist),
@@ -204,33 +210,17 @@ class RunConfig:
         return hashes
 
     def config_digest(self, input_hashes: dict) -> str:
-        """Content-addressed digest: configuration values plus input_hashes(),
-        so equal digests mean re-runnable equal runs regardless of where the
-        files live. A run passes in the input_hashes() it took once, so it
-        reads its input files once however many digests it writes."""
-        backend = self.backend
-        payload = {
-            "corpus_format": self.corpus_format,
-            "extra_blocklist": sorted(self.extra_blocklist),
-            "min_token_len": self.min_token_len,
-            "lowercase": self.lowercase,
-            "num_demonstrations": self.num_demonstrations,
-            "collapse_method": self.collapse_method,
-            "k": self.k,
-            "window": self.window,
-            "representation_method": self.representation_method,
-            "epsilon": self.epsilon,
-            "backend": {
-                "kind": backend.kind,
-                "model_name": backend.model_name,
-                "max_tokens": backend.max_tokens,
-                "temperature": backend.temperature,
-                "mock_rules": [list(rule) for rule in backend.mock_rules],
-                "mock_default": backend.mock_default,
-                "refusal_phrases": list(backend.refusal_phrases),
-            },
-            "inputs": input_hashes,
-        }
+        """Content-addressed digest: every configuration value but the
+        _LOCATION_KEYS and _BACKEND_LOCATION_KEYS, plus input_hashes(), so
+        equal digests mean re-runnable equal runs wherever the files live. A
+        run passes in the input_hashes() it took once, so it reads its input
+        files once however many digests it writes."""
+        data = self.to_dict()
+        backend = {k: v for k, v in data.pop("backend").items() if k not in _BACKEND_LOCATION_KEYS}
+        payload = {k: v for k, v in data.items() if k not in _LOCATION_KEYS}
+        # The blocklist is a set of words: its order does not matter.
+        payload.update(backend=backend, extra_blocklist=sorted(self.extra_blocklist))
+        payload["inputs"] = input_hashes
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -245,8 +235,8 @@ def _file_sha256(path: str | Path) -> str:
 
 # -- run-directory files -----------------------------------------------------
 #
-# Keys sorted, text ASCII-escaped: JSON as one indented object and a final
-# newline, JSONL as one compact record per line.
+# JSON keys sorted, text ASCII-escaped, one indented object and a final
+# newline. JSONL goes through corpus.py's codec.
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -265,17 +255,6 @@ def _write_json(path: Path, payload: dict) -> None:
 def _read_json(path: Path) -> dict:
     with open(path, encoding="utf-8") as f:
         return json.load(f)
-
-
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    with open(path, encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
 
 
 # -- stages ------------------------------------------------------------------
@@ -460,7 +439,7 @@ def _load_artifact(outdir: Path, name: str):
     if name == "assignments":
         return [
             TopicAssignment(record["doc_id"], tuple(record["topics"]), record["provenance"])
-            for record in _read_jsonl(outdir / ASSIGNMENTS_FILE)
+            for _, record in _read_jsonl(outdir / ASSIGNMENTS_FILE)
         ]
     if name == "state":
         clusters = {label: set(ids) for label, ids in _read_json(outdir / CLUSTERS_FILE).items()}
@@ -531,10 +510,12 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     either, so the K values run in descending order and each collapse
     continues from the last K whose collapse succeeded. Emits sweep.csv
     with one row per successful K, in the order given; failures are
-    recorded and the sweep continues.
+    recorded and the sweep continues. Each K is given once.
     """
     if not k_values:
         raise ValueError("k_values must not be empty")
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"k_values must give each K once, got {list(k_values)}")
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     gateway = LlmGateway(cfg.backend)

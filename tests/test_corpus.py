@@ -159,6 +159,14 @@ def test_preprocess_deterministic_bytes(tmp_path, std_cfg):
     assert reloaded.doc_freq == preprocess(load_corpus(path), std_cfg).doc_freq
 
 
+def test_load_processed_names_a_bad_line(tmp_path):
+    path = tmp_path / "corpus_processed.jsonl"
+    save_processed(corpus_from_tokens([("a", ["cat"]), ("b", ["dog"])]), path)
+    path.write_text(path.read_text(encoding="utf-8") + "[1]\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"corpus_processed\.jsonl:3: record must be"):
+        load_processed(path)
+
+
 def test_preprocess_never_invents_tokens(std_cfg):
     rng = random.Random(7)
     alphabet = "abc DEF.gh @u http://z,, ..!? www.q 123"

@@ -76,12 +76,21 @@ def test_empty_overlay_still_renders():
 
 def test_default_demonstrations_bundle():
     demos = DemonstrationSet.default()
-    assert demos.n == 8
-    assert demos.take(2).n == 2
+    assert len(demos.items) == 8
+    assert len(demos.take(2).items) == 2
     with pytest.raises(ValueError):
         demos.take(0)
     with pytest.raises(ValueError):
         demos.take(9)
+
+
+def test_a_demonstration_set_is_never_empty(tmp_path):
+    with pytest.raises(ValueError, match="at least one demonstration"):
+        DemonstrationSet(items=())
+    path = tmp_path / "demos.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(ValueError, match="at least one demonstration"):
+        DemonstrationSet.from_file(path)
 
 
 def test_demonstrations_from_file(tmp_path):

@@ -16,7 +16,9 @@ from memetopics.llm import (
     LlmOutcome,
     RateLimiter,
     ReplayMissError,
+    TokenUsage,
     _read_cache,
+    _usage_estimate,
     canonical_request_hash,
     load_mock_rules,
 )
@@ -652,6 +654,32 @@ def test_http_non_retryable_client_error():
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     outcome = gateway.complete(exchange("q"))
     assert outcome.status == "transport_error"
+    assert len(transport.calls) == 1
+
+
+@pytest.mark.parametrize(
+    "usage",
+    [None, "12", {"prompt_tokens": "n/a"}, {"prompt_tokens": 5, "completion_tokens": [1]}],
+)
+def test_http_unusable_usage_falls_back_to_the_estimate(usage):
+    body = http_body("['Sports']")
+    body["usage"] = usage
+    transport = CountingTransport([(200, body)])
+    gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
+    ex = exchange("q")
+    outcome = gateway.complete(ex)
+    assert outcome == LlmOutcome("ok", "['Sports']", _usage_estimate(ex, "['Sports']"))
+    assert gateway.total_usage == outcome.token_usage
+
+
+@pytest.mark.parametrize("content", [["Sports"], {"text": "['Sports']"}, 7])
+def test_http_non_string_content_is_a_malformed_body(content):
+    body = http_body("unused")
+    body["choices"][0]["message"]["content"] = content
+    transport = CountingTransport([(200, body)])
+    gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
+    outcome = gateway.complete(exchange("q"))
+    assert outcome == LlmOutcome("transport_error", "malformed completion body", TokenUsage(0, 0))
     assert len(transport.calls) == 1
 
 

@@ -262,6 +262,69 @@ def test_config_digest_ignores_cache_line_order(tmp_path):
     assert digest([json.dumps(changed, sort_keys=True)] + lines[1:]) != recorded
 
 
+# Another valid value for every RunConfig field but backend, and for every
+# BackendConfig field.
+OTHER_RUN_VALUES = {
+    "corpus_path": "elsewhere.jsonl",
+    "corpus_format": "csv",
+    "stopwords_path": "stop.txt",
+    "extra_blocklist": ("zzz",),
+    "min_token_len": 2,
+    "lowercase": False,
+    "demonstrations_path": "demos.json",
+    "num_demonstrations": 3,
+    "collapse_method": "pbm",
+    "k": 11,
+    "window": 41,
+    "representation_method": "llm",
+    "epsilon": 0.5,
+    "output_dir": "elsewhere",
+}
+OTHER_BACKEND_VALUES = {
+    "kind": "http",
+    "endpoint": "http://localhost:1/v1/chat/completions",
+    "model_name": "other-model",
+    "max_tokens": 7,
+    "temperature": 0.7,
+    "max_retries": 5,
+    "requests_per_minute": 7,
+    "cache_path": "other.jsonl",
+    "record": True,
+    "api_key_env": "OTHER_KEY",
+    "timeout": 2.0,
+    "mock_rules": (("cat", "['Cats']"),),
+    "mock_default": "['Other']",
+    "refusal_phrases": ("nope",),
+}
+
+
+def test_config_digest_moves_with_every_field_but_the_location_ones():
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(OTHER_RUN_VALUES) == run_fields - {"backend"}
+    assert set(OTHER_BACKEND_VALUES) == {f.name for f in dataclasses.fields(BackendConfig)}
+    assert pipeline_mod._LOCATION_KEYS < set(OTHER_RUN_VALUES)
+    assert pipeline_mod._BACKEND_LOCATION_KEYS < set(OTHER_BACKEND_VALUES)
+    hashes = {"corpus": "c", "stopwords": None, "demonstrations": None, "cache": None}
+    base = RunConfig(corpus_path="memes.jsonl", backend=BackendConfig(cache_path="cache.jsonl"))
+    digest = base.config_digest(hashes)
+    for name, value in OTHER_RUN_VALUES.items():
+        assert getattr(base, name) != value, name
+        moved = dataclasses.replace(base, **{name: value}).config_digest(hashes) != digest
+        assert moved == (name not in pipeline_mod._LOCATION_KEYS), name
+    for name, value in OTHER_BACKEND_VALUES.items():
+        assert getattr(base.backend, name) != value, name
+        backend = dataclasses.replace(base.backend, **{name: value})
+        moved = dataclasses.replace(base, backend=backend).config_digest(hashes) != digest
+        assert moved == (name not in pipeline_mod._BACKEND_LOCATION_KEYS), name
+
+
+def test_config_digest_ignores_blocklist_order():
+    hashes = {"corpus": "c", "stopwords": None, "demonstrations": None, "cache": None}
+    forward = RunConfig(corpus_path="memes.jsonl", extra_blocklist=("a", "b"))
+    backward = dataclasses.replace(forward, extra_blocklist=("b", "a"))
+    assert forward.config_digest(hashes) == backward.config_digest(hashes)
+
+
 def test_one_gateway_per_run_sweep_and_stage(tmp_path, monkeypatch):
     # One gateway, hence one rate limiter and one replay index, per call.
     built = []
@@ -823,13 +886,21 @@ def test_http_sweep_without_a_cache_sends_each_request_once(tmp_path, monkeypatc
 
 def test_sweep_rows_follow_the_given_order(tmp_path):
     cfg = tiny_config(tmp_path, outdir="sweep")
-    assert [row["k"] for row in sweep(cfg, [1, 3, 2, 1])] == [1, 3, 2, 1]
+    assert [row["k"] for row in sweep(cfg, [1, 3, 2])] == [1, 3, 2]
 
 
 def test_sweep_rejects_bad_k_before_any_work(tmp_path):
     cfg = tiny_config(tmp_path, outdir="sweep")
     with pytest.raises(ValueError):
         sweep(cfg, [2, 0])
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_rejects_a_repeated_k_before_any_work(tmp_path):
+    # A repeated K would run once and be reported twice.
+    cfg = tiny_config(tmp_path, outdir="sweep")
+    with pytest.raises(ValueError, match="each K once"):
+        sweep(cfg, [5, 3, 5])
     assert not (tmp_path / "sweep").exists()
 
 
@@ -858,6 +929,19 @@ def test_cli_stage_sequence(tmp_path):
     for command in ("preprocess", "generate", "collapse", "represent", "evaluate"):
         assert main([command, "--config", str(config_path)]) == 0
     assert (tmp_path / "staged" / "report.json").exists()
+
+
+def test_cli_names_the_bad_line_of_an_artifact_it_reads_back(tmp_path, capsys):
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    path = tmp_path / "run" / "assignments.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[6] = lines[6][: len(lines[6]) // 2] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main(["collapse", "--config", str(config_path)]) == 1
+    assert "assignments.jsonl:7: invalid JSON" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path):
@@ -1044,7 +1128,7 @@ def test_cli_record_without_cache_is_usage_error_before_any_stage(tmp_path, caps
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("k_values", ["0,5", "x", ","])
+@pytest.mark.parametrize("k_values", ["0,5", "x", ",", "5,3,5"])
 def test_cli_bad_k_values_are_a_usage_error_before_any_stage(tmp_path, capsys, k_values):
     outdir = tmp_path / "sweep"
     code = main(
