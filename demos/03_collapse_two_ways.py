@@ -36,16 +36,17 @@ replay = LlmGateway(
 )
 assignments = generate_topics(corpus, DemonstrationSet.default(), replay)
 
-state = CollapseState.from_assignments(assignments, k_target=5)
-print(f"generated topics ({state.non_reserved_count()}):")
-for label, count in sorted(state.freq.items(), key=lambda kv: -kv[1]):
-    print(f"  {label:<15} {count} memes")
+# The state holds no K: each collapse takes it, here 5.
+state = CollapseState.from_assignments(assignments)
+print(f"generated topics ({len(state.topics)}):")
+for label, ids in sorted(state.topics.items(), key=lambda kv: -len(kv[1])):
+    print(f"  {label:<15} {len(ids)} memes")
 
 print()
 print("=" * 60)
 print("Prompt-matched collapse (asks the model where each topic goes)")
 print("=" * 60)
-pbm = collapse_pbm(state, replay)
+pbm = collapse_pbm(state, 5, replay)
 for source, target, method in pbm.merge_log:
     print(f"  {source:<15} -> {target}")
 print("final:", {label: len(ids) for label, ids in sorted(pbm.topics.items())})
@@ -55,7 +56,7 @@ print()
 print("=" * 60)
 print("Word-similarity collapse (merges the highest-overlap pair)")
 print("=" * 60)
-wsm = collapse_wsm(state, corpus)
+wsm = collapse_wsm(state, 5, corpus)
 for source, target, method in wsm.merge_log:
     marker = "  (zero-similarity fallback)" if method == "wsm-zero" else ""
     print(f"  {source:<15} -> {target}{marker}")

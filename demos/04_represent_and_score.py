@@ -40,7 +40,7 @@ replay = LlmGateway(
     )
 )
 assignments = generate_topics(corpus, DemonstrationSet.default(), replay)
-state = collapse_pbm(CollapseState.from_assignments(assignments, k_target=5), replay)
+state = collapse_pbm(CollapseState.from_assignments(assignments), 5, replay)
 
 print("=" * 60)
 print("1. Class-based TF-IDF over the five collapsed topics")

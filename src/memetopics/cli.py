@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from .llm import BackendConfig
-from .pipeline import PipelineStageError, RunConfig, run_pipeline, run_stage, sweep
+from .pipeline import PipelineStageError, RunConfig, _read_json, run_pipeline, run_stage, sweep
 
 log = logging.getLogger(__name__)
 
@@ -97,8 +96,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     repair the file value it overrides. The demonstrations are built here
     too, so a bad set or count fails before any stage runs."""
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            data = dict(json.load(f))
+        data = dict(_read_json(Path(args.config)))
     elif args.corpus_path:
         data = {}
     else:

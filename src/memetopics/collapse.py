@@ -9,8 +9,10 @@ word count:
 
     similarity(a, b) = |words(a) & words(b)| / min(|words(a)|, |words(b)|)
 
-Both run until exactly K non-reserved topics remain; the reserved
-Miscellaneous/Inappropriate clusters never merge and never count toward K.
+Both take K as an argument and run until exactly K non-reserved topics
+remain; the reserved Miscellaneous/Inappropriate clusters never merge and
+never count toward K. Neither merge order depends on K, so a state
+collapsed to K continues to any K' < K as a fresh collapse to K' would.
 """
 
 from __future__ import annotations
@@ -77,34 +79,22 @@ class CollapseState:
 
     topics maps each live label to its member doc ids; misc/inappropriate
     hold the reserved clusters. merge_log records (source, target, method)
-    in execution order and replays to the current state.
+    in execution order and replays to the current state. The state does not
+    know K: each collapse takes it, so one state continues to any smaller K.
     """
 
     topics: dict[str, set[str]]
     misc: set[str] = field(default_factory=set)
     inappropriate: set[str] = field(default_factory=set)
     merge_log: list[tuple[str, str, str]] = field(default_factory=list)
-    k_target: int = 1
-    window: int = DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
-        if self.k_target < 1:
-            raise ValueError("k_target must be >= 1")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
         keys = [label.casefold() for label in self.topics]
         if len(set(keys)) != len(keys):
             raise ValueError("topic labels must be unique case-insensitively")
         for key in keys:
             if key in RESERVED_LABELS:
                 raise ValueError(f"{key!r} is a reserved cluster name, not a topic")
-
-    @property
-    def freq(self) -> dict[str, int]:
-        return {label: len(ids) for label, ids in self.topics.items()}
-
-    def non_reserved_count(self) -> int:
-        return len(self.topics)
 
     def clusters(self) -> dict[str, set[str]]:
         """All clusters including the reserved ones (when non-empty)."""
@@ -121,17 +111,10 @@ class CollapseState:
             misc=set(self.misc),
             inappropriate=set(self.inappropriate),
             merge_log=list(self.merge_log),
-            k_target=self.k_target,
-            window=self.window,
         )
 
     @classmethod
-    def from_assignments(
-        cls,
-        assignments: Iterable[TopicAssignment],
-        k_target: int,
-        window: int = DEFAULT_WINDOW,
-    ) -> "CollapseState":
+    def from_assignments(cls, assignments: Iterable[TopicAssignment]) -> "CollapseState":
         """Seed the state from generation output. Labels that differ only in
         case are folded together, keeping the first-seen casing."""
         canonical: dict[str, str] = {}
@@ -149,13 +132,17 @@ class CollapseState:
                 key = label.casefold()
                 label = canonical.setdefault(key, label)
                 topics.setdefault(label, set()).add(assignment.doc_id)
-        return cls(
-            topics=topics,
-            misc=misc,
-            inappropriate=inappropriate,
-            k_target=k_target,
-            window=window,
-        )
+        return cls(topics=topics, misc=misc, inappropriate=inappropriate)
+
+
+def _copy_to_collapse(state: CollapseState, k: int) -> CollapseState:
+    """A copy of state to collapse to k >= 1 topics; warns when the state
+    holds fewer than k, so that the collapse leaves it as it is."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(state.topics) < k:
+        log.warning("collapse is a no-op: %d topics is fewer than K=%d", len(state.topics), k)
+    return state.copy()
 
 
 def _frequency_order(state: CollapseState) -> list[str]:
@@ -184,37 +171,32 @@ def build_collapse_prompt(candidates: Sequence[str], current: str) -> ChatExchan
     )
 
 
-def collapse_pbm(state: CollapseState, gateway: LlmGateway) -> CollapseState:
-    """Prompt-matched collapse.
+def collapse_pbm(
+    state: CollapseState, k: int, gateway: LlmGateway, window: int = DEFAULT_WINDOW
+) -> CollapseState:
+    """Prompt-matched collapse to k topics.
 
     Each cycle takes the currently least frequent topic and asks the model
-    to place it among the top-min(M, n-1) topics by frequency. A reply that
-    names a candidate merges the topic there; a refusal, unparseable reply,
-    or out-of-list answer routes the topic's documents to Miscellaneous.
-    Frequencies are recomputed after every step.
+    to place it among the top-min(window, n-1) topics by frequency. A reply
+    that names a candidate merges the topic there; a refusal, unparseable
+    reply, or out-of-list answer routes the topic's documents to
+    Miscellaneous. Frequencies are recomputed after every step.
     """
-    state = state.copy()
-    if state.non_reserved_count() < state.k_target:
-        log.warning(
-            "collapse is a no-op: %d topics is fewer than K=%d",
-            state.non_reserved_count(),
-            state.k_target,
-        )
-        return state
-    while state.non_reserved_count() > state.k_target:
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    state = _copy_to_collapse(state, k)
+    while len(state.topics) > k:
         order = _frequency_order(state)
         current = order[-1]
-        candidates = order[:-1][: state.window]
+        candidates = order[:-1][:window]
         outcome = gateway.complete(build_collapse_prompt(candidates, current))
         target = None
         if outcome.status == "ok":
             try:
-                labels = parse_topic_list(outcome.text)
+                wanted = parse_topic_list(outcome.text)[0].casefold()
             except TopicParseError:
-                labels = []
-            if labels:
-                wanted = labels[0].casefold()
-                target = next((c for c in candidates if c.casefold() == wanted), None)
+                wanted = None
+            target = next((c for c in candidates if c.casefold() == wanted), None)
         if target is None:
             state.misc |= state.topics.pop(current)
             state.merge_log.append((current, MISCELLANEOUS, "pbm"))
@@ -493,8 +475,8 @@ def _merge_orientation(state: CollapseState, a: str, b: str) -> tuple[str, str]:
     return a, b
 
 
-def collapse_wsm(state: CollapseState, corpus: Corpus) -> CollapseState:
-    """Word-similarity collapse.
+def collapse_wsm(state: CollapseState, k: int, corpus: Corpus) -> CollapseState:
+    """Word-similarity collapse to k topics.
 
     Each step merges the pair of highest similarity, ties going to the
     lexicographically smallest pair, and the collapse stops at K topics.
@@ -514,14 +496,8 @@ def collapse_wsm(state: CollapseState, corpus: Corpus) -> CollapseState:
     on an edge, or when C falls below the count the class's last check
     vouched for.
     """
-    state = state.copy()
-    if state.non_reserved_count() < state.k_target:
-        log.warning(
-            "collapse is a no-op: %d topics is fewer than K=%d",
-            state.non_reserved_count(),
-            state.k_target,
-        )
-    if state.non_reserved_count() <= state.k_target:
+    state = _copy_to_collapse(state, k)
+    if len(state.topics) <= k:
         return state
     index = _WordSimilarityIndex(state.topics, corpus, TOP_WORDS_FOR_SIMILARITY)
     while True:
@@ -536,6 +512,6 @@ def collapse_wsm(state: CollapseState, corpus: Corpus) -> CollapseState:
         both_docs = state.topics[source] & state.topics[target]
         state.topics[target] |= state.topics.pop(source)
         state.merge_log.append((source, target, method))
-        if state.non_reserved_count() == state.k_target:
+        if len(state.topics) == k:
             return state
         index.merge(source, target, both_docs)

@@ -153,10 +153,11 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     return Corpus(documents=documents)
 
 
-def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+def _read_jsonl(path: str | Path, keys: Iterable[str] = ()) -> list[tuple[int, dict]]:
     """The (line number, record) pairs of a JSONL file, blank lines skipped;
-    a line that is not a JSON object raises CorpusFormatError naming it.
-    With _write_jsonl, the package's one JSONL codec."""
+    a line that is not a JSON object, or lacks one of keys, raises
+    CorpusFormatError naming it. With _write_jsonl, the package's one JSONL
+    codec."""
     name = Path(path).name
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -169,6 +170,9 @@ def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
                 raise CorpusFormatError(f"{name}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{name}:{lineno}: record must be a JSON object")
+            for key in keys:
+                if key not in record:
+                    raise CorpusFormatError(f"{name}:{lineno}: missing field {key!r}")
             rows.append((lineno, record))
     return rows
 
@@ -317,6 +321,6 @@ def load_processed(path: str | Path) -> Corpus:
     return Corpus(
         [
             MemeDocument(record["id"], record["caption"], record["text"], tuple(record["tokens"]))
-            for _, record in _read_jsonl(path)
+            for _, record in _read_jsonl(path, ("id", "caption", "text", "tokens"))
         ]
     )

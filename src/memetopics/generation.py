@@ -110,6 +110,8 @@ class DemonstrationSet:
 
     @classmethod
     def _from_records(cls, data: list) -> "DemonstrationSet":
+        if any(isinstance(rec["topics"], str) for rec in data):
+            raise ValueError("a demonstration's topics must be a list, not a string")
         items = (Demonstration(rec["caption"], rec["text"], tuple(rec["topics"])) for rec in data)
         return cls(items=tuple(items))
 

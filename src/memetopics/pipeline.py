@@ -178,17 +178,19 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
-        backend_data = dict(data.pop("backend", {}))
-        rules_path = backend_data.pop("mock_rules_path", None)
+        backend = dict(data.pop("backend", {}))
+        rules_path = backend.pop("mock_rules_path", None)
         if rules_path:
-            backend_data["mock_rules"] = load_mock_rules(rules_path)
+            backend["mock_rules"] = load_mock_rules(rules_path)
+        # A string is iterable, so tuple() would split it into characters.
+        lists = {"extra_blocklist": data, "mock_rules": backend, "refusal_phrases": backend}
+        for key, where in lists.items():
+            if isinstance(where.get(key), str):
+                raise ValueError(f"{key} must be a list, not the string {where[key]!r}")
         for key in ("mock_rules", "refusal_phrases"):
-            if key in backend_data:
-                value = backend_data[key]
-                backend_data[key] = tuple(
-                    tuple(item) if isinstance(item, list) else item for item in value
-                )
-        data["backend"] = BackendConfig(**backend_data)
+            if key in backend:
+                backend[key] = tuple(tuple(v) if isinstance(v, list) else v for v in backend[key])
+        data["backend"] = BackendConfig(**backend)
         if "extra_blocklist" in data:
             data["extra_blocklist"] = tuple(data["extra_blocklist"])
         return cls(**data)
@@ -253,8 +255,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path) -> dict:
+    """The JSON in path; invalid JSON raises a ValueError naming the file."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
 # -- stages ------------------------------------------------------------------
@@ -302,16 +308,14 @@ def stage_collapse(
 
     start, when given, is the same assignments' state already collapsed to
     a larger K; the collapse continues from it, since neither method's
-    merge order depends on K.
+    merge order depends on K. Without it the state is built from
+    assignments.
     """
-    state = CollapseState.from_assignments(assignments, k_target=cfg.k, window=cfg.window)
-    misc_before = len(state.misc)
-    if start is not None:
-        state = dataclasses.replace(start, k_target=cfg.k)
+    state = start if start is not None else CollapseState.from_assignments(assignments)
     if cfg.collapse_method == "pbm":
-        state = collapse_pbm(state, gateway)
+        state = collapse_pbm(state, cfg.k, gateway, cfg.window)
     else:
-        state = collapse_wsm(state, corpus)
+        state = collapse_wsm(state, cfg.k, corpus)
     clusters = {label: sorted(ids) for label, ids in state.clusters().items()}
     _write_json(outdir / CLUSTERS_FILE, clusters)
     merges = ({"source": s, "target": t, "method": m} for s, t, m in state.merge_log)
@@ -321,9 +325,9 @@ def stage_collapse(
         "method": cfg.collapse_method,
         "merges": sum(target != MISCELLANEOUS for target in targets),
         "misc_routed_topics": targets.count(MISCELLANEOUS),
-        "misc_routed_docs": len(state.misc) - misc_before,
+        "misc_routed_docs": len(state.misc) - provenance_counts(assignments)["miscellaneous"],
         "zero_similarity_merges": sum(method == "wsm-zero" for _, _, method in state.merge_log),
-        "final_topics": state.non_reserved_count(),
+        "final_topics": len(state.topics),
     }
     return state, {"collapse_summary": summary}
 
@@ -437,9 +441,10 @@ def _load_artifact(outdir: Path, name: str):
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
+        records = _read_jsonl(outdir / ASSIGNMENTS_FILE, ("doc_id", "topics", "provenance"))
         return [
             TopicAssignment(record["doc_id"], tuple(record["topics"]), record["provenance"])
-            for _, record in _read_jsonl(outdir / ASSIGNMENTS_FILE)
+            for _, record in records
         ]
     if name == "state":
         clusters = {label: set(ids) for label, ids in _read_json(outdir / CLUSTERS_FILE).items()}

@@ -175,19 +175,19 @@ def _multiset(state):
     return counts
 
 
-def _pbm_scenario(n, k):
+def _pbm_scenario(n):
     """n topics: a dominant hub, one unmergeable stray, n-2 fillers."""
     topics = {"hub": {f"hub{j}" for j in range(50)}, "zzz": {"stray0"}}
     for i in range(n - 2):
         topics[f"t{i:02d}"] = {f"t{i}d{j}" for j in range(1 + i % 3)}
-    state = CollapseState(topics=topics, k_target=k, misc={"pregen0"})
+    state = CollapseState(topics=topics, misc={"pregen0"})
     cfg = mock_backend(
         rules=[("current topic : zzz", "['banana']")], default="['hub']"
     )
     return state, cfg
 
 
-def _wsm_scenario(rng, n, k):
+def _wsm_scenario(rng, n):
     """Families of five topics share a vocabulary; cross-family overlap is zero."""
     docs, topics = [], {}
     doc_n = 0
@@ -201,7 +201,7 @@ def _wsm_scenario(rng, n, k):
             doc_n += 1
             docs.append((doc_id, [rng.choice(words) for _ in range(5)]))
             topics[label].add(doc_id)
-    return CollapseState(topics=topics, k_target=k), corpus_from_tokens(docs)
+    return CollapseState(topics=topics), corpus_from_tokens(docs)
 
 
 def test_collapse_terminates_and_conserves():
@@ -210,10 +210,10 @@ def test_collapse_terminates_and_conserves():
         start = time.perf_counter()
         rng = random.Random(55)
         for n, k in [(10, 3), (25, 5), (60, 10)]:
-            state, cfg = _pbm_scenario(n, k)
+            state, cfg = _pbm_scenario(n)
             before = _multiset(state)
-            result = collapse_pbm(state, LlmGateway(cfg))
-            assert result.non_reserved_count() == k
+            result = collapse_pbm(state, k, LlmGateway(cfg))
+            assert len(result.topics) == k
             misc_routings = sum(
                 1 for _, target, _ in result.merge_log if target == "Miscellaneous"
             )
@@ -222,10 +222,10 @@ def test_collapse_terminates_and_conserves():
             assert misc_routings == 1  # the scripted stray
             assert _multiset(result) == before
 
-            state, corpus = _wsm_scenario(rng, n, k)
+            state, corpus = _wsm_scenario(rng, n)
             before = _multiset(state)
-            result = collapse_wsm(state, corpus)
-            assert result.non_reserved_count() == k
+            result = collapse_wsm(state, k, corpus)
+            assert len(result.topics) == k
             assert len(result.merge_log) == n - k
             assert _multiset(result) == before
         elapsed = time.perf_counter() - start
@@ -242,8 +242,7 @@ def test_pbm_routing_outcomes():
                     "mergeme": {"m1"},
                     "oddball": {"o1", "o2"},
                     "refused": {"r1", "r2", "r3"},
-                },
-                k_target=1,
+                }
             )
             cfg = mock_backend(
                 rules=[
@@ -253,7 +252,7 @@ def test_pbm_routing_outcomes():
                 ],
                 default="['Big']",
             )
-            return collapse_pbm(state, LlmGateway(cfg))
+            return collapse_pbm(state, 1, LlmGateway(cfg))
 
         first = run_once()
         log = {source: target for source, target, _ in first.merge_log}

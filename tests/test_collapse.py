@@ -21,13 +21,11 @@ from conftest import corpus_from_tokens, mock_backend
 from topic_helpers import topic_similarity
 
 
-def state_from(topic_docs, k=1, window=40, misc=(), inappropriate=()):
+def state_from(topic_docs, misc=(), inappropriate=()):
     return CollapseState(
         topics={label: set(ids) for label, ids in topic_docs.items()},
         misc=set(misc),
         inappropriate=set(inappropriate),
-        k_target=k,
-        window=window,
     )
 
 
@@ -73,42 +71,40 @@ def test_collapse_prompt_rejects_current_in_candidates():
 
 
 def test_pbm_single_merge_trace():
-    state = state_from(
-        {"Military": {f"m{i}" for i in range(10)}, "War": {"w1", "w2"}}, k=1
-    )
+    state = state_from({"Military": {f"m{i}" for i in range(10)}, "War": {"w1", "w2"}})
     cfg = mock_backend(default="['Military']")
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 1, LlmGateway(cfg))
     assert set(result.topics) == {"Military"}
     assert result.topics["Military"] >= {"w1", "w2"}
     assert result.merge_log == [("War", "Military", "pbm")]
 
 
 def test_pbm_out_of_list_reply_goes_to_miscellaneous():
-    state = state_from({"Military": {"m1", "m2"}, "X": {"x1"}}, k=1)
+    state = state_from({"Military": {"m1", "m2"}, "X": {"x1"}})
     cfg = mock_backend(rules=[("current topic : x", "['Banana']")], default="['Military']")
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 1, LlmGateway(cfg))
     assert result.misc == {"x1"}
     assert result.merge_log == [("X", "Miscellaneous", "pbm")]
 
 
 def test_pbm_refusal_goes_to_miscellaneous():
-    state = state_from({"A": {"a1", "a2"}, "B": {"b1"}}, k=1)
+    state = state_from({"A": {"a1", "a2"}, "B": {"b1"}})
     cfg = mock_backend(rules=[("current topic : b", "I cannot choose a topic here.")])
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 1, LlmGateway(cfg))
     assert result.misc == {"b1"}
 
 
 def test_pbm_already_at_k_is_fixed_point():
-    state = state_from({"A": {"a"}, "B": {"b"}}, k=2)
-    result = collapse_pbm(state, LlmGateway(mock_backend(default="['A']")))
+    state = state_from({"A": {"a"}, "B": {"b"}})
+    result = collapse_pbm(state, 2, LlmGateway(mock_backend(default="['A']")))
     assert result.topics == state.topics
     assert result.merge_log == []
 
 
 def test_pbm_fewer_than_k_warns_and_noops(caplog):
-    state = state_from({"A": {"a"}}, k=5)
+    state = state_from({"A": {"a"}})
     with caplog.at_level("WARNING"):
-        result = collapse_pbm(state, LlmGateway(mock_backend(default="['A']")))
+        result = collapse_pbm(state, 5, LlmGateway(mock_backend(default="['A']")))
     assert result.topics == state.topics
     assert any("no-op" in record.message for record in caplog.records)
 
@@ -118,50 +114,44 @@ def test_pbm_least_frequent_first_and_window_cap():
     # D must be [A, B] only; a reply naming C is therefore out-of-list.
     state = state_from(
         {"A": set("a1 a2 a3 a4".split()), "B": set("b1 b2 b3".split()),
-         "C": {"c1", "c2"}, "D": {"d1"}},
-        k=3,
-        window=2,
+         "C": {"c1", "c2"}, "D": {"d1"}}
     )
     cfg = mock_backend(rules=[("current topic : d", "['C']")], default="['A']")
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 3, LlmGateway(cfg), window=2)
     assert result.merge_log == [("D", "Miscellaneous", "pbm")]
     assert result.misc == {"d1"}
 
 
 def test_pbm_recomputes_ordering_after_each_merge():
     # B starts above C, but after B merges into A the least frequent is C.
-    state = state_from({"A": {"a1", "a2", "a3"}, "B": {"b1"}, "C": {"c1", "c2"}}, k=1)
+    state = state_from({"A": {"a1", "a2", "a3"}, "B": {"b1"}, "C": {"c1", "c2"}})
     cfg = mock_backend(default="['A']")
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 1, LlmGateway(cfg))
     assert result.merge_log == [("B", "A", "pbm"), ("C", "A", "pbm")]
     assert result.topics["A"] == {"a1", "a2", "a3", "b1", "c1", "c2"}
 
 
 def test_pbm_case_insensitive_reply_matching():
-    state = state_from({"Military": {"m1", "m2"}, "War": {"w1"}}, k=1)
+    state = state_from({"Military": {"m1", "m2"}, "War": {"w1"}})
     cfg = mock_backend(default="['military']")
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 1, LlmGateway(cfg))
     assert set(result.topics) == {"Military"}
 
 
 def test_pbm_conserves_documents():
-    state = state_from(
-        {f"T{i}": {f"d{i}a", f"d{i}b"} for i in range(6)}, k=2, misc={"misc1"}
-    )
+    state = state_from({f"T{i}": {f"d{i}a", f"d{i}b"} for i in range(6)}, misc={"misc1"})
     before = doc_multiset(state)
     cfg = mock_backend(rules=[("current topic : t5", "['Nonsense']")], default="['T0']")
-    result = collapse_pbm(state, LlmGateway(cfg))
+    result = collapse_pbm(state, 2, LlmGateway(cfg))
     assert doc_multiset(result) == before
-    assert result.non_reserved_count() == 2
+    assert len(result.topics) == 2
 
 
 def test_pbm_deterministic_across_runs():
     def run():
-        state = state_from(
-            {"A": set("a1 a2 a3".split()), "B": {"b1", "b2"}, "C": {"c1"}}, k=1
-        )
+        state = state_from({"A": set("a1 a2 a3".split()), "B": {"b1", "b2"}, "C": {"c1"}})
         cfg = mock_backend(rules=[("current topic : c", "['Zzz']")], default="['A']")
-        return collapse_pbm(state, LlmGateway(cfg)).merge_log
+        return collapse_pbm(state, 1, LlmGateway(cfg)).merge_log
 
     logs = {tuple(run()) for _ in range(5)}
     assert len(logs) == 1
@@ -181,7 +171,7 @@ def test_pbm_terminates_and_conserves_for_any_reply_script(data):
               for label in labels}
     k = data.draw(st.integers(1, len(labels)))
     window = data.draw(st.integers(2, 5))
-    state = state_from(topics, k=k, window=window, misc={"m0"}, inappropriate={"x0"})
+    state = state_from(topics, misc={"m0"}, inappropriate={"x0"})
     expected_targets = []
 
     def transport(url, payload, headers, timeout):
@@ -207,12 +197,47 @@ def test_pbm_terminates_and_conserves_for_any_reply_script(data):
         return 200, body
 
     cfg = BackendConfig(kind="http", model_name="mock-model", requests_per_minute=1_000_000)
-    result = collapse_pbm(state, LlmGateway(cfg, transport=transport, sleep=lambda s: None))
-    assert result.non_reserved_count() == k
+    gateway = LlmGateway(cfg, transport=transport, sleep=lambda s: None)
+    result = collapse_pbm(state, k, gateway, window=window)
+    assert len(result.topics) == k
     assert len(result.merge_log) == len(labels) - k
     assert [target for _, target, _ in result.merge_log] == expected_targets
     # Every document ends in a topic, Miscellaneous or Inappropriate.
     placed = set().union(*result.clusters().values())
+    assert placed == set().union(*topics.values(), {"m0", "x0"})
+
+
+PBM_REPLIES = st.one_of(
+    st.sampled_from(PBM_LABELS).map(lambda label: repr([label.upper()])),
+    st.sampled_from(
+        ["['Not A Listed Topic']", "This meme is mostly about everyday life.", "[]",
+         "I cannot help with that."]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_continued_pbm_collapse_is_the_direct_one(data):
+    # What a sweep relies on: collapsing to K, then on to K' < K, asks the
+    # same questions in the same order as collapsing to K' at once.
+    labels = data.draw(st.lists(st.sampled_from(PBM_LABELS), min_size=2, unique=True))
+    docs = [f"d{i}" for i in range(10)]
+    topics = {label: data.draw(st.sets(st.sampled_from(docs), min_size=1, max_size=3))
+              for label in labels}
+    state = state_from(topics, misc={"m0"}, inappropriate={"x0"})
+    rules = [(f"current topic : {label}", data.draw(PBM_REPLIES)) for label in labels]
+    gateway = LlmGateway(mock_backend(rules=rules, default=data.draw(PBM_REPLIES)))
+    k = data.draw(st.integers(2, len(labels) + 1))
+    k_less = data.draw(st.integers(1, k - 1))
+    window = data.draw(st.integers(2, 5))
+    direct = collapse_pbm(state, k_less, gateway, window)
+    continued = collapse_pbm(collapse_pbm(state, k, gateway, window), k_less, gateway, window)
+    assert continued.merge_log == direct.merge_log
+    assert continued.topics == direct.topics
+    assert continued.misc == direct.misc
+    assert len(continued.topics) == min(k_less, len(labels))
+    placed = set().union(*continued.clusters().values())
     assert placed == set().union(*topics.values(), {"m0", "x0"})
 
 
@@ -262,9 +287,9 @@ def test_wsm_merges_the_only_overlapping_pair():
             ("d3", ["gamma", "delta"]),
         ]
     )
-    state = state_from({"A": {"d1"}, "B": {"d2"}, "C": {"d3"}}, k=2)
-    result = collapse_wsm(state, corpus)
-    assert result.non_reserved_count() == 2
+    state = state_from({"A": {"d1"}, "B": {"d2"}, "C": {"d3"}})
+    result = collapse_wsm(state, 2, corpus)
+    assert len(result.topics) == 2
     assert result.merge_log[0][2] == "wsm"
     assert {result.merge_log[0][0], result.merge_log[0][1]} == {"A", "B"}
     assert "C" in result.topics
@@ -272,8 +297,8 @@ def test_wsm_merges_the_only_overlapping_pair():
 
 def test_wsm_fixed_point_at_k():
     corpus = corpus_from_tokens([("d1", ["x"]), ("d2", ["y"])])
-    state = state_from({"A": {"d1"}, "B": {"d2"}}, k=2)
-    result = collapse_wsm(state, corpus)
+    state = state_from({"A": {"d1"}, "B": {"d2"}})
+    result = collapse_wsm(state, 2, corpus)
     assert result.topics == state.topics
     assert result.merge_log == []
 
@@ -289,10 +314,8 @@ def test_wsm_tie_resolves_to_smallest_pair():
             ("d2", ["shared", "delta"]),
         ]
     )
-    state = state_from(
-        {"A": {"a1"}, "B": {"b1", "b2"}, "C": {"c1"}, "D": {"d1", "d2"}}, k=3
-    )
-    result = collapse_wsm(state, corpus)
+    state = state_from({"A": {"a1"}, "B": {"b1", "b2"}, "C": {"c1"}, "D": {"d1", "d2"}})
+    result = collapse_wsm(state, 3, corpus)
     # sim(A,B) == sim(C,D); (A,B) is the lexicographically smaller pair, and
     # the lower-frequency side (A) folds into B.
     assert result.merge_log == [("A", "B", "wsm")]
@@ -302,17 +325,17 @@ def test_wsm_merged_label_is_higher_frequency_member():
     corpus = corpus_from_tokens(
         [("d1", ["x", "y"]), ("d2", ["x", "z"]), ("d3", ["x", "z"])]
     )
-    state = state_from({"Small": {"d1"}, "Large": {"d2", "d3"}}, k=1)
-    result = collapse_wsm(state, corpus)
+    state = state_from({"Small": {"d1"}, "Large": {"d2", "d3"}})
+    result = collapse_wsm(state, 1, corpus)
     assert set(result.topics) == {"Large"}
     assert result.merge_log == [("Small", "Large", "wsm")]
 
 
 def test_wsm_zero_similarity_fallback():
     corpus = corpus_from_tokens([("d1", ["x"]), ("d2", ["y"]), ("d3", ["z"]), ("d4", ["z"])])
-    state = state_from({"A": {"d1"}, "B": {"d2"}, "C": {"d3", "d4"}}, k=2)
-    result = collapse_wsm(state, corpus)
-    assert result.non_reserved_count() == 2
+    state = state_from({"A": {"d1"}, "B": {"d2"}, "C": {"d3", "d4"}})
+    result = collapse_wsm(state, 2, corpus)
+    assert len(result.topics) == 2
     source, target, method = result.merge_log[0]
     assert method == "wsm-zero"
     # the two least frequent topics (A and B, both 1 doc) merge
@@ -321,10 +344,10 @@ def test_wsm_zero_similarity_fallback():
 
 def test_wsm_never_routes_to_miscellaneous():
     corpus = corpus_from_tokens([(f"d{i}", [f"w{i}"]) for i in range(5)])
-    state = state_from({f"T{i}": {f"d{i}"} for i in range(5)}, k=1, misc={"m0"})
-    result = collapse_wsm(state, corpus)
+    state = state_from({f"T{i}": {f"d{i}"} for i in range(5)}, misc={"m0"})
+    result = collapse_wsm(state, 1, corpus)
     assert result.misc == {"m0"}
-    assert result.non_reserved_count() == 1
+    assert len(result.topics) == 1
 
 
 def test_wsm_conserves_documents_and_terminates_in_n_minus_k_steps():
@@ -335,10 +358,10 @@ def test_wsm_conserves_documents_and_terminates_in_n_minus_k_steps():
     topics = {}
     for i, (doc_id, _tokens) in enumerate(docs):
         topics.setdefault(f"T{i % 12}", set()).add(doc_id)
-    state = state_from(topics, k=4)
+    state = state_from(topics)
     before = doc_multiset(state)
-    result = collapse_wsm(state, corpus)
-    assert result.non_reserved_count() == 4
+    result = collapse_wsm(state, 4, corpus)
+    assert len(result.topics) == 4
     assert len(result.merge_log) == 12 - 4
     assert doc_multiset(result) == before
 
@@ -353,12 +376,12 @@ def test_from_assignments_routes_and_folds_case():
         TopicAssignment("d3", (), "miscellaneous"),
         TopicAssignment("d4", (), "inappropriate"),
     ]
-    state = CollapseState.from_assignments(assignments, k_target=1)
+    state = CollapseState.from_assignments(assignments)
     assert set(state.topics) == {"Politics", "War"}
     assert state.topics["Politics"] == {"d1", "d2"}
     assert state.misc == {"d3"}
     assert state.inappropriate == {"d4"}
-    assert state.freq == {"Politics": 2, "War": 1}
+    assert {label: len(ids) for label, ids in state.topics.items()} == {"Politics": 2, "War": 1}
 
 
 def test_clusters_include_reserved():
@@ -372,8 +395,13 @@ def test_state_validation():
     with pytest.raises(ValueError):
         state_from({"A": {"a"}, "a": {"b"}})  # case-insensitive duplicate
     with pytest.raises(ValueError):
-        state_from({"A": {"a"}}, k=0)
-    with pytest.raises(ValueError):
-        state_from({"A": {"a"}}, window=1)
-    with pytest.raises(ValueError):
         state_from({"miscellaneous": {"a"}})  # reserved name is not a topic
+    # K and the window are arguments of the collapse, which checks them.
+    state = state_from({"A": {"a"}})
+    gateway = LlmGateway(mock_backend(default="['A']"))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        collapse_pbm(state, 0, gateway)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        collapse_wsm(state, 0, corpus_from_tokens([("a", ["x"])]))
+    with pytest.raises(ValueError, match="window must be >= 2"):
+        collapse_pbm(state, 1, gateway, window=1)

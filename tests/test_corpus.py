@@ -167,6 +167,15 @@ def test_load_processed_names_a_bad_line(tmp_path):
         load_processed(path)
 
 
+def test_load_processed_names_the_line_and_key_a_record_lacks(tmp_path):
+    path = tmp_path / "corpus_processed.jsonl"
+    save_processed(corpus_from_tokens([("a", ["cat"]), ("b", ["dog"])]), path)
+    record = '{"id": "c", "caption": "c", "text": ""}\n'
+    path.write_text(path.read_text(encoding="utf-8") + record, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"corpus_processed\.jsonl:3: missing field 'tokens'"):
+        load_processed(path)
+
+
 def test_preprocess_never_invents_tokens(std_cfg):
     rng = random.Random(7)
     alphabet = "abc DEF.gh @u http://z,, ..!? www.q 123"

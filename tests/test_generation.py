@@ -102,6 +102,14 @@ def test_demonstrations_from_file(tmp_path):
     assert DemonstrationSet.from_file(path).items[0].topics == ("A",)
 
 
+def test_demonstration_topics_must_be_a_list_not_a_string(tmp_path):
+    # tuple("Politics") would teach the reply ['P', 'o', 'l', ...].
+    path = tmp_path / "demos.json"
+    path.write_text('[{"caption": "c", "text": "t", "topics": "Politics"}]', encoding="utf-8")
+    with pytest.raises(ValueError, match="topics must be a list"):
+        DemonstrationSet.from_file(path)
+
+
 # -- reply parsing ------------------------------------------------------------
 
 

@@ -397,7 +397,7 @@ def test_the_library_flow_on_one_gateway_reads_the_cache_once_behind_one_limiter
     gateway = LlmGateway(cfg.backend)
     corpus = preprocess(load_corpus(cfg.corpus_path), cfg.preprocess_config())
     assignments = generate_topics(corpus, cfg.demonstrations(), gateway)
-    state = collapse_pbm(CollapseState.from_assignments(assignments, k_target=5), gateway)
+    state = collapse_pbm(CollapseState.from_assignments(assignments), 5, gateway)
     table = ctfidf_from_clusters(state.topics, corpus)
     reps = [represent_llm(topic, table, gateway) for topic in sorted(state.topics)]
     assert [rep.method for rep in reps] == ["llm"] * 5
@@ -546,7 +546,7 @@ def test_stages_chain_individually(tmp_path):
     assert len(assignments) == 8
     assert json.loads(manifest_path.read_text())["token_usage"]["generate"]["prompt"] > 0
     state = run_stage(cfg, "collapse")
-    assert state.non_reserved_count() == 2
+    assert len(state.topics) == 2
     reps = run_stage(cfg, "represent")
     assert len(reps) == 2
     report = run_stage(cfg, "evaluate")
@@ -741,7 +741,7 @@ def cache_without(cache, entry, path):
 
 def topics_before_collapse(outdir):
     assignments = _load_artifact(outdir, "assignments")
-    return len(CollapseState.from_assignments(assignments, k_target=1).topics)
+    return len(CollapseState.from_assignments(assignments).topics)
 
 
 @pytest.mark.parametrize("method,representation", [("pbm", "llm"), ("wsm", "ctfidf")])
@@ -944,6 +944,47 @@ def test_cli_names_the_bad_line_of_an_artifact_it_reads_back(tmp_path, capsys):
     assert "assignments.jsonl:7: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, stage, missing",
+    [("assignments.jsonl", "collapse", "topics"), ("corpus_processed.jsonl", "generate", "caption")],
+)
+def test_cli_names_the_line_and_key_a_read_back_record_lacks(
+    tmp_path, capsys, name, stage, missing
+):
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    with open(tmp_path / "run" / name, "a", encoding="utf-8") as f:
+        f.write('{"doc_id": "x", "id": "x"}\n')
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main([stage, "--config", str(config_path)]) == 1
+    assert f"error in {stage}: {name}:51: missing field {missing!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [("clusters.json", "represent"), ("representations.json", "evaluate"),
+     ("manifest.json", "collapse")],
+)
+def test_cli_names_a_corrupt_json_file_it_reads_back(tmp_path, capsys, name, stage):
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    (tmp_path / "run" / name).write_text("{", encoding="utf-8")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main([stage, "--config", str(config_path)]) == 1
+    assert f"{tmp_path / 'run' / name}: invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_names_a_corrupt_config_file(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text("{", encoding="utf-8")
+    outdir = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(outdir)]) == 2
+    assert f"configuration error: {config_path}: invalid JSON" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_cli_sweep(tmp_path):
     cfg = tiny_config(tmp_path, outdir="sweep")
     config_path = tmp_path / "cfg.json"
@@ -1110,6 +1151,26 @@ def test_cli_replay_with_record_is_usage_error_before_any_stage(tmp_path, capsys
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"extra_blocklist": "lol,meme"}, "extra_blocklist must be a list"),
+        ({"demonstrations_path": "demos.json", "num_demonstrations": 1}, "topics must be a list"),
+    ],
+)
+def test_cli_config_file_with_a_string_for_a_list_is_usage_error_before_any_stage(
+    tmp_path, capsys, monkeypatch, override, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("demos.json").write_text('[{"caption": "c", "text": "t", "topics": "Cats"}]')
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({**tiny_config(tmp_path).to_dict(), **override}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_record_without_cache_is_usage_error_before_any_stage(tmp_path, capsys):
     # Recording with nowhere to record to would drop every paid answer.
     outdir = tmp_path / "run"
@@ -1161,6 +1222,21 @@ def test_cli_bad_k_values_are_a_usage_error_before_any_stage(tmp_path, capsys, k
 def test_run_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
         RunConfig(corpus_path="memes.jsonl", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"extra_blocklist": "lol,meme"},
+        {"backend": {"refusal_phrases": "i cannot"}},
+        {"backend": {"mock_rules": "whiskers"}},
+    ],
+)
+def test_run_config_rejects_a_string_for_a_list(data):
+    # tuple() of a string is its characters: the phrase "i" would make
+    # "I think ['Politics']" a refusal.
+    with pytest.raises(ValueError, match="must be a list, not the string"):
+        RunConfig.from_dict({"corpus_path": "x", **data})
 
 
 def test_backend_config_rejects_zero_rate():

@@ -8,7 +8,6 @@ class, so seeded ladder states, large enough that top-20 sets must be
 re-cut as classes merge, are checked against the oracle too.
 """
 
-import dataclasses
 import random
 from unittest import mock
 
@@ -48,15 +47,15 @@ def collapse_inputs(draw):
     return docs, topics, k, top_n
 
 
-def collapse_top_n(state, corpus, top_n):
+def collapse_top_n(state, k, corpus, top_n):
     """collapse_wsm over top-n word sets: small n re-cuts top sets often."""
     with mock.patch.object(collapse_mod, "TOP_WORDS_FOR_SIMILARITY", top_n):
-        return collapse_wsm(state, corpus)
+        return collapse_wsm(state, k, corpus)
 
 
-def build(docs, topics, k):
+def build(docs, topics):
     corpus = corpus_from_tokens([(f"d{i}", tokens) for i, tokens in enumerate(docs)])
-    state = CollapseState(topics={label: set(ids) for label, ids in topics.items()}, k_target=k)
+    state = CollapseState(topics={label: set(ids) for label, ids in topics.items()})
     return corpus, state
 
 
@@ -69,14 +68,14 @@ def build(docs, topics, k):
 @example(([["a"], ["a"]], {"Alpha": {"d0"}, "beta": {"d1"}}, 3, 20))
 def test_incremental_wsm_matches_full_rebuild(inputs):
     docs, topics, k, top_n = inputs
-    corpus, state = build(docs, topics, k)
-    expected = wsm_oracle.collapse_wsm(state, corpus, top_n)
-    actual = collapse_top_n(state, corpus, top_n)
+    corpus, state = build(docs, topics)
+    expected = wsm_oracle.collapse_wsm(state, k, corpus, top_n)
+    actual = collapse_top_n(state, k, corpus, top_n)
     assert actual.merge_log == expected.merge_log
     assert actual.topics == expected.topics
     # A collapse continued from a larger K's result ends where a fresh one does.
-    larger = collapse_top_n(dataclasses.replace(state, k_target=k + 1), corpus, top_n)
-    continued = collapse_top_n(dataclasses.replace(larger, k_target=k), corpus, top_n)
+    larger = collapse_top_n(state, k + 1, corpus, top_n)
+    continued = collapse_top_n(larger, k, corpus, top_n)
     assert continued.merge_log == expected.merge_log
     assert continued.topics == expected.topics
 
@@ -86,7 +85,7 @@ def test_incremental_wsm_matches_full_rebuild(inputs):
 def test_index_merges_keep_fresh_top_sets(inputs, data):
     docs, topics, _, top_n = inputs
     assume(len(topics) >= 2)
-    corpus, _ = build(docs, topics, 1)
+    corpus, _ = build(docs, topics)
     live = {label: set(ids) for label, ids in topics.items()}
     index = _WordSimilarityIndex(live, corpus, top_n)
     while len(live) > 1:
@@ -133,12 +132,11 @@ def ladder_state(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_ladder_states_match_full_rebuild(seed):
     docs, topics = ladder_state(seed)
-    corpus, state = build(docs, topics, 1)
+    corpus, state = build(docs, topics)
     table = ctfidf_from_clusters(topics, corpus)
     assert max(len(counts) for counts in table.class_tf.values()) > TOP_N
     expected = {
-        k: wsm_oracle.collapse_wsm(dataclasses.replace(state, k_target=k), corpus, TOP_N)
-        for k in (1, 12)
+        k: wsm_oracle.collapse_wsm(state, k, corpus, TOP_N) for k in (1, 12)
     }
     # Top sets along the whole trajectory, not only the merges they decide.
     live = {label: set(ids) for label, ids in topics.items()}
@@ -149,10 +147,10 @@ def test_ladder_states_match_full_rebuild(seed):
         index.merge(source, target, both_docs)
         assert_index_is_fresh(index, live, corpus, TOP_N)
     for k, want in expected.items():
-        actual = collapse_wsm(dataclasses.replace(state, k_target=k), corpus)
+        actual = collapse_wsm(state, k, corpus)
         assert actual.merge_log == want.merge_log
         assert actual.topics == want.topics
-        larger = collapse_wsm(dataclasses.replace(state, k_target=k + 9), corpus)
-        continued = collapse_wsm(dataclasses.replace(larger, k_target=k), corpus)
+        larger = collapse_wsm(state, k + 9, corpus)
+        continued = collapse_wsm(larger, k, corpus)
         assert continued.merge_log == want.merge_log
         assert continued.topics == want.topics

@@ -26,10 +26,11 @@ log = logging.getLogger(__name__)
 
 def collapse_wsm(
     state: CollapseState,
+    k: int,
     corpus: Corpus,
     top_n_words: int = TOP_WORDS_FOR_SIMILARITY,
 ) -> CollapseState:
-    """Word-similarity collapse.
+    """Word-similarity collapse to k topics.
 
     Re-derives the c-TF-IDF table after every merge (merging changes the
     class documents, hence the word sets), merges the highest-similarity
@@ -38,14 +39,10 @@ def collapse_wsm(
     step is logged as a zero-similarity merge.
     """
     state = state.copy()
-    if state.non_reserved_count() < state.k_target:
-        log.warning(
-            "collapse is a no-op: %d topics is fewer than K=%d",
-            state.non_reserved_count(),
-            state.k_target,
-        )
+    if len(state.topics) < k:
+        log.warning("collapse is a no-op: %d topics is fewer than K=%d", len(state.topics), k)
         return state
-    while state.non_reserved_count() > state.k_target:
+    while len(state.topics) > k:
         table = ctfidf_from_clusters(state.topics, corpus)
         word_sets = {label: top_words(table, label, top_n_words) for label in state.topics}
         labels = sorted(state.topics)
