@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .llm import BackendConfig
-from .pipeline import PipelineStageError, RunConfig, _read_json, run_pipeline, run_stage, sweep
+from .pipeline import PipelineStageError, RunConfig, _check_k_values, _read_json
+from .pipeline import run_pipeline, run_stage, sweep
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +97,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     repair the file value it overrides. The demonstrations are built here
     too, so a bad set or count fails before any stage runs."""
     if args.config:
-        data = dict(_read_json(Path(args.config)))
+        data = _read_json(Path(args.config))
     elif args.corpus_path:
         data = {}
     else:
@@ -116,19 +117,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_k_values(text: str) -> list[int]:
-    """The K list of `sweep --k-values`: comma-separated integers, at least
-    one, each >= 1 and given once."""
+    """The K list of `sweep --k-values`: comma-separated integers sweep accepts."""
     try:
-        k_values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"--k-values must be comma-separated integers, got {text!r}") from None
-    if not k_values:
-        raise ValueError("--k-values must name at least one K")
-    if min(k_values) < 1:
-        raise ValueError(f"--k-values: every K must be >= 1, got {min(k_values)}")
-    if len(set(k_values)) < len(k_values):
-        raise ValueError(f"--k-values: each K must be given once, got {text!r}")
-    return k_values
+        return _check_k_values([int(v) for v in text.split(",") if v.strip()])
+    except ValueError as exc:
+        raise ValueError(f"--k-values {text!r}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,6 +30,19 @@ class CorpusFormatError(ValueError):
     """Raised when an input record cannot be parsed into a MemeDocument."""
 
 
+def _strings(value: object, where: str, kinds: tuple[type, ...] = (list, tuple), of=str) -> tuple:
+    """value, one of kinds holding strings (of=object: anything), as a tuple;
+    else a ValueError naming where. The one check of every list a setting or
+    a run-directory file gives: tuple() would split a string into characters."""
+    if isinstance(value, str):
+        raise ValueError(f"{where} must be a list, not the string {value!r}")
+    if not isinstance(value, kinds):
+        raise ValueError(f"{where} must be a list, not {value!r}")
+    if not all(isinstance(item, of) for item in value):
+        raise ValueError(f"{where} must hold only strings, not {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class MemeDocument:
     """One meme flattened to text, with tokens filled in by preprocess()."""
@@ -62,6 +75,10 @@ class PreprocessConfig:
     def __post_init__(self) -> None:
         if self.min_token_len < 1:
             raise ValueError("min_token_len must be >= 1")
+        # Membership in a string is a substring test: "the" would drop "he".
+        for name in ("stopwords", "extra_blocklist"):
+            words = _strings(getattr(self, name), name, (list, tuple, set, frozenset))
+            object.__setattr__(self, name, frozenset(words))
 
 
 @dataclass
@@ -153,11 +170,11 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     return Corpus(documents=documents)
 
 
-def _read_jsonl(path: str | Path, keys: Iterable[str] = ()) -> list[tuple[int, dict]]:
-    """The (line number, record) pairs of a JSONL file, blank lines skipped;
-    a line that is not a JSON object, or lacks one of keys, raises
-    CorpusFormatError naming it. With _write_jsonl, the package's one JSONL
-    codec."""
+def _read_jsonl(path: str | Path, keys: tuple = (), lists: tuple = ()) -> list[tuple[int, dict]]:
+    """The (line number, record) pairs of a JSONL file, blank lines skipped,
+    each of lists (keys too) read by _strings; a line that is not a JSON
+    object, lacks one of keys or holds a bad list raises a ValueError naming
+    it. With _write_jsonl, the package's one JSONL codec."""
     name = Path(path).name
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -173,6 +190,8 @@ def _read_jsonl(path: str | Path, keys: Iterable[str] = ()) -> list[tuple[int, d
             for key in keys:
                 if key not in record:
                     raise CorpusFormatError(f"{name}:{lineno}: missing field {key!r}")
+            for key in lists:
+                record[key] = _strings(record[key], f"{name}:{lineno}: {key}")
             rows.append((lineno, record))
     return rows
 
@@ -199,18 +218,11 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def tokenize(text: str, cfg: PreprocessConfig) -> list[str]:
-    """Split on whitespace, drop URLs/usernames, strip edge punctuation, filter.
-
-    Every surviving token is a substring-derived unit of the input after
-    case folding; the function never invents tokens.
-    """
-    return _tokenize(text, cfg, {})
-
-
 def _tokenize(text: str, cfg: PreprocessConfig, memo: dict[str, str]) -> list[str]:
-    """tokenize, cleaning each distinct word once: memo maps each word seen
-    under cfg to its token, "" for a word that is dropped."""
+    """Split on whitespace, drop URLs/usernames, strip edge punctuation,
+    filter; every token is a substring of the case-folded input. Each
+    distinct word is cleaned once: memo maps each word seen under cfg to its
+    token, "" for a word that is dropped."""
     tokens = []
     for raw in text.split():
         word = memo.get(raw)
@@ -318,9 +330,5 @@ def save_processed(corpus: Corpus, path: str | Path) -> None:
 
 def load_processed(path: str | Path) -> Corpus:
     """Read a corpus written by save_processed."""
-    return Corpus(
-        [
-            MemeDocument(record["id"], record["caption"], record["text"], tuple(record["tokens"]))
-            for _, record in _read_jsonl(path, ("id", "caption", "text", "tokens"))
-        ]
-    )
+    rows = _read_jsonl(path, ("id", "caption", "text", "tokens"), ("tokens",))
+    return Corpus([MemeDocument(r["id"], r["caption"], r["text"], r["tokens"]) for _, r in rows])

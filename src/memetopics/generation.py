@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, MemeDocument
+from .corpus import Corpus, MemeDocument, _strings
 from .llm import BackendConfig, ChatExchange, LlmGateway
 
 MISCELLANEOUS = "Miscellaneous"
@@ -64,6 +64,7 @@ class Demonstration:
     topics: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "topics", _strings(self.topics, "a demonstration's topics"))
         if not self.topics:
             raise ValueError("a demonstration needs at least one topic")
 
@@ -98,22 +99,15 @@ class DemonstrationSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DemonstrationSet":
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        return cls._from_records(data)
+        """A JSON list of {"caption", "text", "topics"} records."""
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls(tuple(Demonstration(rec["caption"], rec["text"], rec["topics"]) for rec in data))
 
     @classmethod
     def default(cls) -> "DemonstrationSet":
-        """The bundled demonstration file (8 examples)."""
-        text = resources.files("memetopics.data").joinpath("demonstrations.json").read_text("utf-8")
-        return cls._from_records(json.loads(text))
-
-    @classmethod
-    def _from_records(cls, data: list) -> "DemonstrationSet":
-        if any(isinstance(rec["topics"], str) for rec in data):
-            raise ValueError("a demonstration's topics must be a list, not a string")
-        items = (Demonstration(rec["caption"], rec["text"], tuple(rec["topics"])) for rec in data)
-        return cls(items=tuple(items))
+        """The bundled demonstration file (8 examples), read by from_file."""
+        with resources.as_file(resources.files("memetopics.data") / "demonstrations.json") as path:
+            return cls.from_file(path)
 
 
 @dataclass(frozen=True)

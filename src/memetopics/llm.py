@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
+from .corpus import _strings
+
 log = logging.getLogger(__name__)
 
 # Markers that identify a moderation block in an error body.
@@ -141,6 +143,11 @@ class BackendConfig:
             raise ValueError("replay backend cannot record")
         if self.record and not self.cache_path:
             raise ValueError("record requires cache_path")
+        self.refusal_phrases = _strings(self.refusal_phrases, "refusal_phrases")
+        rules = _strings(self.mock_rules, "mock_rules", of=object)
+        self.mock_rules = tuple(_strings(rule, f"mock_rules[{i}]") for i, rule in enumerate(rules))
+        if any(len(rule) != 2 for rule in self.mock_rules):
+            raise ValueError(f"mock_rules must be [substring, reply] pairs, not {rules}")
 
 
 @dataclass
@@ -541,10 +548,9 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
     return entry["hash"], entry["response"]
 
 
-def load_mock_rules(path: str | Path) -> tuple[tuple[str, str], ...]:
+def load_mock_rules(path: str | Path) -> list:
     """Read a mock rule table: JSON list of [substring, reply] pairs, or an
-    object whose "rules" key holds that list."""
+    object whose "rules" key holds that list. BackendConfig checks it."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
-    rules = data["rules"] if isinstance(data, dict) else data
-    return tuple((str(needle), str(reply)) for needle, reply in rules)
+    return data["rules"] if isinstance(data, dict) else data

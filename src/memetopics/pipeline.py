@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
-from .corpus import Corpus, PreprocessConfig, _read_jsonl, _write_jsonl
+from .corpus import Corpus, PreprocessConfig, _read_jsonl, _strings, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -146,6 +146,7 @@ class RunConfig:
             raise ValueError(f"unknown collapse method {self.collapse_method!r}")
         if self.representation_method not in ("ctfidf", "llm"):
             raise ValueError(f"unknown representation method {self.representation_method!r}")
+        self.extra_blocklist = _strings(self.extra_blocklist, "extra_blocklist")
 
     def variant(self) -> str:
         if self.collapse_method == "pbm" and self.representation_method == "llm":
@@ -159,17 +160,14 @@ class RunConfig:
         stopwords = corpus_mod.load_stopwords(path) if path else corpus_mod.default_stopwords()
         return PreprocessConfig(
             stopwords=stopwords,
-            extra_blocklist=frozenset(self.extra_blocklist),
+            extra_blocklist=self.extra_blocklist,
             min_token_len=self.min_token_len,
             lowercase=self.lowercase,
         )
 
     def demonstrations(self) -> DemonstrationSet:
-        demos = (
-            DemonstrationSet.from_file(self.demonstrations_path)
-            if self.demonstrations_path
-            else DemonstrationSet.default()
-        )
+        path = self.demonstrations_path
+        demos = DemonstrationSet.from_file(path) if path else DemonstrationSet.default()
         return demos.take(self.num_demonstrations)
 
     def to_dict(self) -> dict:
@@ -182,18 +180,7 @@ class RunConfig:
         rules_path = backend.pop("mock_rules_path", None)
         if rules_path:
             backend["mock_rules"] = load_mock_rules(rules_path)
-        # A string is iterable, so tuple() would split it into characters.
-        lists = {"extra_blocklist": data, "mock_rules": backend, "refusal_phrases": backend}
-        for key, where in lists.items():
-            if isinstance(where.get(key), str):
-                raise ValueError(f"{key} must be a list, not the string {where[key]!r}")
-        for key in ("mock_rules", "refusal_phrases"):
-            if key in backend:
-                backend[key] = tuple(tuple(v) if isinstance(v, list) else v for v in backend[key])
-        data["backend"] = BackendConfig(**backend)
-        if "extra_blocklist" in data:
-            data["extra_blocklist"] = tuple(data["extra_blocklist"])
-        return cls(**data)
+        return cls(**data, backend=BackendConfig(**backend))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -255,12 +242,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path) -> dict:
-    """The JSON in path; invalid JSON raises a ValueError naming the file."""
+    """The JSON object in path; anything else raises a ValueError naming the file."""
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 # -- stages ------------------------------------------------------------------
@@ -441,18 +431,23 @@ def _load_artifact(outdir: Path, name: str):
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
-        records = _read_jsonl(outdir / ASSIGNMENTS_FILE, ("doc_id", "topics", "provenance"))
-        return [
-            TopicAssignment(record["doc_id"], tuple(record["topics"]), record["provenance"])
-            for _, record in records
-        ]
+        keys = ("doc_id", "topics", "provenance")
+        rows = _read_jsonl(outdir / ASSIGNMENTS_FILE, keys, ("topics",))
+        return [TopicAssignment(r["doc_id"], r["topics"], r["provenance"]) for _, r in rows]
     if name == "state":
-        clusters = {label: set(ids) for label, ids in _read_json(outdir / CLUSTERS_FILE).items()}
+        data = _read_json(outdir / CLUSTERS_FILE)
+        clusters = {c: set(_strings(ids, f"{CLUSTERS_FILE}: {c!r}")) for c, ids in data.items()}
         misc = clusters.pop(MISCELLANEOUS, set())
         inappropriate = clusters.pop(INAPPROPRIATE, set())
         return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
-    entries = _read_json(outdir / REPRESENTATIONS_FILE)  # the representations
-    return [TopicRepresentation(topic, **entry) for topic, entry in sorted(entries.items())]
+    reps = []  # the representations
+    for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
+        where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
+        if not isinstance(entry, dict) or not {"words", "method", "backfilled"} <= entry.keys():
+            raise ValueError(f"{where} must be an object with words, method and backfilled")
+        words = list(_strings(entry["words"], f"{where}: words"))
+        reps.append(TopicRepresentation(topic, words, entry["method"], entry["backfilled"]))
+    return reps
 
 
 def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
@@ -504,6 +499,13 @@ def run_stage(cfg: RunConfig, stage: str):
     return _run(cfg, (stage,))[_FLOW[stage].makes]
 
 
+def _check_k_values(k_values: Sequence[int]) -> list[int]:
+    """k_values as a list: the check of sweep's K list, which the CLI shares."""
+    if not k_values or min(k_values) < 1 or len(set(k_values)) < len(k_values):
+        raise ValueError(f"k_values must give at least one K, each K once and >= 1, not {k_values}")
+    return list(k_values)
+
+
 def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     """One evaluation per K, reusing a single generation pass and a single
     collapse trajectory.
@@ -517,10 +519,7 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     with one row per successful K, in the order given; failures are
     recorded and the sweep continues. Each K is given once.
     """
-    if not k_values:
-        raise ValueError("k_values must not be empty")
-    if len(set(k_values)) < len(k_values):
-        raise ValueError(f"k_values must give each K once, got {list(k_values)}")
+    _check_k_values(k_values)
     root = Path(cfg.output_dir)
     sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
     gateway = LlmGateway(cfg.backend)

@@ -21,7 +21,6 @@ from memetopics.corpus import (
     load_stopwords,
     preprocess,
     save_processed,
-    tokenize,
     top_frequent_words,
 )
 
@@ -227,6 +226,12 @@ preprocess_cfgs = st.builds(
     min_token_len=st.integers(1, 3),
     lowercase=st.booleans(),
 )
+
+
+def tokenize(text, cfg):
+    """The tokens preprocess gives a one-document corpus whose caption is
+    text and whose overlay is empty."""
+    return list(preprocess(Corpus([_doc("m", text, "")]), cfg).documents[0].tokens)
 
 
 @settings(max_examples=300, deadline=None)

@@ -746,8 +746,8 @@ def test_http_calls_pass_through_limiter():
 def test_load_mock_rules_list_and_object(tmp_path):
     as_list = tmp_path / "rules1.json"
     as_list.write_text(json.dumps([["a", "['A']"]]), encoding="utf-8")
-    assert load_mock_rules(as_list) == (("a", "['A']"),)
+    assert BackendConfig(mock_rules=load_mock_rules(as_list)).mock_rules == (("a", "['A']"),)
 
     as_object = tmp_path / "rules2.json"
     as_object.write_text(json.dumps({"rules": [["b", "['B']"]]}), encoding="utf-8")
-    assert load_mock_rules(as_object) == (("b", "['B']"),)
+    assert BackendConfig(mock_rules=load_mock_rules(as_object)).mock_rules == (("b", "['B']"),)

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memetopics import (
     collapse_pbm,
@@ -28,6 +31,8 @@ from memetopics import llm as llm_mod
 from memetopics import pipeline as pipeline_mod
 from memetopics.cli import build_parser, config_from_args, main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
+from memetopics.corpus import PreprocessConfig
+from memetopics.generation import Demonstration, DemonstrationSet
 from memetopics.llm import (
     BackendConfig,
     ChatExchange,
@@ -1046,7 +1051,7 @@ FILE_CONFIG = {
             "--mock-rules",
             str(FIXTURES_DIR / "mock_rules.json"),
             "backend.mock_rules",
-            load_mock_rules(FIXTURES_DIR / "mock_rules.json"),
+            BackendConfig(mock_rules=load_mock_rules(FIXTURES_DIR / "mock_rules.json")).mock_rules,
         ),
         ("--mock-default", "['Other']", "backend.mock_default", "['Other']"),
         ("--collapse-method", "pbm", "collapse_method", "pbm"),
@@ -1237,6 +1242,197 @@ def test_run_config_rejects_a_string_for_a_list(data):
     # "I think ['Politics']" a refusal.
     with pytest.raises(ValueError, match="must be a list, not the string"):
         RunConfig.from_dict({"corpus_path": "x", **data})
+
+
+def _rules_file(tmp_path, rules):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules), encoding="utf-8")
+    return path
+
+
+def _demos_file(tmp_path):
+    path = tmp_path / "demos.json"
+    path.write_text('[{"caption": "c", "text": "t", "topics": "Cats"}]', encoding="utf-8")
+    return path
+
+
+# Each builds a setting from a bare string where a list belongs.
+STRING_SETTINGS = {
+    "BackendConfig.refusal_phrases": (
+        "refusal_phrases", lambda tmp_path: BackendConfig(refusal_phrases="i cannot")
+    ),
+    "from_dict refusal_phrases": (
+        "refusal_phrases",
+        lambda tmp_path: RunConfig.from_dict(
+            {"corpus_path": "x", "backend": {"refusal_phrases": "i cannot"}}
+        ),
+    ),
+    "from_dict mock rule": (
+        "mock_rules[1]",
+        lambda tmp_path: RunConfig.from_dict(
+            {"corpus_path": "x", "backend": {"mock_rules": [["a", "b"], "xy"]}}
+        ),
+    ),
+    "load_mock_rules rule": (
+        "mock_rules[1]",
+        lambda tmp_path: BackendConfig(
+            mock_rules=load_mock_rules(_rules_file(tmp_path, [["whiskers", "['Cats']"], "ab"]))
+        ),
+    ),
+    "RunConfig.extra_blocklist": (
+        "extra_blocklist", lambda tmp_path: RunConfig(corpus_path="x", extra_blocklist="lol")
+    ),
+    "from_dict extra_blocklist": (
+        "extra_blocklist",
+        lambda tmp_path: RunConfig.from_dict({"corpus_path": "x", "extra_blocklist": "lol"}),
+    ),
+    "PreprocessConfig.stopwords": ("stopwords", lambda tmp_path: PreprocessConfig(stopwords="the")),
+    "PreprocessConfig.extra_blocklist": (
+        "extra_blocklist", lambda tmp_path: PreprocessConfig(extra_blocklist="lol")
+    ),
+    "Demonstration.topics": ("topics", lambda tmp_path: Demonstration("c", "t", "Cats")),
+    "demonstrations file": (
+        "topics", lambda tmp_path: DemonstrationSet.from_file(_demos_file(tmp_path))
+    ),
+}
+
+
+def _with_first_jsonl_value(path, key, value):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), key: value}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _with_first_json_value(path, key, value):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    first = min(data)
+    if key is None:
+        data[first] = value
+    else:
+        data[first][key] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+# Each puts a bare string where a list belongs in a file a lone stage reads back.
+STRING_READ_BACKS = {
+    "assignments topics": (
+        "collapse", "assignments.jsonl:1: topics",
+        lambda run: _with_first_jsonl_value(run / "assignments.jsonl", "topics", "Cats"),
+    ),
+    "corpus tokens": (
+        "generate", "corpus_processed.jsonl:1: tokens",
+        lambda run: _with_first_jsonl_value(run / "corpus_processed.jsonl", "tokens", "meme"),
+    ),
+    "cluster ids": (
+        "represent", "clusters.json",
+        lambda run: _with_first_json_value(run / "clusters.json", None, "m001"),
+    ),
+    "representation words": (
+        "evaluate", "representations.json",
+        lambda run: _with_first_json_value(run / "representations.json", "words", "meme"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [*STRING_SETTINGS, *STRING_READ_BACKS])
+def test_a_string_for_a_list_is_refused_naming_the_input(tmp_path, capsys, case):
+    # tuple() and set() of a string are its characters, and membership in
+    # one is a substring test: each input below would be read wrongly.
+    if case in STRING_SETTINGS:
+        name, build = STRING_SETTINGS[case]
+        with pytest.raises(ValueError, match=rf"{re.escape(name)} must be a list, not the string"):
+            build(tmp_path)
+        return
+    stage, where, doctor = STRING_READ_BACKS[case]
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    doctor(tmp_path / "run")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main([stage, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "must be a list, not the string" in err
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ([["a", "b", "c"]], "pairs"),
+        ([["a"]], "pairs"),
+        ([["a", 3]], "mock_rules[0] must hold only strings"),
+        ({"a": "b"}, "mock_rules must be a list"),
+    ],
+)
+def test_a_mock_rule_is_a_pair_of_strings(rules, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BackendConfig(mock_rules=rules)
+
+
+@pytest.mark.parametrize(
+    "name, stage, doctor",
+    [
+        ("clusters.json", "represent", lambda path: path.write_text("[]", encoding="utf-8")),
+        (
+            "representations.json",
+            "evaluate",
+            lambda path: _with_first_json_value(path, None, {"words": ["a", "b"], "backfilled": 0}),
+        ),
+        ("representations.json", "evaluate", lambda path: path.write_text("[]", encoding="utf-8")),
+        ("manifest.json", "collapse", lambda path: path.write_text("[]", encoding="utf-8")),
+    ],
+)
+def test_cli_names_a_json_file_read_back_that_is_not_the_object_it_wrote(
+    tmp_path, capsys, name, stage, doctor
+):
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    doctor(tmp_path / "run" / name)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main([stage, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in {stage}: ") and name in err
+
+
+def test_cli_names_a_config_file_that_is_not_an_object(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text("[]", encoding="utf-8")
+    outdir = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(outdir)]) == 2
+    assert f"configuration error: {config_path}: must hold a JSON object" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+words = st.text(max_size=6)
+list_or_tuple = st.sampled_from([list, tuple])
+
+
+@st.composite
+def run_configs(draw):
+    """RunConfigs whose list fields are drawn as lists or as tuples."""
+    as_seq = draw(list_or_tuple)
+    rules = draw(st.lists(st.tuples(words, words), max_size=3))
+    backend = BackendConfig(
+        kind=draw(st.sampled_from(["mock", "http"])),
+        mock_rules=as_seq(draw(list_or_tuple)(rule) for rule in rules),
+        refusal_phrases=draw(list_or_tuple)(draw(st.lists(words, max_size=3))),
+    )
+    return RunConfig(
+        corpus_path="memes.jsonl",
+        extra_blocklist=as_seq(draw(st.lists(words, max_size=4))),
+        k=draw(st.integers(1, 50)),
+        collapse_method=draw(st.sampled_from(["pbm", "wsm"])),
+        backend=backend,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=run_configs())
+def test_a_config_read_back_from_json_equals_the_one_written(cfg):
+    hashes = {"corpus": "c", "stopwords": None, "demonstrations": None, "cache": None}
+    loaded = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert loaded == cfg
+    assert loaded.config_digest(hashes) == cfg.config_digest(hashes)
 
 
 def test_backend_config_rejects_zero_rate():
