@@ -9,13 +9,14 @@ individual flags overriding it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
+from typing import get_args
 
+from .corpus import _hints, _read_json, _typed
 from .llm import BackendConfig
-from .pipeline import PipelineStageError, RunConfig, _check_k_values, _read_json
+from .pipeline import PipelineStageError, RunConfig, _check_k_values
 from .pipeline import run_pipeline, run_stage, sweep
 
 log = logging.getLogger(__name__)
@@ -30,11 +31,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        # Each dest is the RunConfig key, or the BackendConfig one, it sets.
+        # Each dest is the RunConfig or BackendConfig key it sets, choices its Literal values.
         add = p.add_argument
         add("--config", help="JSON run configuration file")
         add("--corpus", dest="corpus_path", help="corpus file path")
-        add("--format", dest="corpus_format", choices=["jsonl", "csv"], help="corpus file format")
+        add("--format", dest="corpus_format", help="corpus file format",
+            choices=get_args(_hints(RunConfig)["corpus_format"]))
         add("--stopwords", dest="stopwords_path", help="stopword list file (one word per line)")
         add(
             "--blocklist",
@@ -45,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         add("--min-token-len", type=int, help="minimum token length")
         add("--demos", dest="demonstrations_path", help="demonstrations JSON file")
         add("--num-demos", dest="num_demonstrations", type=int, help="demonstrations per prompt")
-        add("--backend-kind", dest="kind", choices=["http", "mock", "replay"])
+        add("--backend-kind", dest="kind", choices=get_args(_hints(BackendConfig)["kind"]))
         add("--endpoint", help="chat-completions endpoint URL")
         add("--model", dest="model_name", help="model name")
         add("--max-tokens", type=int)
@@ -61,10 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         add("--mock-rules", dest="mock_rules_path", help="mock rule table JSON file")
         add("--mock-default", help="mock reply when no rule matches")
-        add("--collapse-method", choices=["pbm", "wsm"])
+        add("--collapse-method", choices=get_args(_hints(RunConfig)["collapse_method"]))
         add("--k", type=int, help="target number of topics")
         add("--window", type=int, help="candidate window size for prompt matching")
-        add("--representation", dest="representation_method", choices=["ctfidf", "llm"])
+        add("--representation", dest="representation_method",
+            choices=get_args(_hints(RunConfig)["representation_method"]))
         add("--epsilon", type=float, help="NPMI smoothing constant")
         add("--out", dest="output_dir", help="output directory")
 
@@ -86,32 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
-# mock_rules_path is the key RunConfig.from_dict loads mock_rules from.
-_BACKEND_KEYS = {f.name for f in dataclasses.fields(BackendConfig)} | {"mock_rules_path"}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file's JSON (or none) with every given flag written over
     the key it names, validated once by RunConfig.from_dict, so a flag can
-    repair the file value it overrides. The demonstrations are built here
-    too, so a bad set or count fails before any stage runs."""
+    repair the file value it overrides; an error names the file. The
+    demonstrations are built here too, so a bad set or count fails before
+    any stage runs."""
     if args.config:
-        data = _read_json(Path(args.config))
+        data = _read_json(args.config)
     elif args.corpus_path:
         data = {}
     else:
         raise ValueError("either --config or --corpus is required")
-    backend = dict(data.get("backend", {}))
-    for key, value in vars(args).items():
-        if value is None:
-            continue
-        if key in _RUN_KEYS:
-            data[key] = value
-        elif key in _BACKEND_KEYS:
-            backend[key] = value
-    data["backend"] = backend
-    cfg = RunConfig.from_dict(data)
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    data.update((key, flags[key]) for key in flags.keys() & _hints(RunConfig).keys())
+    # mock_rules_path is the key RunConfig.from_dict loads mock_rules from.
+    backend_keys = _hints(BackendConfig).keys() | {"mock_rules_path"}
+    backend = {key: flags[key] for key in flags.keys() & backend_keys}
+    try:
+        data["backend"] = {**_typed(data.get("backend", {}), dict, "backend"), **backend}
+        cfg = RunConfig.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
     cfg.demonstrations()
     return cfg
 
@@ -134,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config_from_args(args)
         if args.command == "sweep":
             k_values = _parse_k_values(args.k_values)
-    except (OSError, ValueError, TypeError, LookupError) as exc:
+    except (OSError, ValueError, LookupError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

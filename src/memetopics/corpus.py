@@ -6,8 +6,7 @@ from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
 counted once per corpus when first read, and co-occurrences of a chosen
 word set, counted from postings built in one pass over the documents.
-It also holds the package's one JSONL codec, for corpus input and for
-every JSONL file of a run directory.
+It also holds the package's one JSONL codec, JSON reader and type rule.
 """
 
 from __future__ import annotations
@@ -17,10 +16,11 @@ import functools
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from types import NoneType, UnionType
+from typing import Iterable, Literal, Mapping, Union, get_args, get_origin, get_type_hints
 
 URL_PREFIXES = ("http://", "https://", "www.")
 USERNAME_PREFIX = "@"
@@ -30,17 +30,47 @@ class CorpusFormatError(ValueError):
     """Raised when an input record cannot be parsed into a MemeDocument."""
 
 
-def _strings(value: object, where: str, kinds: tuple[type, ...] = (list, tuple), of=str) -> tuple:
-    """value, one of kinds holding strings (of=object: anything), as a tuple;
-    else a ValueError naming where. The one check of every list a setting or
-    a run-directory file gives: tuple() would split a string into characters."""
-    if isinstance(value, str):
-        raise ValueError(f"{where} must be a list, not the string {value!r}")
-    if not isinstance(value, kinds):
-        raise ValueError(f"{where} must be a list, not {value!r}")
-    if not all(isinstance(item, of) for item in value):
-        raise ValueError(f"{where} must hold only strings, not {value!r}")
-    return tuple(value)
+_LISTS = {tuple: (list, tuple), frozenset: (list, tuple, set, frozenset)}  # how a list may come
+_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+          dict: "a JSON object", list: "a JSON list"}
+
+
+def _typed(value: object, hint: object, where: str):
+    """value checked against the annotation hint (str; bool; int, never a bool; float, an int
+    kept as is; X | None; Literal; a class; tuple[X, ...], tuple[str, str] or frozenset[str],
+    made so from a list, never a string), else a ValueError naming where: the one type rule."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        if value in args:
+            return value
+        raise ValueError(f"{where} must be one of {', '.join(map(repr, args))}, not {value!r}")
+    if origin in (Union, UnionType):  # X | None
+        return None if value is None and NoneType in args else _typed(value, args[0], where)
+    if origin in _LISTS:
+        if isinstance(value, str) or not isinstance(value, _LISTS[origin]):
+            shown = f"the string {value!r}" if isinstance(value, str) else repr(value)
+            raise ValueError(f"{where} must be a list, not {shown}")
+        if origin is tuple and args[-1] is not Ellipsis and len(value) != len(args):
+            raise ValueError(f"{where} must hold {len(args)} items, not {value!r}")
+        if args[0] is not str:
+            return origin(_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value))
+        if not all(isinstance(item, str) for item in value):  # one flat scan
+            raise ValueError(f"{where} must hold only strings, not {value!r}")
+        return origin(value)
+    kinds = (int, float) if hint is float else hint
+    if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(f"{where} must be {_KINDS.get(hint, f'a {hint.__name__}')}, not {value!r}")
+
+
+_hints = functools.cache(get_type_hints)  # a class's annotations, resolved once
+
+
+def _check_fields(obj: object) -> None:
+    """Run each field of the dataclass obj through _typed, naming the field."""
+    hints = _hints(type(obj))
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, _typed(getattr(obj, f.name), hints[f.name], f.name))
 
 
 @dataclass(frozen=True)
@@ -73,12 +103,9 @@ class PreprocessConfig:
     lowercase: bool = True
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.min_token_len < 1:
             raise ValueError("min_token_len must be >= 1")
-        # Membership in a string is a substring test: "the" would drop "he".
-        for name in ("stopwords", "extra_blocklist"):
-            words = _strings(getattr(self, name), name, (list, tuple, set, frozenset))
-            object.__setattr__(self, name, frozenset(words))
 
 
 @dataclass
@@ -170,11 +197,23 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     return Corpus(documents=documents)
 
 
+def _read_json(path: str | Path, kind: type = dict):
+    """The JSON value in path, a kind (dict, list or object), else a ValueError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, kind):
+        raise ValueError(f"{path}: must hold {_KINDS[kind]}, not {type(data).__name__}")
+    return data
+
+
 def _read_jsonl(path: str | Path, keys: tuple = (), lists: tuple = ()) -> list[tuple[int, dict]]:
     """The (line number, record) pairs of a JSONL file, blank lines skipped,
-    each of lists (keys too) read by _strings; a line that is not a JSON
-    object, lacks one of keys or holds a bad list raises a ValueError naming
-    it. With _write_jsonl, the package's one JSONL codec."""
+    each of lists (keys too) a tuple of strings by _typed; a line that is
+    not a JSON object, lacks one of keys or holds a bad list raises a
+    ValueError naming it. With _write_jsonl, the package's one JSONL codec."""
     name = Path(path).name
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -191,7 +230,7 @@ def _read_jsonl(path: str | Path, keys: tuple = (), lists: tuple = ()) -> list[t
                 if key not in record:
                     raise CorpusFormatError(f"{name}:{lineno}: missing field {key!r}")
             for key in lists:
-                record[key] = _strings(record[key], f"{name}:{lineno}: {key}")
+                record[key] = _typed(record[key], tuple[str, ...], f"{name}:{lineno}: {key}")
             rows.append((lineno, record))
     return rows
 

@@ -9,7 +9,6 @@ document is ever dropped.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, MemeDocument, _strings
+from .corpus import Corpus, MemeDocument, _check_fields, _read_json
 from .llm import BackendConfig, ChatExchange, LlmGateway
 
 MISCELLANEOUS = "Miscellaneous"
@@ -64,9 +63,9 @@ class Demonstration:
     topics: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topics", _strings(self.topics, "a demonstration's topics"))
+        _check_fields(self)
         if not self.topics:
-            raise ValueError("a demonstration needs at least one topic")
+            raise ValueError("topics must hold at least one topic")
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,14 @@ class DemonstrationSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DemonstrationSet":
-        """A JSON list of {"caption", "text", "topics"} records."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(tuple(Demonstration(rec["caption"], rec["text"], rec["topics"]) for rec in data))
+        """A JSON list of {"caption", "text", "topics"} records; errors name the file."""
+        data = _read_json(path, list)
+        if not all(isinstance(r, dict) and {"caption", "text", "topics"} <= r.keys() for r in data):
+            raise ValueError(f"{path}: each demonstration must hold caption, text and topics")
+        try:
+            return cls(tuple(Demonstration(r["caption"], r["text"], r["topics"]) for r in data))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "DemonstrationSet":

@@ -39,9 +39,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Literal, NamedTuple, TypeVar
 
-from .corpus import _strings
+from .corpus import _check_fields, _read_json, _typed
 
 log = logging.getLogger(__name__)
 
@@ -103,18 +103,18 @@ class ChatExchange:
 
 @dataclass
 class BackendConfig:
-    """How to reach (or fake) the model.
-
-    kind selects the backend: "http" for a live endpoint, "mock" for the
-    scripted rule table, "replay" for the response cache alone. With a
-    cache_path every backend serves recorded responses first; record=True
-    makes http and mock append each answer to a miss to cache_path, which
-    it then requires (replay cannot record).
-    Mock rules are not part of the request hash, so a cache recorded under
-    other rules keeps serving their answers.
+    """How to reach (or fake) the model; each field is checked against its
+    annotation on construction, so mock_rules is a list of [substring,
+    reply] string pairs. kind selects the backend: "http" for a live
+    endpoint, "mock" for the scripted rule table, "replay" for the response
+    cache alone. With a cache_path every backend serves recorded responses
+    first; record=True makes http and mock append each answer to a miss to
+    cache_path, which it then requires (replay cannot record). Mock rules
+    are not part of the request hash, so a cache recorded under other rules
+    keeps serving their answers.
     """
 
-    kind: str = "mock"
+    kind: Literal["http", "mock", "replay"] = "mock"
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model_name: str = "mock-model"
     max_tokens: int = 256
@@ -130,12 +130,10 @@ class BackendConfig:
     refusal_phrases: tuple[str, ...] = DEFAULT_REFUSAL_PHRASES
 
     def __post_init__(self) -> None:
-        if self.kind not in ("http", "mock", "replay"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.requests_per_minute < 1:
-            raise ValueError("requests_per_minute must be >= 1")
+        _check_fields(self)
+        for name, low in (("max_retries", 0), ("requests_per_minute", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.kind == "replay" and not self.cache_path:
             raise ValueError("replay backend requires cache_path")
         if self.kind == "replay" and self.record:
@@ -143,11 +141,6 @@ class BackendConfig:
             raise ValueError("replay backend cannot record")
         if self.record and not self.cache_path:
             raise ValueError("record requires cache_path")
-        self.refusal_phrases = _strings(self.refusal_phrases, "refusal_phrases")
-        rules = _strings(self.mock_rules, "mock_rules", of=object)
-        self.mock_rules = tuple(_strings(rule, f"mock_rules[{i}]") for i, rule in enumerate(rules))
-        if any(len(rule) != 2 for rule in self.mock_rules):
-            raise ValueError(f"mock_rules must be [substring, reply] pairs, not {rules}")
 
 
 @dataclass
@@ -548,9 +541,9 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
     return entry["hash"], entry["response"]
 
 
-def load_mock_rules(path: str | Path) -> list:
-    """Read a mock rule table: JSON list of [substring, reply] pairs, or an
-    object whose "rules" key holds that list. BackendConfig checks it."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    return data["rules"] if isinstance(data, dict) else data
+def load_mock_rules(path: str | Path) -> tuple[tuple[str, str], ...]:
+    """Read a mock rule table: a JSON list of [substring, reply] pairs, or an
+    object with that list under "rules"; else a ValueError naming the file."""
+    data = _read_json(path, object)
+    rules = data["rules"] if isinstance(data, dict) and "rules" in data else data
+    return _typed(rules, tuple[tuple[str, str], ...], f"{path}: mock_rules")

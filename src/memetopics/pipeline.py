@@ -5,8 +5,8 @@ One table, _FLOW, says what each stage reads, the artifact it makes, the
 files it writes and the manifest entries it sets. Each stage writes its
 artifact into the run directory, so a run can be inspected and replayed,
 and hands it to the next stage in memory. This module owns the run
-directory, through one JSON codec of its own and corpus.py's JSONL codec,
-the package's one. One driver, _run_stages, runs the stages for
+directory, through a JSON writer of its own and corpus.py's JSON reader
+and JSONL codec. One driver, _run_stages, runs the stages for
 run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
 from stage s first clears what the last run of s and of every later stage
 left (from preprocess, a sweep's output too). One function, _run, serves
@@ -28,11 +28,12 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
-from .corpus import Corpus, PreprocessConfig, _read_jsonl, _strings, _write_jsonl
+from .corpus import Corpus, PreprocessConfig, _check_fields, _read_json, _read_jsonl, _typed
+from .corpus import _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -107,16 +108,15 @@ class PipelineStageError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, loadable from one JSON file.
-
-    The two method combinations matching the reference setups are labeled
-    "pbm" (prompt collapse + prompted representation) and "wsm" (word
-    similarity collapse + weight-ranked representation); anything else is
-    "custom".
+    """Everything a run needs, loadable from one JSON file; each field is
+    checked against its annotation on construction (corpus._typed). The
+    method combinations of the reference setups are labeled "pbm" (prompt
+    collapse + prompted representation) and "wsm" (word similarity collapse
+    + weight-ranked representation); anything else is "custom".
     """
 
     corpus_path: str
-    corpus_format: str = "jsonl"
+    corpus_format: Literal["jsonl", "csv"] = "jsonl"
     stopwords_path: str | None = None
     extra_blocklist: tuple[str, ...] = ()
     min_token_len: int = 1
@@ -124,29 +124,20 @@ class RunConfig:
     demonstrations_path: str | None = None
     num_demonstrations: int = 8
     backend: BackendConfig = field(default_factory=BackendConfig)
-    collapse_method: str = "wsm"
+    collapse_method: Literal["pbm", "wsm"] = "wsm"
     k: int = 10
     window: int = DEFAULT_WINDOW
-    representation_method: str = "ctfidf"
+    representation_method: Literal["ctfidf", "llm"] = "ctfidf"
     epsilon: float = DEFAULT_EPSILON
     output_dir: str = "run_output"
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.num_demonstrations < 1:
-            raise ValueError("num_demonstrations must be >= 1")
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
+        _check_fields(self)
+        for name, low in (("k", 1), ("num_demonstrations", 1), ("min_token_len", 1), ("window", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.collapse_method not in ("pbm", "wsm"):
-            raise ValueError(f"unknown collapse method {self.collapse_method!r}")
-        if self.representation_method not in ("ctfidf", "llm"):
-            raise ValueError(f"unknown representation method {self.representation_method!r}")
-        self.extra_blocklist = _strings(self.extra_blocklist, "extra_blocklist")
 
     def variant(self) -> str:
         if self.collapse_method == "pbm" and self.representation_method == "llm":
@@ -168,6 +159,9 @@ class RunConfig:
     def demonstrations(self) -> DemonstrationSet:
         path = self.demonstrations_path
         demos = DemonstrationSet.from_file(path) if path else DemonstrationSet.default()
+        if self.num_demonstrations > len(demos.items):
+            raise ValueError(f"num_demonstrations is {self.num_demonstrations}, but "
+                             f"{path or 'the bundled set'} holds {len(demos.items)}")
         return demos.take(self.num_demonstrations)
 
     def to_dict(self) -> dict:
@@ -175,16 +169,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        backend = dict(data.pop("backend", {}))
-        rules_path = backend.pop("mock_rules_path", None)
-        if rules_path:
-            backend["mock_rules"] = load_mock_rules(rules_path)
-        return cls(**data, backend=BackendConfig(**backend))
+        """The config of a JSON object whose backend may name mock_rules_path,
+        the file mock_rules is loaded from; an unknown or missing key is named."""
+        backend = dict(_typed(data.get("backend", {}), dict, "backend"))
+        path = _typed(backend.pop("mock_rules_path", None), str | None, "backend.mock_rules_path")
+        if path:
+            backend["mock_rules"] = load_mock_rules(path)
+        backend = BackendConfig(**_keywords(BackendConfig, backend, "backend."))
+        return cls(**_keywords(cls, {**data, "backend": backend}, ""))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(_read_json(Path(path)))
+        return cls.from_dict(_read_json(path))
 
     def input_hashes(self, gateway: LlmGateway) -> dict:
         """SHA-256 of every input file by role, None for a role without one. A
@@ -214,6 +210,16 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _keywords(cls: type, data: dict, where: str) -> dict:
+    """data, keyword arguments of the dataclass cls; an unknown or missing key is named."""
+    fields = dataclasses.fields(cls)
+    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+    bad = sorted(data.keys() - {f.name for f in fields}) or sorted(required - data.keys())
+    if bad:
+        raise ValueError(f"{'unknown' if bad[0] in data else 'missing'} key {where}{bad[0]}")
+    return data
+
+
 def _file_sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -225,7 +231,7 @@ def _file_sha256(path: str | Path) -> str:
 # -- run-directory files -----------------------------------------------------
 #
 # JSON keys sorted, text ASCII-escaped, one indented object and a final
-# newline. JSONL goes through corpus.py's codec.
+# newline. JSON is read, and JSONL read and written, through corpus.py.
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -239,18 +245,6 @@ def _write_json(path: Path, payload: dict) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _read_json(path: Path) -> dict:
-    """The JSON object in path; anything else raises a ValueError naming the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: must hold a JSON object, not {type(data).__name__}")
-    return data
 
 
 # -- stages ------------------------------------------------------------------
@@ -435,8 +429,9 @@ def _load_artifact(outdir: Path, name: str):
         rows = _read_jsonl(outdir / ASSIGNMENTS_FILE, keys, ("topics",))
         return [TopicAssignment(r["doc_id"], r["topics"], r["provenance"]) for _, r in rows]
     if name == "state":
-        data = _read_json(outdir / CLUSTERS_FILE)
-        clusters = {c: set(_strings(ids, f"{CLUSTERS_FILE}: {c!r}")) for c, ids in data.items()}
+        clusters = {}
+        for c, ids in _read_json(outdir / CLUSTERS_FILE).items():
+            clusters[c] = set(_typed(ids, tuple[str, ...], f"{CLUSTERS_FILE}: {c!r}"))
         misc = clusters.pop(MISCELLANEOUS, set())
         inappropriate = clusters.pop(INAPPROPRIATE, set())
         return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
@@ -445,7 +440,7 @@ def _load_artifact(outdir: Path, name: str):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
         if not isinstance(entry, dict) or not {"words", "method", "backfilled"} <= entry.keys():
             raise ValueError(f"{where} must be an object with words, method and backfilled")
-        words = list(_strings(entry["words"], f"{where}: words"))
+        words = list(_typed(entry["words"], tuple[str, ...], f"{where}: words"))
         reps.append(TopicRepresentation(topic, words, entry["method"], entry["backfilled"]))
     return reps
 

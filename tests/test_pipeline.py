@@ -1357,8 +1357,9 @@ def test_a_string_for_a_list_is_refused_naming_the_input(tmp_path, capsys, case)
 @pytest.mark.parametrize(
     "rules, message",
     [
-        ([["a", "b", "c"]], "pairs"),
-        ([["a"]], "pairs"),
+        # The pair length is checked by the type rule, which counts items.
+        pytest.param([["a", "b", "c"]], "mock_rules[0] must hold 2 items", id="rules0-pairs"),
+        pytest.param([["a"]], "mock_rules[0] must hold 2 items", id="rules1-pairs"),
         ([["a", 3]], "mock_rules[0] must hold only strings"),
         ({"a": "b"}, "mock_rules must be a list"),
     ],
