@@ -109,9 +109,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     try:
         data["backend"] = {**_typed(data.get("backend", {}), dict, "backend"), **backend}
         cfg = RunConfig.from_dict(data)
+        cfg.demonstrations()
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
-    cfg.demonstrations()
     return cfg
 
 

@@ -6,7 +6,8 @@ from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
 counted once per corpus when first read, and co-occurrences of a chosen
 word set, counted from postings built in one pass over the documents.
-It also holds the package's one JSONL codec, JSON reader and type rule.
+It also holds the package's one JSONL codec, JSON reader and type rule, and
+_record, the one rule that builds a record read from a file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
@@ -30,15 +31,15 @@ class CorpusFormatError(ValueError):
     """Raised when an input record cannot be parsed into a MemeDocument."""
 
 
-_LISTS = {tuple: (list, tuple), frozenset: (list, tuple, set, frozenset)}  # how a list may come
+_LISTS = {tuple: (list, tuple), list: (list, tuple), frozenset: (list, tuple, set, frozenset)}
 _KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
           dict: "a JSON object", list: "a JSON list"}
 
 
 def _typed(value: object, hint: object, where: str):
     """value checked against the annotation hint (str; bool; int, never a bool; float, an int
-    kept as is; X | None; Literal; a class; tuple[X, ...], tuple[str, str] or frozenset[str],
-    made so from a list, never a string), else a ValueError naming where: the one type rule."""
+    kept as is; X | None; Literal; a class; tuple[X, ...], tuple[str, str], list[X] or
+    frozenset[str], made so from a list, never a string), else a ValueError naming where."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Literal:
         if value in args:
@@ -71,6 +72,20 @@ def _check_fields(obj: object) -> None:
     hints = _hints(type(obj))
     for f in fields(obj):
         object.__setattr__(obj, f.name, _typed(getattr(obj, f.name), hints[f.name], f.name))
+
+
+def _record(cls: type, data: object, where: str, renamed: Mapping[str, str] | None = None):
+    """The dataclass cls built from the JSON object data, renamed mapping a key to the field it
+    fills; an unknown or missing key, or a value _typed refuses, is a ValueError naming it after
+    where, which ends in its separator ("backend.", "file:3: "); without it, where names data."""
+    data = _typed(data, dict, where.rstrip(": .") or "record")
+    keys = {f.name: f.name for f in fields(cls)} | {v: k for k, v in (renamed or {}).items()}
+    required = {keys[f.name] for f in fields(cls) if f.default is f.default_factory is MISSING}
+    bad = sorted(data.keys() - keys.values()) or sorted(required - data.keys())
+    if bad:
+        raise ValueError(f"{'unknown' if bad[0] in data else 'missing'} key {where}{bad[0]}")
+    hints = _hints(cls)
+    return cls(**{f: _typed(data[k], hints[f], where + k) for f, k in keys.items() if k in data})
 
 
 @dataclass(frozen=True)
@@ -209,11 +224,10 @@ def _read_json(path: str | Path, kind: type = dict):
     return data
 
 
-def _read_jsonl(path: str | Path, keys: tuple = (), lists: tuple = ()) -> list[tuple[int, dict]]:
-    """The (line number, record) pairs of a JSONL file, blank lines skipped,
-    each of lists (keys too) a tuple of strings by _typed; a line that is
-    not a JSON object, lacks one of keys or holds a bad list raises a
-    ValueError naming it. With _write_jsonl, the package's one JSONL codec."""
+def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """The (line number, record) pairs of a JSONL file, blank lines skipped;
+    a line that is not a JSON object raises a ValueError naming it. With
+    _write_jsonl, the package's one JSONL codec."""
     name = Path(path).name
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -226,11 +240,6 @@ def _read_jsonl(path: str | Path, keys: tuple = (), lists: tuple = ()) -> list[t
                 raise CorpusFormatError(f"{name}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{name}:{lineno}: record must be a JSON object")
-            for key in keys:
-                if key not in record:
-                    raise CorpusFormatError(f"{name}:{lineno}: missing field {key!r}")
-            for key in lists:
-                record[key] = _typed(record[key], tuple[str, ...], f"{name}:{lineno}: {key}")
             rows.append((lineno, record))
     return rows
 
@@ -358,6 +367,10 @@ def cooccurrence_counts(corpus: Corpus, words: Iterable[str]) -> Cooccurrence:
     return Cooccurrence(postings, corpus.total_docs)
 
 
+# A record file names a meme's superimposed text "text", MemeDocument overlay_text.
+_TEXT = {"text": "overlay_text"}
+
+
 def save_processed(corpus: Corpus, path: str | Path) -> None:
     """Write a processed corpus as JSONL, one record per document."""
     records = (
@@ -368,6 +381,10 @@ def save_processed(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_processed(path: str | Path) -> Corpus:
-    """Read a corpus written by save_processed."""
-    rows = _read_jsonl(path, ("id", "caption", "text", "tokens"), ("tokens",))
-    return Corpus([MemeDocument(r["id"], r["caption"], r["text"], r["tokens"]) for _, r in rows])
+    """Read a corpus written by save_processed; an error names the file."""
+    name = Path(path).name
+    rows = _read_jsonl(path)
+    try:
+        return Corpus([_record(MemeDocument, r, f"{name}:{n}: ", _TEXT) for n, r in rows])
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{name}: {exc}") from None

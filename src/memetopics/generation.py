@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
-from .corpus import Corpus, MemeDocument, _check_fields, _read_json
+from .corpus import _TEXT, Corpus, MemeDocument, _check_fields, _hints, _read_json, _record
 from .llm import BackendConfig, ChatExchange, LlmGateway
 
 MISCELLANEOUS = "Miscellaneous"
@@ -100,10 +100,9 @@ class DemonstrationSet:
     def from_file(cls, path: str | Path) -> "DemonstrationSet":
         """A JSON list of {"caption", "text", "topics"} records; errors name the file."""
         data = _read_json(path, list)
-        if not all(isinstance(r, dict) and {"caption", "text", "topics"} <= r.keys() for r in data):
-            raise ValueError(f"{path}: each demonstration must hold caption, text and topics")
         try:
-            return cls(tuple(Demonstration(r["caption"], r["text"], r["topics"]) for r in data))
+            items = (_record(Demonstration, r, f"[{i}].", _TEXT) for i, r in enumerate(data))
+            return cls(tuple(items))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -120,7 +119,7 @@ class TopicAssignment:
 
     doc_id: str
     topics: tuple[str, ...]
-    provenance: str  # generated | miscellaneous | inappropriate
+    provenance: Literal["generated", "miscellaneous", "inappropriate"]
 
 
 def format_topic_list(topics: Sequence[str]) -> str:
@@ -234,4 +233,4 @@ def generate_topics(
 
 def provenance_counts(assignments: Iterable[TopicAssignment]) -> dict[str, int]:
     counts = Counter(a.provenance for a in assignments)
-    return {key: counts.get(key, 0) for key in ("generated", "miscellaneous", "inappropriate")}
+    return {key: counts.get(key, 0) for key in get_args(_hints(TopicAssignment)["provenance"])}

@@ -355,21 +355,20 @@ class LlmGateway:
         under one lock, so the index serves the answer a later replay will."""
         usage = {"prompt": outcome.token_usage.prompt, "completion": outcome.token_usage.completion}
         response = {"status": outcome.status, "text": outcome.text, "usage": usage}
-        entry = {
-            "hash": digest,
-            "model": self.cfg.model_name,
-            "request": {
-                "system": exchange.system,
-                "turns": [[role, content] for role, content in exchange.turns],
-                "query": exchange.query,
-            },
-            "response": response,
-        }
-        line = json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n"
         with self._cache_lock:
             if self.cfg.record and self.cfg.cache_path:
+                entry = {
+                    "hash": digest,
+                    "model": self.cfg.model_name,
+                    "request": {
+                        "system": exchange.system,
+                        "turns": [[role, content] for role, content in exchange.turns],
+                        "query": exchange.query,
+                    },
+                    "response": response,
+                }
                 with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
-                    f.write(line)
+                    f.write(json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n")
             self._cache.index[digest] = response
 
     # -- http ---------------------------------------------------------------

@@ -26,14 +26,15 @@ import logging
 import os
 import re
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
-from .corpus import Corpus, PreprocessConfig, _check_fields, _read_json, _read_jsonl, _typed
-from .corpus import _write_jsonl
+from .corpus import Corpus, PreprocessConfig, _check_fields, _read_json, _read_jsonl, _record
+from .corpus import _typed, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -45,7 +46,7 @@ from .generation import (
     provenance_counts,
 )
 from .llm import BackendConfig, LlmGateway, TokenUsage, load_mock_rules
-from .representation import TopicRepresentation, represent_ctfidf, represent_llm
+from .representation import TopicRepresentation, _Method, represent_ctfidf, represent_llm
 
 log = logging.getLogger(__name__)
 
@@ -127,7 +128,7 @@ class RunConfig:
     collapse_method: Literal["pbm", "wsm"] = "wsm"
     k: int = 10
     window: int = DEFAULT_WINDOW
-    representation_method: Literal["ctfidf", "llm"] = "ctfidf"
+    representation_method: _Method = "ctfidf"
     epsilon: float = DEFAULT_EPSILON
     output_dir: str = "run_output"
 
@@ -158,7 +159,10 @@ class RunConfig:
 
     def demonstrations(self) -> DemonstrationSet:
         path = self.demonstrations_path
-        demos = DemonstrationSet.from_file(path) if path else DemonstrationSet.default()
+        try:
+            demos = DemonstrationSet.from_file(path) if path else DemonstrationSet.default()
+        except OSError as exc:
+            raise ValueError(f"demonstrations_path: {exc}") from None
         if self.num_demonstrations > len(demos.items):
             raise ValueError(f"num_demonstrations is {self.num_demonstrations}, but "
                              f"{path or 'the bundled set'} holds {len(demos.items)}")
@@ -170,13 +174,16 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """The config of a JSON object whose backend may name mock_rules_path,
-        the file mock_rules is loaded from; an unknown or missing key is named."""
+        the file mock_rules is loaded from; a bad key or value is named (corpus._record)."""
         backend = dict(_typed(data.get("backend", {}), dict, "backend"))
         path = _typed(backend.pop("mock_rules_path", None), str | None, "backend.mock_rules_path")
         if path:
-            backend["mock_rules"] = load_mock_rules(path)
-        backend = BackendConfig(**_keywords(BackendConfig, backend, "backend."))
-        return cls(**_keywords(cls, {**data, "backend": backend}, ""))
+            try:
+                backend["mock_rules"] = load_mock_rules(path)
+            except OSError as exc:
+                raise ValueError(f"backend.mock_rules_path: {exc}") from None
+        backend = _record(BackendConfig, backend, "backend.")
+        return _record(cls, {**data, "backend": backend}, "")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -208,16 +215,6 @@ class RunConfig:
         payload["inputs"] = input_hashes
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _keywords(cls: type, data: dict, where: str) -> dict:
-    """data, keyword arguments of the dataclass cls; an unknown or missing key is named."""
-    fields = dataclasses.fields(cls)
-    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
-    bad = sorted(data.keys() - {f.name for f in fields}) or sorted(required - data.keys())
-    if bad:
-        raise ValueError(f"{'unknown' if bad[0] in data else 'missing'} key {where}{bad[0]}")
-    return data
 
 
 def _file_sha256(path: str | Path) -> str:
@@ -425,9 +422,8 @@ def _load_artifact(outdir: Path, name: str):
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
-        keys = ("doc_id", "topics", "provenance")
-        rows = _read_jsonl(outdir / ASSIGNMENTS_FILE, keys, ("topics",))
-        return [TopicAssignment(r["doc_id"], r["topics"], r["provenance"]) for _, r in rows]
+        rows = _read_jsonl(outdir / ASSIGNMENTS_FILE)
+        return [_record(TopicAssignment, r, f"{ASSIGNMENTS_FILE}:{n}: ") for n, r in rows]
     if name == "state":
         clusters = {}
         for c, ids in _read_json(outdir / CLUSTERS_FILE).items():
@@ -438,11 +434,22 @@ def _load_artifact(outdir: Path, name: str):
     reps = []  # the representations
     for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
-        if not isinstance(entry, dict) or not {"words", "method", "backfilled"} <= entry.keys():
-            raise ValueError(f"{where} must be an object with words, method and backfilled")
-        words = list(_typed(entry["words"], tuple[str, ...], f"{where}: words"))
-        reps.append(TopicRepresentation(topic, words, entry["method"], entry["backfilled"]))
+        entry = {"topic": topic, **_typed(entry, dict, where)}
+        reps.append(_record(TopicRepresentation, entry, f"{where}: "))
     return reps
+
+
+def _check_assignments(corpus: Corpus, assignments: list[TopicAssignment]) -> None:
+    """Assignments read back put each corpus document in a cluster exactly once;
+    else a ValueError naming the file and the first document that breaks it."""
+    # A generated assignment without a topic puts its document in no cluster.
+    surplus = Counter(a.doc_id for a in assignments if a.topics or a.provenance != "generated")
+    surplus.subtract(doc.id for doc in corpus.documents)
+    for doc_id, n in surplus.items():
+        if n:
+            how = "to no cluster, though" if n < 0 else "more often than"
+            raise ValueError(f"{ASSIGNMENTS_FILE} assigns document {doc_id!r} {how} "
+                             f"{PROCESSED_CORPUS_FILE} holds it")
 
 
 def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
@@ -465,6 +472,8 @@ def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     for name in reads:
         if name not in artifacts:
             artifacts[name] = _load_artifact(outdir, name)
+    if "assignments" in reads:  # read back: no document may go missing
+        _check_assignments(artifacts["corpus"], artifacts["assignments"])
     if fresh:
         digest = cfg.config_digest(artifacts["input_hashes"])
         manifest = {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}

@@ -12,11 +12,14 @@ back to the direct route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 from .ctfidf import CtfidfTable, top_words
 from .generation import TopicParseError, format_topic_list, parse_topic_list
 from .llm import ChatExchange, LlmGateway
+
+# The two routes to a representation, each a representation_method of a run.
+_Method = Literal["ctfidf", "llm"]
 
 REPRESENTATION_SIZE = 10
 CANDIDATE_POOL_SIZE = 100
@@ -73,7 +76,7 @@ class TopicRepresentation:
 
     topic: str
     words: list[str]
-    method: str  # ctfidf | llm
+    method: _Method
     backfilled: int = 0
     dropped: int = 0
     fallback: bool = False

@@ -3,11 +3,16 @@
 A bad value in a config file, a demonstrations file or a mock-rules file
 ends `memetopics run` with exit 2 before any directory is made, naming the
 key and the file it came from. No number or boolean is opened as a path.
+A record a lone stage reads back goes through the same rule: a bad one
+ends the stage with exit 1 naming its file, and none loses a document.
 """
 
+import contextlib
 import copy
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from functools import reduce
@@ -60,7 +65,7 @@ BAD_VALUES = [
     ("output_dir", None, "output_dir must be a string, not None"),
     ("k", True, "k must be an integer, not True"),
     ("lowercase", "no", "lowercase must be true or false, not 'no'"),
-    ("backend.model_name", 5, "model_name must be a string, not 5"),
+    ("backend.model_name", 5, "backend.model_name must be a string, not 5"),
     ("corpus_format", "xml", "corpus_format must be one of 'jsonl', 'csv', not 'xml'"),
     ("backend", "mock", "backend must be a JSON object, not 'mock'"),
     ("backend.bogus", 1, "unknown key backend.bogus"),
@@ -115,6 +120,18 @@ def test_a_number_for_a_path_is_a_usage_error_and_opens_nothing(tmp_path, key, v
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("key", ["demonstrations_path", "backend.mock_rules_path"])
+def test_a_missing_input_file_is_a_usage_error_naming_key_and_file(
+    tmp_path, monkeypatch, capsys, key
+):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(replay_config(**{key: "x"})), encoding="utf-8")
+    assert main(["run", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cfg.json: {key}: [Errno 2] No such file" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def _flag_run(tmp_path, *flags) -> list[str]:
     return [
         "run",
@@ -133,7 +150,7 @@ BAD_FILES = {
     "demo without text": (
         "--demos",
         [{"caption": "c", "topics": ["Cats"]}],
-        "each demonstration must hold caption, text and topics",
+        "missing key [0].text",
     ),
     "demo with no topic": (
         "--demos", [{"caption": "c", "text": "t", "topics": []}], "topics must hold at least one"
@@ -300,3 +317,73 @@ def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, data):
         for obj in (cfg, cfg.backend):
             for key, hint in _hints(type(obj)).items():
                 _typed(getattr(obj, key), hint, key)
+
+
+# -- one mutated node or line in any file a lone stage reads back -------------
+
+# Each file a lone stage reads back, and the stage that reads it.
+READ_BACKS = {
+    "assignments.jsonl": "collapse",
+    "corpus_processed.jsonl": "collapse",
+    "representations.json": "evaluate",
+}
+DUPLICATE = object()
+
+
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """A whole fixture pbm run, its config file and the documents of its corpus."""
+    root = tmp_path_factory.mktemp("read-back")
+    config = root / "cfg.json"
+    config.write_text(json.dumps(replay_config(output_dir=str(root / "run"))), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    shutil.copytree(root / "run", root / "whole")
+    lines = (FIXTURES_DIR / "memes50.jsonl").read_text(encoding="utf-8").splitlines()
+    return root, config, {json.loads(line)["id"] for line in lines}
+
+
+def _read_back(path: Path):
+    """A JSON file's value, or a JSONL file's records as a list, one per line."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    return json.loads(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, data):
+    root, config, ids = fixture_run
+    name = data.draw(st.sampled_from(sorted(READ_BACKS)))
+    stage = READ_BACKS[name]
+    original = _read_back(root / "whole" / name)
+    jsonl = name.endswith(".jsonl")
+    path = data.draw(st.sampled_from([p for p in _nodes(original) if p or not jsonl]))
+    node = reduce(getitem, path, original)
+    # Every node can be deleted, swapped for one of another type, and a line duplicated.
+    swaps = [new for new in SWAPS if new is DELETE or type(new) is not type(node)]
+    if jsonl and len(path) == 1:
+        swaps.append(DUPLICATE)
+    new = data.draw(st.sampled_from(swaps))
+    if new is DUPLICATE:
+        value = [*original[: path[0] + 1], *original[path[0] :]]
+    else:
+        value = _mutated(original, path, new)
+    if jsonl:
+        text = "".join(json.dumps(record) + "\n" for record in value)
+    else:
+        text = "" if value is DELETE else json.dumps(value)
+    shutil.rmtree(root / "run")
+    shutil.copytree(root / "whole", root / "run")
+    (root / "run" / name).write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([stage, "--config", str(config)])
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert name in err.getvalue(), err.getvalue()
+        return
+    assert code == 0, err.getvalue()
+    if stage == "collapse":
+        clusters = json.loads((root / "run" / "clusters.json").read_text(encoding="utf-8"))
+        assert set().union(*clusters.values()) == ids

@@ -169,9 +169,9 @@ def test_load_processed_names_a_bad_line(tmp_path):
 def test_load_processed_names_the_line_and_key_a_record_lacks(tmp_path):
     path = tmp_path / "corpus_processed.jsonl"
     save_processed(corpus_from_tokens([("a", ["cat"]), ("b", ["dog"])]), path)
-    record = '{"id": "c", "caption": "c", "text": ""}\n'
+    record = '{"id": "c", "text": "", "tokens": []}\n'
     path.write_text(path.read_text(encoding="utf-8") + record, encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match=r"corpus_processed\.jsonl:3: missing field 'tokens'"):
+    with pytest.raises(ValueError, match=r"missing key corpus_processed\.jsonl:3: caption"):
         load_processed(path)
 
 

@@ -949,21 +949,65 @@ def test_cli_names_the_bad_line_of_an_artifact_it_reads_back(tmp_path, capsys):
     assert "assignments.jsonl:7: invalid JSON" in capsys.readouterr().err
 
 
+def _first_assignment(**values):
+    """An edit of assignments.jsonl's lines that sets values in the first."""
+    return lambda lines: [json.dumps({**json.loads(lines[0]), **values}) + "\n", *lines[1:]]
+
+
+# Each edits a fixture run's assignments.jsonl: (edit, what the error also names).
+ASSIGNMENT_EDITS = {
+    "bogus provenance": (_first_assignment(provenance="bogus"), "'bogus'"),
+    "generated without a topic": (_first_assignment(provenance="generated", topics=[]), "'m001'"),
+    "deleted line": (lambda lines: lines[1:], "'m001'"),
+    "repeated line": (lambda lines: [*lines, lines[0]], "'m001'"),
+    "foreign id": (_first_assignment(doc_id="zzz"), "'zzz'"),
+    "integer id": (_first_assignment(doc_id=3), "doc_id must be a string, not 3"),
+}
+
+
+@pytest.mark.parametrize("case", ASSIGNMENT_EDITS)
+def test_a_lone_collapse_refuses_assignments_that_lose_or_invent_a_document(
+    tmp_path, capsys, case
+):
+    # Before, each edit ran to exit 0 with a document missing from or added to the clusters.
+    edit, named = ASSIGNMENT_EDITS[case]
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    path = tmp_path / "run" / "assignments.jsonl"
+    path.write_text("".join(edit(path.read_text(encoding="utf-8").splitlines(True))), "utf-8")
+    clusters = (tmp_path / "run" / "clusters.json").read_bytes()
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main(["collapse", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in collapse: assignments.jsonl") and named in err, err
+    assert "Traceback" not in err
+    # Refused as it is read, before the stage supersedes any file.
+    assert (tmp_path / "run" / "clusters.json").read_bytes() == clusters
+
+
 @pytest.mark.parametrize(
-    "name, stage, missing",
-    [("assignments.jsonl", "collapse", "topics"), ("corpus_processed.jsonl", "generate", "caption")],
+    "name, stage, record, error",
+    [
+        pytest.param("assignments.jsonl", "collapse", {"doc_id": "x", "provenance": "generated"},
+                     "missing key assignments.jsonl:51: topics", id="assignment-topics"),
+        pytest.param("assignments.jsonl", "collapse", {"doc_id": "x", "id": "x"},
+                     "unknown key assignments.jsonl:51: id", id="assignment-id"),
+        pytest.param("corpus_processed.jsonl", "generate", {"id": "x", "text": ""},
+                     "missing key corpus_processed.jsonl:51: caption", id="corpus-caption"),
+    ],
 )
 def test_cli_names_the_line_and_key_a_read_back_record_lacks(
-    tmp_path, capsys, name, stage, missing
+    tmp_path, capsys, name, stage, record, error
 ):
     cfg = fixture_config(tmp_path, "run")
     run_pipeline(cfg)
     with open(tmp_path / "run" / name, "a", encoding="utf-8") as f:
-        f.write('{"doc_id": "x", "id": "x"}\n')
+        f.write(json.dumps(record) + "\n")
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert main([stage, "--config", str(config_path)]) == 1
-    assert f"error in {stage}: {name}:51: missing field {missing!r}" in capsys.readouterr().err
+    assert f"error in {stage}: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
