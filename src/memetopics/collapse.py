@@ -128,8 +128,6 @@ class CollapseState:
             if assignment.provenance == "inappropriate":
                 inappropriate.add(assignment.doc_id)
                 continue
-            if not assignment.topics:
-                raise ValueError(f"generated document {assignment.doc_id!r} has no topic")
             for label in assignment.topics:
                 key = label.casefold()
                 label = canonical.setdefault(key, label)

@@ -6,8 +6,7 @@ from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
 counted once per corpus when first read, and co-occurrences of a chosen
 word set, counted from postings built in one pass over the documents.
-It also holds the package's one JSONL codec, JSON reader and type rule, and
-_record, the one rule that builds a record read from a file.
+It also holds the package's one JSONL codec, JSON reader, type rule and record rule.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Iterable, Literal, Mapping, Union, get_args, get_origin, get_
 
 URL_PREFIXES = ("http://", "https://", "www.")
 USERNAME_PREFIX = "@"
+_TEXT = {"text": "overlay_text"}  # a record's key for a meme's superimposed text, and its field
 
 
 class CorpusFormatError(ValueError):
@@ -74,14 +74,16 @@ def _check_fields(obj: object) -> None:
         object.__setattr__(obj, f.name, _typed(getattr(obj, f.name), hints[f.name], f.name))
 
 
-def _record(cls: type, data: object, where: str, renamed: Mapping[str, str] | None = None):
+def _record(cls: type, data: object, where: str, renamed: Mapping[str, str] | None = None,
+            required: Iterable[str] = ()):
     """The dataclass cls built from the JSON object data, renamed mapping a key to the field it
-    fills; an unknown or missing key, or a value _typed refuses, is a ValueError naming it after
-    where, which ends in its separator ("backend.", "file:3: "); without it, where names data."""
+    fills; a key is required if its field has no default or required names it (a reader of a
+    file the program wrote requires every key the writer writes). An unknown or missing key, or
+    a value _typed refuses, is a ValueError naming it after where, which ends in a separator."""
     data = _typed(data, dict, where.rstrip(": .") or "record")
     keys = {f.name: f.name for f in fields(cls)} | {v: k for k, v in (renamed or {}).items()}
-    required = {keys[f.name] for f in fields(cls) if f.default is f.default_factory is MISSING}
-    bad = sorted(data.keys() - keys.values()) or sorted(required - data.keys())
+    need = {keys[f.name] for f in fields(cls) if f.default is f.default_factory is MISSING}
+    bad = sorted(data.keys() - keys.values()) or sorted(need.union(required) - data.keys())
     if bad:
         raise ValueError(f"{'unknown' if bad[0] in data else 'missing'} key {where}{bad[0]}")
     hints = _hints(cls)
@@ -367,10 +369,6 @@ def cooccurrence_counts(corpus: Corpus, words: Iterable[str]) -> Cooccurrence:
     return Cooccurrence(postings, corpus.total_docs)
 
 
-# A record file names a meme's superimposed text "text", MemeDocument overlay_text.
-_TEXT = {"text": "overlay_text"}
-
-
 def save_processed(corpus: Corpus, path: str | Path) -> None:
     """Write a processed corpus as JSONL, one record per document."""
     records = (
@@ -381,10 +379,13 @@ def save_processed(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_processed(path: str | Path) -> Corpus:
-    """Read a corpus written by save_processed; an error names the file."""
+    """Read a corpus written by save_processed, every key it writes required;
+    a CorpusFormatError names the file."""
     name = Path(path).name
     rows = _read_jsonl(path)
     try:
-        return Corpus([_record(MemeDocument, r, f"{name}:{n}: ", _TEXT) for n, r in rows])
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{name}: {exc}") from None
+        docs = [_record(MemeDocument, r, f"{name}:{n}: ", _TEXT, ["tokens"]) for n, r in rows]
+        return Corpus(docs)
+    except ValueError as exc:  # Corpus refuses a duplicate id without naming the file
+        message = f"{name}: {exc}" if type(exc) is CorpusFormatError else str(exc)
+        raise CorpusFormatError(message) from None

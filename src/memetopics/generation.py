@@ -99,10 +99,9 @@ class DemonstrationSet:
     @classmethod
     def from_file(cls, path: str | Path) -> "DemonstrationSet":
         """A JSON list of {"caption", "text", "topics"} records; errors name the file."""
-        data = _read_json(path, list)
+        records = enumerate(_read_json(path, list))
         try:
-            items = (_record(Demonstration, r, f"[{i}].", _TEXT) for i, r in enumerate(data))
-            return cls(tuple(items))
+            return cls(tuple(_record(Demonstration, r, f"[{i}].", _TEXT) for i, r in records))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

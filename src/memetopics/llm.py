@@ -357,16 +357,10 @@ class LlmGateway:
         response = {"status": outcome.status, "text": outcome.text, "usage": usage}
         with self._cache_lock:
             if self.cfg.record and self.cfg.cache_path:
-                entry = {
-                    "hash": digest,
-                    "model": self.cfg.model_name,
-                    "request": {
-                        "system": exchange.system,
-                        "turns": [[role, content] for role, content in exchange.turns],
-                        "query": exchange.query,
-                    },
-                    "response": response,
-                }
+                turns = [[role, content] for role, content in exchange.turns]
+                request = {"system": exchange.system, "turns": turns, "query": exchange.query}
+                entry = {"hash": digest, "model": self.cfg.model_name, "request": request,
+                         "response": response}
                 with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
                     f.write(json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n")
             self._cache.index[digest] = response

@@ -434,15 +434,14 @@ def _load_artifact(outdir: Path, name: str):
     reps = []  # the representations
     for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
-        entry = {"topic": topic, **_typed(entry, dict, where)}
-        reps.append(_record(TopicRepresentation, entry, f"{where}: "))
+        entry = {**_typed(entry, dict, where), "topic": topic}  # the file's key names the topic
+        reps.append(_record(TopicRepresentation, entry, f"{where}: ", required=["backfilled"]))
     return reps
 
 
 def _check_assignments(corpus: Corpus, assignments: list[TopicAssignment]) -> None:
-    """Assignments read back put each corpus document in a cluster exactly once;
-    else a ValueError naming the file and the first document that breaks it."""
-    # A generated assignment without a topic puts its document in no cluster.
+    """Assignments read back put each corpus document in a cluster exactly once (a generated
+    one without a topic puts it in none), else a ValueError names the first that breaks it."""
     surplus = Counter(a.doc_id for a in assignments if a.topics or a.provenance != "generated")
     surplus.subtract(doc.id for doc in corpus.documents)
     for doc_id, n in surplus.items():

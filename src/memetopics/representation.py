@@ -18,8 +18,7 @@ from .ctfidf import CtfidfTable, top_words
 from .generation import TopicParseError, format_topic_list, parse_topic_list
 from .llm import ChatExchange, LlmGateway
 
-# The two routes to a representation, each a representation_method of a run.
-_Method = Literal["ctfidf", "llm"]
+_Method = Literal["ctfidf", "llm"]  # the routes to a representation, a run's representation_method
 
 REPRESENTATION_SIZE = 10
 CANDIDATE_POOL_SIZE = 100

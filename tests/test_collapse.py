@@ -384,11 +384,6 @@ def test_from_assignments_routes_and_folds_case():
     assert {label: len(ids) for label, ids in state.topics.items()} == {"Politics": 2, "War": 1}
 
 
-def test_from_assignments_refuses_a_generated_assignment_without_a_topic():
-    with pytest.raises(ValueError, match="generated document 'd' has no topic"):
-        CollapseState.from_assignments([TopicAssignment("d", (), "generated")])
-
-
 def test_clusters_include_reserved():
     state = state_from({"A": {"a"}}, misc={"m"}, inappropriate={"i"})
     clusters = state.clusters()

@@ -380,6 +380,10 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, 
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([stage, "--config", str(config)])
     assert "Traceback" not in err.getvalue()
+    # A swapped type, a deleted key, line or file is refused; only a list item,
+    # or a whole topic of representations.json, may go unnoticed.
+    if new is not DELETE or not (len(path) == 3 or (len(path) == 1 and not jsonl)):
+        assert code == 1, (name, path, new, err.getvalue())
     if code == 1:
         assert name in err.getvalue(), err.getvalue()
         return

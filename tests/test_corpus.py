@@ -166,12 +166,29 @@ def test_load_processed_names_a_bad_line(tmp_path):
         load_processed(path)
 
 
-def test_load_processed_names_the_line_and_key_a_record_lacks(tmp_path):
+@pytest.mark.parametrize(
+    "record, missing",
+    [
+        # tokens has a default, but save_processed writes it, so it is required.
+        ('{"id": "c", "caption": "c", "text": ""}', "tokens"),
+        ('{"id": "c", "text": "", "tokens": []}', "caption"),
+    ],
+    ids=["tokens", "caption"],
+)
+def test_load_processed_names_the_line_and_key_a_record_lacks(tmp_path, record, missing):
     path = tmp_path / "corpus_processed.jsonl"
     save_processed(corpus_from_tokens([("a", ["cat"]), ("b", ["dog"])]), path)
-    record = '{"id": "c", "text": "", "tokens": []}\n'
-    path.write_text(path.read_text(encoding="utf-8") + record, encoding="utf-8")
-    with pytest.raises(ValueError, match=r"missing key corpus_processed\.jsonl:3: caption"):
+    path.write_text(path.read_text(encoding="utf-8") + record + "\n", encoding="utf-8")
+    error = rf"missing key corpus_processed\.jsonl:3: {missing}$"
+    with pytest.raises(CorpusFormatError, match=error):
+        load_processed(path)
+
+
+def test_load_processed_names_the_file_holding_a_duplicate_id(tmp_path):
+    path = tmp_path / "corpus_processed.jsonl"
+    save_processed(corpus_from_tokens([("a", ["cat"])]), path)
+    path.write_text(path.read_text(encoding="utf-8") * 2, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"^corpus_processed\.jsonl: duplicate document"):
         load_processed(path)
 
 

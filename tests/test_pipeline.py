@@ -995,6 +995,9 @@ def test_a_lone_collapse_refuses_assignments_that_lose_or_invent_a_document(
                      "unknown key assignments.jsonl:51: id", id="assignment-id"),
         pytest.param("corpus_processed.jsonl", "generate", {"id": "x", "text": ""},
                      "missing key corpus_processed.jsonl:51: caption", id="corpus-caption"),
+        # tokens has a default, but save_processed writes it, so a reader requires it.
+        pytest.param("corpus_processed.jsonl", "generate", {"id": "x", "caption": "", "text": ""},
+                     "missing key corpus_processed.jsonl:51: tokens", id="corpus-tokens"),
     ],
 )
 def test_cli_names_the_line_and_key_a_read_back_record_lacks(
@@ -1008,6 +1011,37 @@ def test_cli_names_the_line_and_key_a_read_back_record_lacks(
     config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert main([stage, "--config", str(config_path)]) == 1
     assert f"error in {stage}: {error}" in capsys.readouterr().err
+
+
+def _edit_representations(tmp_path, edit) -> Path:
+    """Run the fixture, apply edit to each entry of representations.json, and
+    return the config file a lone evaluate reads."""
+    cfg = fixture_config(tmp_path, "run")
+    run_pipeline(cfg)
+    path = tmp_path / "run" / "representations.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({topic: edit(e) for topic, e in entries.items()}), "utf-8")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    return config_path
+
+
+def test_cli_requires_every_key_representations_json_writes(tmp_path, capsys):
+    # backfilled has a default, but the represent stage writes it, so a reader requires it.
+    config_path = _edit_representations(tmp_path, lambda e: {"words": e["words"], "method": "llm"})
+    assert main(["evaluate", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "missing key representations.json: topic" in err and ": backfilled" in err, err
+
+
+def test_a_topic_key_inside_a_representation_does_not_rename_it(tmp_path):
+    config_path = _edit_representations(tmp_path, lambda e: e)
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    report = (tmp_path / "run" / "report.json").read_bytes()
+    # The entry's key in the file names its topic, whatever the entry holds.
+    _edit_representations(tmp_path, lambda e: {**e, "topic": "Miscellaneous"})
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert (tmp_path / "run" / "report.json").read_bytes() == report
 
 
 @pytest.mark.parametrize(
