@@ -199,7 +199,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     for lineno, record in records:
         where = f"{path.name}:{lineno}"
         raw_id = record.get("id")
-        if isinstance(raw_id, int):
+        if type(raw_id) is int:  # a JSON integer, never true or false
             raw_id = str(raw_id)
         if not isinstance(raw_id, str) or not raw_id:
             raise CorpusFormatError(f"{where}: missing or invalid 'id'")

@@ -4,7 +4,9 @@ Each meme's caption and superimposed text go into a few-shot prompt whose
 demonstrations teach the reply format (a bracketed quoted list of topic
 labels). Replies that cannot be parsed route the meme to the reserved
 Miscellaneous cluster; moderation refusals route it to Inappropriate. No
-document is ever dropped.
+document is ever dropped. One rule, _unique_labels, says when two labels are
+the same: their casefold() is equal. It removes the repeats of a parsed
+reply, of a meme's labels and of the words a topic is represented by.
 """
 
 from __future__ import annotations
@@ -145,6 +147,15 @@ def _trim(label: str) -> str:
     return label[start:end]
 
 
+def _unique_labels(labels: Iterable[str]) -> list[str]:
+    """The labels without repeats. Two labels are the same when their casefold()
+    is equal, and each keeps the casing it was first seen with."""
+    first: dict[str, str] = {}
+    for label in labels:
+        first.setdefault(label.casefold(), label)
+    return list(first.values())
+
+
 def parse_topic_list(reply: str) -> list[str]:
     """Parse a bracketed quoted list of labels out of a model reply.
 
@@ -152,10 +163,10 @@ def parse_topic_list(reply: str) -> list[str]:
     ignored. Its labels are its quoted strings in either quote style (see
     _QUOTED), or its comma-separated parts when nothing is quoted. In a
     quoted label \\', \\" and \\\\ read as ', " and \\; other backslashes stay.
-    Labels are trimmed of whitespace and quotes and deduplicated
-    case-insensitively, keeping the first-seen casing, so a reply without a
-    backslash contains every label it gives. Raises TopicParseError for
-    prose without a list, an empty list, or unmatched brackets.
+    Labels are trimmed of whitespace and quotes, and repeats go by the one
+    label rule (_unique_labels), so a reply without a backslash contains
+    every label it gives. Raises TopicParseError for prose without a list,
+    an empty list, or unmatched brackets.
     """
     start = reply.find("[")
     end = reply.rfind("]")
@@ -167,34 +178,10 @@ def parse_topic_list(reply: str) -> list[str]:
         labels = [_ESCAPED.sub(r"\1", a or b) for a, b in quoted]
     else:
         labels = inner.split(",")
-
-    out: list[str] = []
-    seen: set[str] = set()
-    for label in labels:
-        cleaned = _trim(label)
-        if not cleaned:
-            continue
-        key = cleaned.casefold()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(cleaned)
+    out = _unique_labels(filter(None, map(_trim, labels)))
     if not out:
         raise TopicParseError("reply parsed to an empty topic list")
     return out
-
-
-def _sanitize_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    out: list[str] = []
-    seen: set[str] = set()
-    for label in labels:
-        if label.casefold() in RESERVED_LABELS:
-            label = RESERVED_COLLISION_LABEL
-        key = label.casefold()
-        if key not in seen:
-            seen.add(key)
-            out.append(label)
-    return tuple(out)
 
 
 def generate_topics(
@@ -206,7 +193,8 @@ def generate_topics(
 
     Refusals become Inappropriate, transport failures and unparseable
     replies become Miscellaneous, everything else carries its parsed
-    labels. The result has exactly one assignment per document, in corpus
+    labels, a reserved one renamed RESERVED_COLLISION_LABEL and repeats then
+    removed. The result has exactly one assignment per document, in corpus
     order. The prompts go out through gateway.map, so over http several
     are in flight at once; the result is the same as one at a time.
     """
@@ -225,7 +213,9 @@ def generate_topics(
             labels = parse_topic_list(outcome.text)
         except TopicParseError:
             return TopicAssignment(doc.id, (), "miscellaneous")
-        return TopicAssignment(doc.id, _sanitize_labels(labels), "generated")
+        labels = [RESERVED_COLLISION_LABEL if label.casefold() in RESERVED_LABELS else label
+                  for label in labels]
+        return TopicAssignment(doc.id, tuple(_unique_labels(labels)), "generated")
 
     return gateway.map(assign, corpus.documents)
 

@@ -29,7 +29,7 @@ import shutil
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
@@ -430,7 +430,10 @@ def _load_artifact(outdir: Path, name: str):
             clusters[c] = set(_typed(ids, tuple[str, ...], f"{CLUSTERS_FILE}: {c!r}"))
         misc = clusters.pop(MISCELLANEOUS, set())
         inappropriate = clusters.pop(INAPPROPRIATE, set())
-        return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+        try:
+            return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+        except ValueError as exc:  # a reserved or repeated label
+            raise ValueError(f"{CLUSTERS_FILE}: {exc}") from None
     reps = []  # the representations
     for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
@@ -439,15 +442,15 @@ def _load_artifact(outdir: Path, name: str):
     return reps
 
 
-def _check_assignments(corpus: Corpus, assignments: list[TopicAssignment]) -> None:
-    """Assignments read back put each corpus document in a cluster exactly once (a generated
-    one without a topic puts it in none), else a ValueError names the first that breaks it."""
-    surplus = Counter(a.doc_id for a in assignments if a.topics or a.provenance != "generated")
+def _check_placed(corpus: Corpus, file: str, doc_ids: Iterable[str]) -> None:
+    """doc_ids, the documents a file read back places, hold each document of corpus exactly
+    once and no other id, else a ValueError names file and the first id that breaks it."""
+    surplus = Counter(doc_ids)
     surplus.subtract(doc.id for doc in corpus.documents)
     for doc_id, n in surplus.items():
         if n:
-            how = "to no cluster, though" if n < 0 else "more often than"
-            raise ValueError(f"{ASSIGNMENTS_FILE} assigns document {doc_id!r} {how} "
+            how = "in no cluster, though" if n < 0 else "more often than"
+            raise ValueError(f"{file} places document {doc_id!r} {how} "
                              f"{PROCESSED_CORPUS_FILE} holds it")
 
 
@@ -471,8 +474,20 @@ def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     for name in reads:
         if name not in artifacts:
             artifacts[name] = _load_artifact(outdir, name)
-    if "assignments" in reads:  # read back: no document may go missing
-        _check_assignments(artifacts["corpus"], artifacts["assignments"])
+    # Read back, no document may go missing: an assignment places its document once (a
+    # generated one without a topic, nowhere), and the clusters place each at least once.
+    if "assignments" in reads:
+        assignments = artifacts["assignments"]
+        placed = [a.doc_id for a in assignments if a.topics or a.provenance != "generated"]
+        _check_placed(artifacts["corpus"], ASSIGNMENTS_FILE, placed)
+    if "state" in reads or "representations" in reads:
+        state = artifacts.get("state") or _load_artifact(outdir, "state")
+        _check_placed(artifacts["corpus"], CLUSTERS_FILE, set().union(*state.clusters().values()))
+    if "representations" in reads:  # one entry per topic of the clusters
+        topics = {rep.topic for rep in artifacts["representations"]}
+        if odd := sorted(topics ^ state.topics.keys()):
+            raise ValueError(f"{REPRESENTATIONS_FILE} and {CLUSTERS_FILE} must hold the same "
+                             f"topics, but only one of them holds {odd[0]!r}")
     if fresh:
         digest = cfg.config_digest(artifacts["input_hashes"])
         manifest = {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}

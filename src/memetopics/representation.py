@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .ctfidf import CtfidfTable, top_words
-from .generation import TopicParseError, format_topic_list, parse_topic_list
+from .generation import TopicParseError, _unique_labels, format_topic_list, parse_topic_list
 from .llm import ChatExchange, LlmGateway
 
 _Method = Literal["ctfidf", "llm"]  # the routes to a representation, a run's representation_method
@@ -108,9 +108,11 @@ def build_wordrank_prompt(topic: str, candidates: Sequence[str]) -> ChatExchange
 def represent_llm(topic: str, table: CtfidfTable, gateway: LlmGateway) -> TopicRepresentation:
     """Ask the model for the topic's ten most related candidate words.
 
-    Out-of-list words are dropped and counted; shortfalls are backfilled
-    from the weight ranking. A refusal or unparseable reply returns the
-    direct representation with fallback=True.
+    A replied word is the candidate it equals by the one label rule
+    (generation._unique_labels); out-of-list words are dropped and counted,
+    and shortfalls are backfilled from the weight ranking, skipping the
+    words already kept by the same rule. A refusal or unparseable reply
+    returns the direct representation with fallback=True.
     """
     candidates = top_words(table, topic, CANDIDATE_POOL_SIZE)
 
@@ -130,27 +132,9 @@ def represent_llm(topic: str, table: CtfidfTable, gateway: LlmGateway) -> TopicR
         return fallback()
 
     by_key = {word.casefold(): word for word in candidates}
-    kept: list[str] = []
-    seen: set[str] = set()
-    dropped = 0
-    for word in replied:  # unique case-insensitively, as parse_topic_list returns them
-        key = word.casefold()
-        if key in by_key:
-            kept.append(by_key[key])
-            seen.add(key)
-        else:
-            dropped += 1
-    kept = kept[:REPRESENTATION_SIZE]
-
-    backfilled = 0
-    if len(kept) < REPRESENTATION_SIZE:
-        for word in candidates:
-            if len(kept) == REPRESENTATION_SIZE:
-                break
-            if word.casefold() not in seen:
-                kept.append(word)
-                seen.add(word.casefold())
-                backfilled += 1
-    return TopicRepresentation(
-        topic=topic, words=kept, method="llm", backfilled=backfilled, dropped=dropped
-    )
+    picked = [by_key[key] for key in map(str.casefold, replied) if key in by_key]
+    # The first ten picks, then the weight ranking's words, without repeats.
+    kept = _unique_labels(picked[:REPRESENTATION_SIZE] + candidates)[:REPRESENTATION_SIZE]
+    backfilled = len(kept) - min(len(picked), REPRESENTATION_SIZE)
+    dropped = len(replied) - len(picked)
+    return TopicRepresentation(topic, kept, "llm", backfilled=backfilled, dropped=dropped)

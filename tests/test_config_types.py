@@ -324,6 +324,7 @@ def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, data):
 # Each file a lone stage reads back, and the stage that reads it.
 READ_BACKS = {
     "assignments.jsonl": "collapse",
+    "clusters.json": "represent",
     "corpus_processed.jsonl": "collapse",
     "representations.json": "evaluate",
 }
@@ -380,14 +381,16 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, 
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([stage, "--config", str(config)])
     assert "Traceback" not in err.getvalue()
-    # A swapped type, a deleted key, line or file is refused; only a list item,
-    # or a whole topic of representations.json, may go unnoticed.
-    if new is not DELETE or not (len(path) == 3 or (len(path) == 1 and not jsonl)):
+    # A swapped type, a deleted key, line, file or topic is refused; only a list
+    # item may go unnoticed, an id of clusters.json only while every document
+    # still sits in some cluster.
+    list_item = len(path) == 2 if name == "clusters.json" else len(path) == 3
+    if new is not DELETE or not list_item:
         assert code == 1, (name, path, new, err.getvalue())
     if code == 1:
         assert name in err.getvalue(), err.getvalue()
         return
     assert code == 0, err.getvalue()
-    if stage == "collapse":
+    if stage in ("collapse", "represent"):
         clusters = json.loads((root / "run" / "clusters.json").read_text(encoding="utf-8"))
         assert set().union(*clusters.values()) == ids

@@ -78,6 +78,39 @@ def test_load_invalid_json_names_line(tmp_path):
         load_corpus(path)
 
 
+def test_an_integer_id_reads_as_its_digits_and_then_collides_with_them(tmp_path):
+    records = [{"id": 7, "caption": "one", "text": "x"}, {"id": "8", "caption": "two", "text": ""}]
+    corpus = load_corpus(write_jsonl(tmp_path / "memes.jsonl", records))
+    assert [d.id for d in corpus.documents] == ["7", "8"]
+    records.append({"id": "7", "caption": "three", "text": "z"})
+    with pytest.raises(CorpusFormatError, match=r"memes\.jsonl:3: duplicate .*'7'.*line 1"):
+        load_corpus(write_jsonl(tmp_path / "memes.jsonl", records))
+
+
+@pytest.mark.parametrize("bad_id", [True, False, 1.5, "", None, ["a"]])
+def test_an_id_that_is_no_string_or_integer_is_refused_naming_the_line(tmp_path, bad_id):
+    # true is not an integer, though Python's bool is an int.
+    records = [{"id": "a", "caption": "one", "text": "x"}, {"id": bad_id, "caption": "", "text": ""}]
+    with pytest.raises(CorpusFormatError, match=r"memes\.jsonl:2: missing or invalid 'id'"):
+        load_corpus(write_jsonl(tmp_path / "memes.jsonl", records))
+
+
+def test_blank_lines_of_a_jsonl_corpus_are_skipped(tmp_path):
+    path = tmp_path / "memes.jsonl"
+    record = '{"id": "%s", "caption": "c", "text": "t"}\n'
+    path.write_text("\n" + record % "a" + "  \n\t\n" + record % "b" + "\n", encoding="utf-8")
+    assert [d.id for d in load_corpus(path).documents] == ["a", "b"]
+    path.write_text(record % "a" + "\nnot json\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"memes\.jsonl:3: invalid JSON"):
+        load_corpus(path)  # a skipped line still counts
+
+
+def test_an_unsupported_corpus_format_is_refused(tmp_path):
+    path = write_jsonl(tmp_path / "memes.xml", [{"id": "a", "caption": "c", "text": "t"}])
+    with pytest.raises(ValueError, match="unsupported corpus format 'xml'"):
+        load_corpus(path, format="xml")
+
+
 def test_load_full_scale_corpus(tmp_path):
     # Size matching the largest corpus this pipeline targets at desk scale.
     records = [{"id": f"m{i:04d}", "caption": f"cap {i}", "text": f"txt {i}"} for i in range(2513)]

@@ -986,6 +986,81 @@ def test_a_lone_collapse_refuses_assignments_that_lose_or_invent_a_document(
     assert (tmp_path / "run" / "clusters.json").read_bytes() == clusters
 
 
+def _renamed(clusters, old, new):
+    return {new if label == old else label: ids for label, ids in clusters.items()}
+
+
+# Each edits a fixture wsm run's clusters.json: (edit, what the error also names).
+CLUSTER_EDITS = {
+    "deleted id": (lambda c: {**c, "Military": [i for i in c["Military"] if i != "m013"]},
+                   "document 'm013' in no cluster"),
+    "foreign id": (lambda c: {**c, "Politics": [*c["Politics"], "zzz"]}, "document 'zzz'"),
+    "reserved label": (lambda c: _renamed(c, "Politics", "miscellaneous"),
+                       "'miscellaneous' is a reserved cluster name"),
+    "labels equal but for case": (lambda c: _renamed(c, "Technology", "politics"),
+                                  "unique case-insensitively"),
+}
+
+
+def _edited_run(tmp_path, cfg, name, edit) -> Path:
+    """Run cfg, apply edit to the JSON object of the run's file name, and
+    return the config file a lone stage reads."""
+    run_pipeline(cfg)
+    path = tmp_path / "run" / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), "utf-8")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    return config_path
+
+
+@pytest.mark.parametrize("case", CLUSTER_EDITS)
+def test_a_lone_represent_refuses_clusters_that_lose_or_invent_a_document_or_a_label(
+    tmp_path, capsys, case
+):
+    # Before, the deleted and the foreign id ran to exit 0, and both label cases
+    # were refused without naming the file.
+    edit, named = CLUSTER_EDITS[case]
+    cfg = fixture_config(tmp_path, "run", collapse_method="wsm", representation_method="ctfidf",
+                         k=3)
+    config_path = _edited_run(tmp_path, cfg, "clusters.json", edit)
+    representations = (tmp_path / "run" / "representations.json").read_bytes()
+    assert main(["represent", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in represent: clusters.json") and named in err, err
+    assert "Traceback" not in err
+    # Refused as it is read, before the stage supersedes any file.
+    assert (tmp_path / "run" / "representations.json").read_bytes() == representations
+
+
+REPRESENTATION_EDITS = {
+    "deleted topic": ("representations.json",
+                      lambda r: {t: e for t, e in r.items() if t != "Health"}, "'Health'"),
+    "invented topic": ("representations.json", lambda r: {**r, "Sports": r["Health"]}, "'Sports'"),
+    "reserved topic": ("representations.json", lambda r: {**r, "Miscellaneous": r["Health"]},
+                       "'Miscellaneous'"),
+    "document deleted from the clusters": (
+        "clusters.json", lambda c: {**c, "Health": c["Health"][1:]}, "in no cluster"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPRESENTATION_EDITS)
+def test_a_lone_evaluate_refuses_representations_whose_topics_differ_from_the_clusters(
+    tmp_path, capsys, case
+):
+    # Before, each edit ran to exit 0; a deleted topic left report.json with k 4.
+    name, edit, named = REPRESENTATION_EDITS[case]
+    config_path = _edited_run(tmp_path, fixture_config(tmp_path, "run"), name, edit)
+    report = (tmp_path / "run" / "report.json").read_bytes()
+    assert main(["evaluate", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in evaluate: {name}") and named in err, err
+    if name == "representations.json":
+        assert "clusters.json" in err, err
+    assert "Traceback" not in err
+    assert (tmp_path / "run" / "report.json").read_bytes() == report
+
+
 @pytest.mark.parametrize(
     "name, stage, record, error",
     [

@@ -1,14 +1,20 @@
 """Ten-word representations: direct, prompted, filtered, backfilled."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from memetopics import representation
 from memetopics.collapse import CollapseState
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
-from memetopics.generation import format_topic_list
+from memetopics.generation import format_topic_list, parse_topic_list
 from memetopics.llm import LlmGateway
 from memetopics.pipeline import RunConfig, _load_artifact, stage_represent
 from memetopics.representation import build_wordrank_prompt, represent_ctfidf, represent_llm
 
+import represent_oracle
 from conftest import corpus_from_tokens, mock_backend
 
 
@@ -159,6 +165,29 @@ def test_llm_representation_empty_class_falls_back_without_prompting():
     rep = represent_llm("empty", table, LlmGateway(mock_backend(default="['x']")))
     assert rep.words == []
     assert rep.fallback is True
+
+
+# Short words over letters whose case folding collides (c/C) or changes a
+# word's length (İ folds to i plus a dot, ß and SS both fold to ss).
+WORDS = st.text(alphabet="cCaAtTİißsS", min_size=1, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    candidates=st.lists(WORDS, min_size=1, max_size=25, unique=True),
+    replies=st.lists(WORDS, min_size=1, max_size=25),
+)
+@example(candidates=["Cat", "CAT", "straße", "STRASSE", "İstanbul", "dog"],
+         replies=["cat", "strasse", "istanbul", "mouse", "CAT", "i̇stanbul"])
+@example(candidates=[f"w{i}" for i in range(30)], replies=[f"W{i}" for i in range(12, 0, -1)])
+def test_llm_pick_and_backfill_matches_the_original_loop(candidates, replies):
+    reply = format_topic_list(replies)
+    gateway = LlmGateway(mock_backend(default=reply))
+    with mock.patch.object(representation, "top_words", return_value=candidates):
+        rep = represent_llm("topic", None, gateway)
+    expected = represent_oracle.pick_and_backfill(parse_topic_list(reply), candidates)
+    assert (rep.words, rep.backfilled, rep.dropped) == expected
+    assert (rep.method, rep.fallback) == ("llm", False)
 
 
 def test_representations_roundtrip(tmp_path):
