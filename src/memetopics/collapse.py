@@ -18,6 +18,7 @@ collapsed to K continues to any K' < K as a fresh collapse to K' would.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import heapq
 import logging
 import math
@@ -30,9 +31,9 @@ from .ctfidf import ctfidf_from_clusters, idf, top_words
 from .generation import (
     INAPPROPRIATE,
     MISCELLANEOUS,
-    RESERVED_LABELS,
     TopicAssignment,
     TopicParseError,
+    _spelled_as,
     format_topic_list,
     parse_topic_list,
 )
@@ -89,12 +90,11 @@ class CollapseState:
     merge_log: list[tuple[str, str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        keys = [label.casefold() for label in self.topics]
-        if len(set(keys)) != len(keys):
-            raise ValueError("topic labels must be unique case-insensitively")
-        for key in keys:
-            if key in RESERVED_LABELS:
-                raise ValueError(f"{key!r} is a reserved cluster name, not a topic")
+        for label in filter(None, _spelled_as((MISCELLANEOUS, INAPPROPRIATE), self.topics)):
+            raise ValueError(f"{label!r} is a reserved cluster name, not a topic")
+        for label, first in zip(self.topics, _spelled_as(self.topics, self.topics)):
+            if first != label:
+                raise ValueError(f"topics {first!r} and {label!r} are the same label")
 
     def clusters(self) -> dict[str, set[str]]:
         """All clusters including the reserved ones (when non-empty)."""
@@ -115,24 +115,18 @@ class CollapseState:
 
     @classmethod
     def from_assignments(cls, assignments: Iterable[TopicAssignment]) -> "CollapseState":
-        """Seed the state from generation output. Labels that differ only in
-        case are folded together, keeping the first-seen casing."""
-        canonical: dict[str, str] = {}
+        """Seed the state from generation output. Each label joins the topic of
+        the first label that is the same label (generation._spelled_as)."""
+        assignments = list(assignments)
+        placed = [(a.doc_id, label)  # each label of a generated assignment, with its document
+                  for a in assignments if a.provenance == "generated" for label in a.topics]
+        labels = [label for _, label in placed]
         topics: dict[str, set[str]] = {}
-        misc: set[str] = set()
-        inappropriate: set[str] = set()
-        for assignment in assignments:
-            if assignment.provenance == "miscellaneous":
-                misc.add(assignment.doc_id)
-                continue
-            if assignment.provenance == "inappropriate":
-                inappropriate.add(assignment.doc_id)
-                continue
-            for label in assignment.topics:
-                key = label.casefold()
-                label = canonical.setdefault(key, label)
-                topics.setdefault(label, set()).add(assignment.doc_id)
-        return cls(topics=topics, misc=misc, inappropriate=inappropriate)
+        for (doc_id, _), label in zip(placed, _spelled_as(labels, labels)):
+            topics.setdefault(label, set()).add(doc_id)
+        misc, inappropriate = ({a.doc_id for a in assignments if a.provenance == p}
+                               for p in ("miscellaneous", "inappropriate"))
+        return cls(topics, misc, inappropriate)
 
 
 def _copy_to_collapse(state: CollapseState, k: int) -> CollapseState:
@@ -155,7 +149,7 @@ def build_collapse_prompt(candidates: Sequence[str], current: str) -> ChatExchan
     fixed question, preceded by one demonstration pair."""
     if not candidates:
         raise ValueError("candidate list must not be empty")
-    if any(current.casefold() == c.casefold() for c in candidates):
+    if _spelled_as([current], candidates)[0] is not None:
         raise ValueError(f"current topic {current!r} must not appear in the candidate list")
 
     def render(topic_list: Sequence[str], topic: str) -> str:
@@ -192,11 +186,8 @@ def collapse_pbm(
         outcome = gateway.complete(build_collapse_prompt(candidates, current))
         target = None
         if outcome.status == "ok":
-            try:
-                wanted = parse_topic_list(outcome.text)[0].casefold()
-            except TopicParseError:
-                wanted = None
-            target = next((c for c in candidates if c.casefold() == wanted), None)
+            with contextlib.suppress(TopicParseError):
+                target = _spelled_as(parse_topic_list(outcome.text)[:1], candidates)[0]
         if target is None:
             state.misc |= state.topics.pop(current)
             state.merge_log.append((current, MISCELLANEOUS, "pbm"))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Cooccurrence, Corpus, cooccurrence_counts
-from .generation import RESERVED_LABELS
+from .generation import INAPPROPRIATE, MISCELLANEOUS, _spelled_as
 from .representation import TopicRepresentation
 
 DEFAULT_EPSILON = 1e-6
@@ -83,10 +83,6 @@ def npmi_pair(w1: str, w2: str, corpus: Corpus, epsilon: float = DEFAULT_EPSILON
     return _npmi(cooccurrence_counts(corpus, [w1, w2]), w1, w2, epsilon)
 
 
-def _is_reserved(topic: str) -> bool:
-    return topic.casefold() in RESERVED_LABELS
-
-
 def coherence(
     reps: Sequence[TopicRepresentation],
     corpus: Corpus,
@@ -101,7 +97,8 @@ def coherence(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    included = [rep for rep in reps if not _is_reserved(rep.topic)]
+    reserved = _spelled_as([rep.topic for rep in reps], (MISCELLANEOUS, INAPPROPRIATE))
+    included = [rep for rep, r in zip(reps, reserved) if r is None]
     usable = [rep for rep in included if len(rep.words) >= 2]
     excluded = [rep.topic for rep in included if len(rep.words) < 2]
     if not usable:

@@ -4,9 +4,10 @@ Each meme's caption and superimposed text go into a few-shot prompt whose
 demonstrations teach the reply format (a bracketed quoted list of topic
 labels). Replies that cannot be parsed route the meme to the reserved
 Miscellaneous cluster; moderation refusals route it to Inappropriate. No
-document is ever dropped. One rule, _unique_labels, says when two labels are
-the same: their casefold() is equal. It removes the repeats of a parsed
-reply, of a meme's labels and of the words a topic is represented by.
+document is ever dropped. Two labels are the same when their casefold() is
+equal, a rule that only _spelled_as and _unique_labels apply: for
+parse_topic_list, generate_topics, CollapseState, build_collapse_prompt,
+collapse_pbm, represent_llm, coherence and the read-back of assignments.jsonl.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .llm import BackendConfig, ChatExchange, LlmGateway
 
 MISCELLANEOUS = "Miscellaneous"
 INAPPROPRIATE = "Inappropriate"
-RESERVED_LABELS = frozenset({MISCELLANEOUS.casefold(), INAPPROPRIATE.casefold()})
 # An LLM reply naming a reserved cluster is rewritten so failure buckets
 # stay distinguishable from genuine labels.
 RESERVED_COLLISION_LABEL = "Miscellaneous (generated)"
@@ -147,9 +147,16 @@ def _trim(label: str) -> str:
     return label[start:end]
 
 
+def _spelled_as(labels: Iterable[str], known: Iterable[str]) -> list[str | None]:
+    """Each label as the first of known that is the same label (equal casefold()), else None."""
+    first: dict[str, str] = {}
+    for label in known:
+        first.setdefault(label.casefold(), label)
+    return [first.get(label.casefold()) for label in labels]
+
+
 def _unique_labels(labels: Iterable[str]) -> list[str]:
-    """The labels without repeats. Two labels are the same when their casefold()
-    is equal, and each keeps the casing it was first seen with."""
+    """The labels without repeats by the rule of _spelled_as, each as first written."""
     first: dict[str, str] = {}
     for label in labels:
         first.setdefault(label.casefold(), label)
@@ -213,8 +220,8 @@ def generate_topics(
             labels = parse_topic_list(outcome.text)
         except TopicParseError:
             return TopicAssignment(doc.id, (), "miscellaneous")
-        labels = [RESERVED_COLLISION_LABEL if label.casefold() in RESERVED_LABELS else label
-                  for label in labels]
+        reserved = _spelled_as(labels, (MISCELLANEOUS, INAPPROPRIATE))
+        labels = [RESERVED_COLLISION_LABEL if r else label for label, r in zip(labels, reserved)]
         return TopicAssignment(doc.id, tuple(_unique_labels(labels)), "generated")
 
     return gateway.map(assign, corpus.documents)

@@ -42,6 +42,7 @@ from .generation import (
     MISCELLANEOUS,
     DemonstrationSet,
     TopicAssignment,
+    _spelled_as,
     generate_topics,
     provenance_counts,
 )
@@ -422,8 +423,12 @@ def _load_artifact(outdir: Path, name: str):
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
-        rows = _read_jsonl(outdir / ASSIGNMENTS_FILE)
-        return [_record(TopicAssignment, r, f"{ASSIGNMENTS_FILE}:{n}: ") for n, r in rows]
+        assignments = []
+        for n, row in _read_jsonl(outdir / ASSIGNMENTS_FILE):
+            assignments.append(a := _record(TopicAssignment, row, f"{ASSIGNMENTS_FILE}:{n}: "))
+            for label in filter(None, _spelled_as((MISCELLANEOUS, INAPPROPRIATE), a.topics)):
+                raise ValueError(f"{ASSIGNMENTS_FILE}:{n}: {label!r} is a reserved cluster name")
+        return assignments
     if name == "state":
         clusters = {}
         for c, ids in _read_json(outdir / CLUSTERS_FILE).items():

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .ctfidf import CtfidfTable, top_words
-from .generation import TopicParseError, _unique_labels, format_topic_list, parse_topic_list
+from .generation import TopicParseError, _spelled_as, _unique_labels
+from .generation import format_topic_list, parse_topic_list
 from .llm import ChatExchange, LlmGateway
 
 _Method = Literal["ctfidf", "llm"]  # the routes to a representation, a run's representation_method
@@ -108,8 +109,8 @@ def build_wordrank_prompt(topic: str, candidates: Sequence[str]) -> ChatExchange
 def represent_llm(topic: str, table: CtfidfTable, gateway: LlmGateway) -> TopicRepresentation:
     """Ask the model for the topic's ten most related candidate words.
 
-    A replied word is the candidate it equals by the one label rule
-    (generation._unique_labels); out-of-list words are dropped and counted,
+    A replied word is the first candidate it equals by the one label rule
+    (generation._spelled_as); out-of-list words are dropped and counted,
     and shortfalls are backfilled from the weight ranking, skipping the
     words already kept by the same rule. A refusal or unparseable reply
     returns the direct representation with fallback=True.
@@ -131,8 +132,7 @@ def represent_llm(topic: str, table: CtfidfTable, gateway: LlmGateway) -> TopicR
     except TopicParseError:
         return fallback()
 
-    by_key = {word.casefold(): word for word in candidates}
-    picked = [by_key[key] for key in map(str.casefold, replied) if key in by_key]
+    picked = [word for word in _spelled_as(replied, candidates) if word is not None]
     # The first ten picks, then the weight ranking's words, without repeats.
     kept = _unique_labels(picked[:REPRESENTATION_SIZE] + candidates)[:REPRESENTATION_SIZE]
     backfilled = len(kept) - min(len(picked), REPRESENTATION_SIZE)

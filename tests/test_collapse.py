@@ -5,7 +5,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memetopics.collapse import (
@@ -14,7 +14,7 @@ from memetopics.collapse import (
     collapse_pbm,
     collapse_wsm,
 )
-from memetopics.generation import MISCELLANEOUS, TopicAssignment
+from memetopics.generation import MISCELLANEOUS, TopicAssignment, _unique_labels
 from memetopics.llm import BackendConfig, LlmGateway
 
 from conftest import corpus_from_tokens, mock_backend
@@ -384,6 +384,50 @@ def test_from_assignments_routes_and_folds_case():
     assert {label: len(ids) for label, ids in state.topics.items()} == {"Politics": 2, "War": 1}
 
 
+# Short labels over letters whose case folding collides (c/C) or changes a
+# label's length (İ folds to i plus a dot, ß and SS both fold to ss).
+LABELS = st.text(alphabet="cCaAtTİißsS", min_size=1, max_size=3)
+ASSIGNMENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("generated"), st.lists(LABELS, min_size=1, max_size=4)),
+        st.tuples(st.sampled_from(["miscellaneous", "inappropriate"]), st.just([])),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=ASSIGNMENTS)
+def test_from_assignments_folds_labels_by_the_one_rule(drawn):
+    assignments = [TopicAssignment(f"d{i}", tuple(labels), provenance)
+                   for i, (provenance, labels) in enumerate(drawn)]
+    state = CollapseState.from_assignments(assignments)
+    generated = [a for a in assignments if a.provenance == "generated"]
+    assert list(state.topics) == _unique_labels(label for a in generated for label in a.topics)
+    by_key = {label.casefold(): ids for label, ids in state.topics.items()}
+    for a in generated:
+        for label in a.topics:
+            assert a.doc_id in by_key[label.casefold()]
+    assert state.misc == {a.doc_id for a in assignments if a.provenance == "miscellaneous"}
+    assert state.inappropriate == {a.doc_id for a in assignments if a.provenance == "inappropriate"}
+    placed = set().union(*state.clusters().values())
+    assert placed == {a.doc_id for a in assignments}
+    assert sum(map(len, state.topics.values())) == sum(
+        len({label.casefold() for label in a.topics}) for a in generated
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=st.lists(LABELS, min_size=1, max_size=8), current=LABELS)
+@example(candidates=["Politics", "STRASSE"], current="straße")
+def test_collapse_prompt_refuses_a_current_topic_that_is_a_candidate(candidates, current):
+    if current.casefold() in {c.casefold() for c in candidates}:
+        with pytest.raises(ValueError, match="must not appear in the candidate list"):
+            build_collapse_prompt(candidates, current)
+    else:
+        assert f"Current topic : {current}\n" in build_collapse_prompt(candidates, current).query
+
+
 def test_clusters_include_reserved():
     state = state_from({"A": {"a"}}, misc={"m"}, inappropriate={"i"})
     clusters = state.clusters()
@@ -392,10 +436,14 @@ def test_clusters_include_reserved():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        state_from({"A": {"a"}, "a": {"b"}})  # case-insensitive duplicate
-    with pytest.raises(ValueError):
-        state_from({"miscellaneous": {"a"}})  # reserved name is not a topic
+    # Each refusal names the labels as written, not their casefold.
+    with pytest.raises(ValueError, match="topics 'A' and 'a' are the same label"):
+        state_from({"A": {"a"}, "a": {"b"}})
+    with pytest.raises(ValueError, match="topics 'straße' and 'STRASSE' are the same label"):
+        state_from({"War": {"w"}, "straße": {"a"}, "STRASSE": {"b"}})
+    for reserved in ("miscellaneous", "Miscellaneous", "INAPPROPRIATE"):
+        with pytest.raises(ValueError, match=f"^'{reserved}' is a reserved cluster name"):
+            state_from({"A": {"a"}, reserved: {"b"}})
     # K and the window are arguments of the collapse, which checks them.
     state = state_from({"A": {"a"}})
     gateway = LlmGateway(mock_backend(default="['A']"))

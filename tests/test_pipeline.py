@@ -962,6 +962,8 @@ ASSIGNMENT_EDITS = {
     "repeated line": (lambda lines: [*lines, lines[0]], "'m001'"),
     "foreign id": (_first_assignment(doc_id="zzz"), "'zzz'"),
     "integer id": (_first_assignment(doc_id=3), "doc_id must be a string, not 3"),
+    "reserved label": (_first_assignment(provenance="generated", topics=["War", "Miscellaneous"]),
+                       ":1: 'Miscellaneous' is a reserved cluster name"),
 }
 
 
@@ -998,7 +1000,7 @@ CLUSTER_EDITS = {
     "reserved label": (lambda c: _renamed(c, "Politics", "miscellaneous"),
                        "'miscellaneous' is a reserved cluster name"),
     "labels equal but for case": (lambda c: _renamed(c, "Technology", "politics"),
-                                  "unique case-insensitively"),
+                                  "topics 'Politics' and 'politics' are the same label"),
 }
 
 

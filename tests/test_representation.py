@@ -143,6 +143,14 @@ def test_llm_representation_dedupes_reply():
     assert len(rep.words) == len(set(rep.words)) == 10
 
 
+def test_llm_representation_reads_a_replied_word_as_its_first_candidate():
+    # Before, a replied word was its last candidate by the label rule: CAT.
+    gateway = LlmGateway(mock_backend(default="['cat']"))
+    with mock.patch.object(representation, "top_words", return_value=["Cat", "CAT"]):
+        rep = represent_llm("topic", None, gateway)
+    assert (rep.words, rep.backfilled, rep.dropped) == (["Cat"], 0, 0)
+
+
 def test_llm_words_always_from_candidate_list():
     table = table_with_words(descending(25))
     candidates = set(top_words(table, "topic", 100))

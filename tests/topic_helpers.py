@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from memetopics.collapse import _similarity
 from memetopics.corpus import Corpus
 from memetopics.ctfidf import CtfidfTable, ctfidf_from_clusters
-from memetopics.generation import RESERVED_LABELS, TopicAssignment
+from memetopics.generation import INAPPROPRIATE, MISCELLANEOUS, TopicAssignment, _spelled_as
 
 
 def build_ctfidf(assignments: Iterable[TopicAssignment], corpus: Corpus) -> CtfidfTable:
@@ -25,10 +25,10 @@ def build_ctfidf(assignments: Iterable[TopicAssignment], corpus: Corpus) -> Ctfi
     for assignment in assignments:
         if assignment.provenance != "generated":
             continue
-        for label in assignment.topics:
-            if label.casefold() in RESERVED_LABELS:
-                continue
-            clusters.setdefault(label, set()).add(assignment.doc_id)
+        reserved = _spelled_as(assignment.topics, (MISCELLANEOUS, INAPPROPRIATE))
+        for label, r in zip(assignment.topics, reserved):
+            if r is None:
+                clusters.setdefault(label, set()).add(assignment.doc_id)
     return ctfidf_from_clusters(clusters, corpus)
 
 
