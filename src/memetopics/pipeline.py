@@ -11,9 +11,9 @@ run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
 from stage s first clears what the last run of s and of every later stage
 left (from preprocess, a sweep's output too). One function, _run, serves
 run_pipeline and run_stage: it makes the run's LlmGateway, shared by every
-prompting stage and the source of the cache's hash, and reads back only
-what a lone stage needs. The manifest carries no timestamps, so identical
-inputs produce identical bytes.
+prompting stage and the source of the cache's hash, and reads back, each
+file through its one check _load_artifact, only what a lone stage needs.
+The manifest carries no timestamps, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -418,8 +418,11 @@ def _run_stages(
     return artifacts
 
 
-def _load_artifact(outdir: Path, name: str):
-    """The artifact `name` as the stage that makes it wrote it into outdir."""
+def _load_artifact(outdir: Path, name: str, corpus: Corpus | None):
+    """The artifact `name`, or the manifest, as the run wrote it into outdir. The one check of
+    a file read back, refusing with a ValueError naming the file: an assignment with topics
+    exactly when not routed; assignments or clusters that leave out a document of corpus or
+    place another id; representations without one entry per topic of the clusters they load."""
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
@@ -428,6 +431,11 @@ def _load_artifact(outdir: Path, name: str):
             assignments.append(a := _record(TopicAssignment, row, f"{ASSIGNMENTS_FILE}:{n}: "))
             for label in filter(None, _spelled_as((MISCELLANEOUS, INAPPROPRIATE), a.topics)):
                 raise ValueError(f"{ASSIGNMENTS_FILE}:{n}: {label!r} is a reserved cluster name")
+            if (routed := a.provenance in ("miscellaneous", "inappropriate")) == bool(a.topics):
+                must = "empty" if routed else "given"
+                raise ValueError(f"{ASSIGNMENTS_FILE}:{n}: document {a.doc_id!r} is {a.provenance},"
+                                 f" so its topics must be {must}, not {list(a.topics)}")
+        _check_placed(corpus, ASSIGNMENTS_FILE, (a.doc_id for a in assignments))
         return assignments
     if name == "state":
         clusters = {}
@@ -436,14 +444,32 @@ def _load_artifact(outdir: Path, name: str):
         misc = clusters.pop(MISCELLANEOUS, set())
         inappropriate = clusters.pop(INAPPROPRIATE, set())
         try:
-            return CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+            state = CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
         except ValueError as exc:  # a reserved or repeated label
             raise ValueError(f"{CLUSTERS_FILE}: {exc}") from None
+        _check_placed(corpus, CLUSTERS_FILE, set().union(misc, inappropriate, *clusters.values()))
+        return state
+    if name == "manifest":  # the two entries _run_stages continues, each key required
+        manifest = _read_json(outdir / MANIFEST_FILE)
+        where = f"{MANIFEST_FILE}: stages_completed"
+        _typed(manifest.get("stages_completed"), list[Literal[STAGES]], where)
+        where = f"{MANIFEST_FILE}: token_usage"
+        for stage, spent in _typed(manifest.get("token_usage"), dict, where).items():
+            _typed(stage, Literal[STAGES], f"{where}: key")
+            if sorted(_typed(spent, dict, f"{where}: {stage}")) != sorted(TokenUsage._fields):
+                raise ValueError(f"{where}: {stage} must hold prompt and completion, not {spent}")
+            for key in TokenUsage._fields:
+                _typed(spent[key], int, f"{where}: {stage}: {key}")
+        return manifest
     reps = []  # the representations
     for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
         entry = {**_typed(entry, dict, where), "topic": topic}  # the file's key names the topic
         reps.append(_record(TopicRepresentation, entry, f"{where}: ", required=["backfilled"]))
+    topics = _load_artifact(outdir, "state", corpus).topics
+    if odd := sorted({rep.topic for rep in reps} ^ topics.keys()):
+        raise ValueError(f"{REPRESENTATIONS_FILE} and {CLUSTERS_FILE} must hold the same "
+                         f"topics, but only one of them holds {odd[0]!r}")
     return reps
 
 
@@ -461,14 +487,14 @@ def _check_placed(corpus: Corpus, file: str, doc_ids: Iterable[str]) -> None:
 
 def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     """Run `stages` in cfg.output_dir with one gateway and return the
-    artifacts. Loads what the stages read and do not make, before anything
-    is deleted. A run from preprocess, or with no manifest to continue,
-    starts a fresh manifest; any other continues the one on disk. The
-    input files are hashed only for a fresh manifest or for evaluate.
+    artifacts. Loads what the stages read and do not make, and the manifest
+    it continues, each through _load_artifact and so checked, before
+    anything is deleted. A run from preprocess, or with no manifest to
+    continue, starts a fresh manifest; any other continues the one on disk.
+    The input files are hashed only for a fresh manifest or for evaluate.
     """
     outdir = Path(cfg.output_dir)
-    manifest_path = outdir / MANIFEST_FILE
-    fresh = stages[0] == "preprocess" or not manifest_path.exists()
+    fresh = stages[0] == "preprocess" or not (outdir / MANIFEST_FILE).exists()
     made = {_FLOW[stage].makes for stage in stages}
     reads = [name for stage in stages for name in _FLOW[stage].reads if name not in made]
     gateway = LlmGateway(cfg.backend)
@@ -476,28 +502,14 @@ def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     if fresh or "input_hashes" in reads:
         # The cache's hash comes from the gateway, so the run reads its cache once.
         artifacts["input_hashes"] = cfg.input_hashes(gateway)
-    for name in reads:
+    for name in reads:  # each stage reads the corpus first
         if name not in artifacts:
-            artifacts[name] = _load_artifact(outdir, name)
-    # Read back, no document may go missing: an assignment places its document once (a
-    # generated one without a topic, nowhere), and the clusters place each at least once.
-    if "assignments" in reads:
-        assignments = artifacts["assignments"]
-        placed = [a.doc_id for a in assignments if a.topics or a.provenance != "generated"]
-        _check_placed(artifacts["corpus"], ASSIGNMENTS_FILE, placed)
-    if "state" in reads or "representations" in reads:
-        state = artifacts.get("state") or _load_artifact(outdir, "state")
-        _check_placed(artifacts["corpus"], CLUSTERS_FILE, set().union(*state.clusters().values()))
-    if "representations" in reads:  # one entry per topic of the clusters
-        topics = {rep.topic for rep in artifacts["representations"]}
-        if odd := sorted(topics ^ state.topics.keys()):
-            raise ValueError(f"{REPRESENTATIONS_FILE} and {CLUSTERS_FILE} must hold the same "
-                             f"topics, but only one of them holds {odd[0]!r}")
+            artifacts[name] = _load_artifact(outdir, name, artifacts.get("corpus"))
     if fresh:
         digest = cfg.config_digest(artifacts["input_hashes"])
         manifest = {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
     else:
-        manifest = _read_json(manifest_path)
+        manifest = _load_artifact(outdir, "manifest", None)
     return _run_stages(cfg, outdir, stages, artifacts, manifest)
 
 

@@ -18,7 +18,7 @@ import sys
 from functools import reduce
 from operator import getitem
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ import memetopics
 from memetopics import BackendConfig, RunConfig
 from memetopics.cli import build_parser, config_from_args, main
 from memetopics.corpus import _hints, _typed
+from memetopics.generation import TopicAssignment, _spelled_as
 
 from conftest import FIXTURES_DIR
 
@@ -326,17 +327,24 @@ READ_BACKS = {
     "assignments.jsonl": "collapse",
     "clusters.json": "represent",
     "corpus_processed.jsonl": "collapse",
+    "manifest.json": "collapse",
     "representations.json": "evaluate",
 }
 DUPLICATE = object()
+PROVENANCES = get_args(_hints(TopicAssignment)["provenance"])
+# The manifest entries a continued run reads; every other entry is only a record.
+MANIFEST_READ = ("stages_completed", "token_usage")
 
 
 @pytest.fixture(scope="module")
 def fixture_run(tmp_path_factory):
-    """A whole fixture pbm run, its config file and the documents of its corpus."""
+    """A whole fixture wsm run, its config file and the documents of its corpus. A wsm
+    collapse prompts for nothing, so an edit that changes the topics misses no reply."""
     root = tmp_path_factory.mktemp("read-back")
     config = root / "cfg.json"
-    config.write_text(json.dumps(replay_config(output_dir=str(root / "run"))), encoding="utf-8")
+    data = replay_config(output_dir=str(root / "run"), collapse_method="wsm",
+                         representation_method="ctfidf", k=3)
+    config.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 0
     shutil.copytree(root / "run", root / "whole")
     lines = (FIXTURES_DIR / "memes50.jsonl").read_text(encoding="utf-8").splitlines()
@@ -361,10 +369,15 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, 
     jsonl = name.endswith(".jsonl")
     path = data.draw(st.sampled_from([p for p in _nodes(original) if p or not jsonl]))
     node = reduce(getitem, path, original)
-    # Every node can be deleted, swapped for one of another type, and a line duplicated.
+    # Every node can be deleted or swapped for one of another type, and a line duplicated;
+    # an assignment's provenance can be swapped for another, and its topics for ["x"].
     swaps = [new for new in SWAPS if new is DELETE or type(new) is not type(node)]
     if jsonl and len(path) == 1:
         swaps.append(DUPLICATE)
+    if path[1:] == ("provenance",):
+        swaps += [provenance for provenance in PROVENANCES if provenance != node]
+    if path[1:] == ("topics",):
+        swaps.append(["x"])
     new = data.draw(st.sampled_from(swaps))
     if new is DUPLICATE:
         value = [*original[: path[0] + 1], *original[path[0] :]]
@@ -383,9 +396,15 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, 
     assert "Traceback" not in err.getvalue()
     # A swapped type, a deleted key, line, file or topic is refused; only a list
     # item may go unnoticed, an id of clusters.json only while every document
-    # still sits in some cluster.
-    list_item = len(path) == 2 if name == "clusters.json" else len(path) == 3
-    if new is not DELETE or not list_item:
+    # still sits in some cluster. Of the manifest only the entries a continued run
+    # reads are checked, and a stage's entry in them may go as a list item may.
+    # A value swapped for another of its type may pass if no document or label is lost.
+    if name == "manifest.json":
+        refused = not path or path[0] in MANIFEST_READ and (new is not DELETE or len(path) != 2)
+    else:
+        list_item = len(path) == 2 if name == "clusters.json" else len(path) == 3
+        refused = type(new) is not type(node) and (new is not DELETE or not list_item)
+    if refused:
         assert code == 1, (name, path, new, err.getvalue())
     if code == 1:
         assert name in err.getvalue(), err.getvalue()
@@ -394,3 +413,10 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, 
     if stage in ("collapse", "represent"):
         clusters = json.loads((root / "run" / "clusters.json").read_text(encoding="utf-8"))
         assert set().union(*clusters.values()) == ids
+    if stage == "collapse":  # each label read back places its document where it merged to
+        merged = {m["source"]: m["target"] for m in _read_back(root / "run" / "merge_log.jsonl")}
+        for assignment in _read_back(root / "run" / "assignments.jsonl"):
+            for label in _spelled_as(assignment["topics"], [*clusters, *merged]):
+                while label in merged:
+                    label = merged[label]
+                assert assignment["doc_id"] in clusters.get(label, ()), (path, new, label)

@@ -333,9 +333,10 @@ def test_assignments_roundtrip_file(tmp_path):
         default="['A', 'B']",
     )
     cfg = RunConfig(corpus_path="unused", num_demonstrations=1, backend=backend)
-    assignments, _ = stage_generate(cfg, tmp_path, make_corpus(4), LlmGateway(backend))
+    corpus = make_corpus(4)
+    assignments, _ = stage_generate(cfg, tmp_path, corpus, LlmGateway(backend))
     assert {a.provenance for a in assignments} == {"generated", "miscellaneous", "inappropriate"}
-    assert _load_artifact(tmp_path, "assignments") == assignments
+    assert _load_artifact(tmp_path, "assignments", corpus) == assignments
 
 
 def test_gateway_instance_accepted_directly():

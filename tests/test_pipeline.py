@@ -745,7 +745,7 @@ def cache_without(cache, entry, path):
 
 
 def topics_before_collapse(outdir):
-    assignments = _load_artifact(outdir, "assignments")
+    assignments = _load_artifact(outdir, "assignments", _load_artifact(outdir, "corpus", None))
     return len(CollapseState.from_assignments(assignments).topics)
 
 
@@ -964,6 +964,11 @@ ASSIGNMENT_EDITS = {
     "integer id": (_first_assignment(doc_id=3), "doc_id must be a string, not 3"),
     "reserved label": (_first_assignment(provenance="generated", topics=["War", "Miscellaneous"]),
                        ":1: 'Miscellaneous' is a reserved cluster name"),
+    # Before, the run exited 0 and the label sat in no cluster.
+    "routed with a topic": (
+        _first_assignment(provenance="miscellaneous", topics=["Zebra Crossings"]),
+        ":1: document 'm001' is miscellaneous",
+    ),
 }
 
 
@@ -1061,6 +1066,31 @@ def test_a_lone_evaluate_refuses_representations_whose_topics_differ_from_the_cl
         assert "clusters.json" in err, err
     assert "Traceback" not in err
     assert (tmp_path / "run" / "report.json").read_bytes() == report
+
+
+# Each sets entries of a fixture wsm run's manifest.json before a lone stage continues it.
+MANIFEST_EDITS = {
+    "stages_completed not a list": ({"stages_completed": 5}, "collapse"),
+    "token_usage not an object": ({"token_usage": [1]}, "represent"),
+    "stages_completed naming no stage": ({"stages_completed": [1]}, "evaluate"),
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_EDITS)
+def test_a_lone_stage_refuses_a_manifest_it_cannot_continue(tmp_path, capsys, case):
+    # Before, the first ended in an uncaught TypeError and the second in an error naming no
+    # file, each after the stage had deleted its files; the third kept the entry, exit 0.
+    values, stage = MANIFEST_EDITS[case]
+    cfg = fixture_config(tmp_path, "run", collapse_method="wsm", representation_method="ctfidf",
+                         k=3)
+    config_path = _edited_run(tmp_path, cfg, "manifest.json", lambda m: {**m, **values})
+    files = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+    assert main([stage, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in {stage}: manifest.json: {next(iter(values))}"), err
+    assert "Traceback" not in err
+    # Refused as it is read, before the stage supersedes any file.
+    assert {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()} == files
 
 
 @pytest.mark.parametrize(

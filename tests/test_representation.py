@@ -11,7 +11,7 @@ from memetopics.collapse import CollapseState
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
 from memetopics.generation import format_topic_list, parse_topic_list
 from memetopics.llm import LlmGateway
-from memetopics.pipeline import RunConfig, _load_artifact, stage_represent
+from memetopics.pipeline import RunConfig, _load_artifact, _write_json, stage_represent
 from memetopics.representation import build_wordrank_prompt, represent_ctfidf, represent_llm
 
 import represent_oracle
@@ -213,5 +213,7 @@ def test_representations_roundtrip(tmp_path):
         if method == "llm":
             assert reps[1].backfilled > 0
         fields = [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in reps]
-        loaded = _load_artifact(outdir, "representations")
+        # The reader checks the topics against the clusters.json the collapse writes.
+        _write_json(outdir / "clusters.json", {t: sorted(ids) for t, ids in state.topics.items()})
+        loaded = _load_artifact(outdir, "representations", corpus)
         assert [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in loaded] == fields
