@@ -6,7 +6,7 @@ from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
 counted once per corpus when first read, and co-occurrences of a chosen
 word set, counted from postings built in one pass over the documents.
-It also holds the package's one JSONL codec, JSON reader, type rule and record rule.
+It also holds the package's one run-file codec, JSON reader, type rule and record rule.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import unicodedata
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -228,8 +229,7 @@ def _read_json(path: str | Path, kind: type = dict):
 
 def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """The (line number, record) pairs of a JSONL file, blank lines skipped;
-    a line that is not a JSON object raises a ValueError naming it. With
-    _write_jsonl, the package's one JSONL codec."""
+    a line that is not a JSON object raises a ValueError naming it."""
     name = Path(path).name
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -246,11 +246,28 @@ def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
+def _write_file(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write chunks beside path, then rename over it, so a write that fails midway leaves the
+    old file whole: the one writer of every run file. Newlines go out untranslated."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    """Write payload as one indented object, keys sorted, text ASCII-escaped, newline-ended."""
+    _write_file(path, [json.dumps(payload, sort_keys=True, ensure_ascii=True, indent=2), "\n"])
+
+
 def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write records one compact line each, keys sorted, text ASCII-escaped."""
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
+    _write_file(path, (json.dumps(r, sort_keys=True, ensure_ascii=True) + "\n" for r in records))
 
 
 def _read_csv(path: Path) -> list[tuple[int, dict]]:

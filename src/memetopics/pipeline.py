@@ -5,8 +5,8 @@ One table, _FLOW, says what each stage reads, the artifact it makes, the
 files it writes and the manifest entries it sets. Each stage writes its
 artifact into the run directory, so a run can be inspected and replayed,
 and hands it to the next stage in memory. This module owns the run
-directory, through a JSON writer of its own and corpus.py's JSON reader
-and JSONL codec. One driver, _run_stages, runs the stages for
+directory; every file in it is read and written through corpus.py's
+run-file codec. One driver, _run_stages, runs the stages for
 run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
 from stage s first clears what the last run of s and of every later stage
 left (from preprocess, a sweep's output too). One function, _run, serves
@@ -21,9 +21,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
-import os
 import re
 import shutil
 from collections import Counter
@@ -34,7 +34,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 from . import corpus as corpus_mod
 from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
 from .corpus import Corpus, PreprocessConfig, _check_fields, _read_json, _read_jsonl, _record
-from .corpus import _typed, _write_jsonl
+from .corpus import _typed, _write_file, _write_json, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -224,25 +224,6 @@ def _file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-# -- run-directory files -----------------------------------------------------
-#
-# JSON keys sorted, text ASCII-escaped, one indented object and a final
-# newline. JSON is read, and JSONL read and written, through corpus.py.
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write beside path, then rename over it: a write that fails midway
-    leaves the old file whole."""
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=True, indent=2)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # -- stages ------------------------------------------------------------------
@@ -487,14 +468,21 @@ def _check_placed(corpus: Corpus, file: str, doc_ids: Iterable[str]) -> None:
 
 def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     """Run `stages` in cfg.output_dir with one gateway and return the
-    artifacts. Loads what the stages read and do not make, and the manifest
-    it continues, each through _load_artifact and so checked, before
-    anything is deleted. A run from preprocess, or with no manifest to
-    continue, starts a fresh manifest; any other continues the one on disk.
-    The input files are hashed only for a fresh manifest or for evaluate.
+    artifacts. Loads the manifest it continues, then what the stages read
+    and do not make, each through _load_artifact and so checked, before
+    anything is deleted. A run from preprocess starts a fresh manifest; any
+    other continues the one on disk once its stages_completed begins with
+    every earlier stage. Inputs are hashed only for a fresh manifest or evaluate.
     """
     outdir = Path(cfg.output_dir)
-    fresh = stages[0] == "preprocess" or not (outdir / MANIFEST_FILE).exists()
+    fresh = stages[0] == "preprocess"
+    if not fresh:
+        manifest = _load_artifact(outdir, "manifest", None)
+        done = manifest["stages_completed"]
+        for n, stage in enumerate(STAGES[: STAGES.index(stages[0])]):
+            if done[n : n + 1] != [stage]:
+                raise ValueError(f"{MANIFEST_FILE}: stages_completed is {done}, so {stage!r} "
+                                 f"must complete before {stages[0]!r} runs")
     made = {_FLOW[stage].makes for stage in stages}
     reads = [name for stage in stages for name in _FLOW[stage].reads if name not in made]
     gateway = LlmGateway(cfg.backend)
@@ -508,8 +496,6 @@ def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     if fresh:
         digest = cfg.config_digest(artifacts["input_hashes"])
         manifest = {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
-    else:
-        manifest = _load_artifact(outdir, "manifest", None)
     return _run_stages(cfg, outdir, stages, artifacts, manifest)
 
 
@@ -527,7 +513,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
 def run_stage(cfg: RunConfig, stage: str):
     """Run one stage on the artifacts earlier stages left in cfg.output_dir
     and return the artifact it makes. preprocess starts a fresh manifest;
-    every later stage continues the one on disk. Like any run, the stage
+    every later stage continues the one on disk, and is refused before any
+    file changes unless every stage before it completed. Like any run, the stage
     supersedes its own last run and every later stage's, so the five
     stages run one at a time leave the files and manifest of run_pipeline.
     """
@@ -579,9 +566,10 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
         if k in reports
     ]
 
-    with open(root / _SWEEP_CSV_FILE, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["k", "mean_npmi", "diversity"])
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=["k", "mean_npmi", "diversity"])
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_file(root / _SWEEP_CSV_FILE, [table.getvalue()])
     _write_json(root / _SWEEP_MANIFEST_FILE, {"rows": rows, "errors": errors})
     return rows

@@ -29,6 +29,7 @@ from memetopics import BackendConfig, RunConfig
 from memetopics.cli import build_parser, config_from_args, main
 from memetopics.corpus import _hints, _typed
 from memetopics.generation import TopicAssignment, _spelled_as
+from memetopics.pipeline import STAGES
 
 from conftest import FIXTURES_DIR
 
@@ -70,6 +71,8 @@ BAD_VALUES = [
     ("corpus_format", "xml", "corpus_format must be one of 'jsonl', 'csv', not 'xml'"),
     ("backend", "mock", "backend must be a JSON object, not 'mock'"),
     ("backend.bogus", 1, "unknown key backend.bogus"),
+    ("backend.mock_rules", [["parliament", "['Politics']"], "xy"],
+     "backend.mock_rules[1] must be a list, not the string 'xy'"),
     ("bogus", 1, "unknown key bogus"),
 ]
 
@@ -397,10 +400,13 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, 
     # A swapped type, a deleted key, line, file or topic is refused; only a list
     # item may go unnoticed, an id of clusters.json only while every document
     # still sits in some cluster. Of the manifest only the entries a continued run
-    # reads are checked, and a stage's entry in them may go as a list item may.
+    # reads are checked, and a stage's entry in them may go as a list item may, but
+    # for an entry of stages_completed naming a stage before the one that runs.
     # A value swapped for another of its type may pass if no document or label is lost.
     if name == "manifest.json":
-        refused = not path or path[0] in MANIFEST_READ and (new is not DELETE or len(path) != 2)
+        entry = new is DELETE and len(path) == 2
+        earlier = entry and path[0] == "stages_completed" and path[1] < STAGES.index(stage)
+        refused = not path or path[0] in MANIFEST_READ and (not entry or earlier)
     else:
         list_item = len(path) == 2 if name == "clusters.json" else len(path) == 3
         refused = type(new) is not type(node) and (new is not DELETE or not list_item)

@@ -190,38 +190,45 @@ def test_a_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path):
     assert not {"generation_summary", "collapse_summary", "metrics"} & set(manifest)
 
 
-# Writes a small JSON file, then rewrites it with more than a file size
-# limit 64 bytes above it allows, SIGXFSZ ignored so the write fails with
-# EFBIG; prints that errno.
+# Writes a small run file through the corpus writer named in argv[2] (a
+# JSONL file holds the record as its one line), then rewrites it with more
+# than a file size limit 64 bytes above it allows, SIGXFSZ ignored so the
+# write fails with EFBIG; prints that errno.
 REWRITE_OVER_THE_SIZE_LIMIT = """
 import resource, signal, sys
 from pathlib import Path
-from memetopics.pipeline import _write_json
+from memetopics import corpus
 
-path = Path(sys.argv[1])
-_write_json(path, {"stages_completed": ["preprocess"]})
+path, writer = Path(sys.argv[1]), getattr(corpus, sys.argv[2])
+write = lambda record: writer(path, [record] if path.suffix == ".jsonl" else record)
+write({"stages_completed": ["preprocess"]})
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
 resource.setrlimit(resource.RLIMIT_FSIZE, (path.stat().st_size + 64, hard))
 try:
-    _write_json(path, {"stages_completed": ["preprocess"], "pad": "x" * 200})
+    write({"stages_completed": ["preprocess"], "pad": "x" * 200})
 except OSError as exc:
     print(exc.errno)
 """
 
 
-def test_a_failed_rewrite_leaves_the_old_json_file_whole(tmp_path):
+@pytest.mark.parametrize(
+    "name, writer", [("manifest.json", "_write_json"), ("assignments.jsonl", "_write_jsonl")]
+)
+def test_a_failed_rewrite_leaves_the_old_json_file_whole(tmp_path, name, writer):
+    # Before, the JSONL writer wrote in place, and the failed rewrite left a torn file.
     # The size limit covers every file the child writes, so its stdout is a pipe.
-    path = tmp_path / "manifest.json"
+    path = tmp_path / name
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", REWRITE_OVER_THE_SIZE_LIMIT, str(path)],
+        [sys.executable, "-c", REWRITE_OVER_THE_SIZE_LIMIT, str(path), writer],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(errno.EFBIG)]
+    # Either file holds one JSON object.
     assert json.loads(path.read_text(encoding="utf-8")) == {"stages_completed": ["preprocess"]}
-    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("method,representation", [("pbm", "llm"), ("wsm", "ctfidf")])
@@ -377,11 +384,10 @@ def test_a_replay_run_sweep_and_stage_open_the_cache_once(tmp_path, monkeypatch)
     assert len(opened) == 3
     run_stage(cfg, "generate")
     assert len(opened) == 4
-    shutil.rmtree(tmp_path / "staged")
-    run_stage(cfg, "preprocess")
     (tmp_path / "staged" / "manifest.json").unlink()
-    run_stage(cfg, "generate")  # both the digest and the index, from one read
-    assert len(opened) == 6
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
+        run_stage(cfg, "generate")  # refused before the cache is read
+    assert len(opened) == 4
 
 
 def test_the_library_flow_on_one_gateway_reads_the_cache_once_behind_one_limiter(
@@ -419,8 +425,7 @@ def test_a_lone_stage_hashes_the_input_files_only_for_a_fresh_manifest_or_evalua
     for stage in ("collapse", "represent"):
         run_stage(cfg, stage)
     assert opened == []  # both continue the manifest and read the corpus back
-    (outdir / "manifest.json").unlink()
-    run_stage(cfg, "evaluate")  # one hash serves the fresh header and the report
+    run_stage(cfg, "evaluate")  # the report's digest hashes the inputs
     assert len(opened) == 1
 
 
@@ -585,6 +590,53 @@ def test_lone_stages_write_the_files_of_a_run(tmp_path, method, representation, 
     for stage in STAGES:
         run_stage(cfg, stage)
     assert run_dir_bytes(outdir) == whole
+
+
+@pytest.fixture(scope="module")
+def wsm_run(tmp_path_factory):
+    """The directory of a whole fixture wsm K=3 replay run, and its config."""
+    root = tmp_path_factory.mktemp("lone-stages")
+    cfg = fixture_config(root, "whole", collapse_method="wsm", representation_method="ctfidf",
+                         k=3)
+    return run_pipeline(cfg), cfg
+
+
+# A step: a lone stage, deleting manifest.json, or dropping a stage from stages_completed.
+LONE_STEPS = [*STAGES, "delete manifest", *(("drop", stage) for stage in STAGES)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.sampled_from(LONE_STEPS), max_size=8))
+def test_a_lone_stage_runs_only_after_every_stage_before_it(wsm_run, steps):
+    whole, cfg = wsm_run
+    outdir = whole.with_name("run")
+    shutil.rmtree(outdir, ignore_errors=True)
+    shutil.copytree(whole, outdir)
+    cfg = dataclasses.replace(cfg, output_dir=str(outdir))
+    manifest_path = outdir / "manifest.json"
+    for step in steps:
+        manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else None
+        if step == "delete manifest":
+            manifest_path.unlink(missing_ok=True)
+            continue
+        if step[0] == "drop":
+            if manifest is not None and step[1] in manifest["stages_completed"]:
+                manifest["stages_completed"].remove(step[1])
+                manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            continue
+        earlier = list(STAGES[: STAGES.index(step)])
+        done = manifest["stages_completed"] if manifest is not None else []
+        before = run_dir_bytes(outdir)
+        if step != "preprocess" and done[: len(earlier)] != earlier:
+            with pytest.raises((ValueError, FileNotFoundError), match="manifest.json"):
+                run_stage(cfg, step)
+            assert run_dir_bytes(outdir) == before
+            continue
+        run_stage(cfg, step)
+        completed = json.loads(manifest_path.read_text())["stages_completed"]
+        assert completed == [*earlier, step]
+        files = {"manifest.json"}.union(*(pipeline_mod._FLOW[name].files for name in completed))
+        assert {path.name for path in outdir.iterdir()} == files
 
 
 def test_running_a_stage_again_drops_it_and_later_stages_from_the_manifest(tmp_path):
@@ -982,7 +1034,7 @@ def test_a_lone_collapse_refuses_assignments_that_lose_or_invent_a_document(
     run_pipeline(cfg)
     path = tmp_path / "run" / "assignments.jsonl"
     path.write_text("".join(edit(path.read_text(encoding="utf-8").splitlines(True))), "utf-8")
-    clusters = (tmp_path / "run" / "clusters.json").read_bytes()
+    files = run_dir_bytes(tmp_path / "run")
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert main(["collapse", "--config", str(config_path)]) == 1
@@ -990,7 +1042,7 @@ def test_a_lone_collapse_refuses_assignments_that_lose_or_invent_a_document(
     assert err.startswith("error in collapse: assignments.jsonl") and named in err, err
     assert "Traceback" not in err
     # Refused as it is read, before the stage supersedes any file.
-    assert (tmp_path / "run" / "clusters.json").read_bytes() == clusters
+    assert run_dir_bytes(tmp_path / "run") == files
 
 
 def _renamed(clusters, old, new):
@@ -1068,29 +1120,62 @@ def test_a_lone_evaluate_refuses_representations_whose_topics_differ_from_the_cl
     assert (tmp_path / "run" / "report.json").read_bytes() == report
 
 
-# Each sets entries of a fixture wsm run's manifest.json before a lone stage continues it.
+def _lose_generate(manifest):
+    manifest["stages_completed"].remove("generate")
+    del manifest["token_usage"]["generate"]
+    return manifest
+
+
+# Each edits a fixture wsm run's manifest.json before a lone stage continues it:
+# (edit, stage, how the error goes on after "manifest.json: ").
 MANIFEST_EDITS = {
-    "stages_completed not a list": ({"stages_completed": 5}, "collapse"),
-    "token_usage not an object": ({"token_usage": [1]}, "represent"),
-    "stages_completed naming no stage": ({"stages_completed": [1]}, "evaluate"),
+    "stages_completed not a list": (
+        lambda m: {**m, "stages_completed": 5}, "collapse", "stages_completed"
+    ),
+    "token_usage not an object": (lambda m: {**m, "token_usage": [1]}, "represent", "token_usage"),
+    "stages_completed naming no stage": (
+        lambda m: {**m, "stages_completed": [1]}, "evaluate", "stages_completed"
+    ),
+    "generate lost from stages_completed and token_usage": (
+        _lose_generate, "evaluate", "stages_completed is ['preprocess', 'collapse', 'represent',"
+        " 'evaluate'], so 'generate' must complete before 'evaluate' runs",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", MANIFEST_EDITS)
 def test_a_lone_stage_refuses_a_manifest_it_cannot_continue(tmp_path, capsys, case):
     # Before, the first ended in an uncaught TypeError and the second in an error naming no
-    # file, each after the stage had deleted its files; the third kept the entry, exit 0.
-    values, stage = MANIFEST_EDITS[case]
+    # file, each after the stage had deleted its files; the third kept the entry, exit 0; the
+    # fourth ran to exit 0 over the assignments of a generate the manifest no longer held.
+    edit, stage, named = MANIFEST_EDITS[case]
     cfg = fixture_config(tmp_path, "run", collapse_method="wsm", representation_method="ctfidf",
                          k=3)
-    config_path = _edited_run(tmp_path, cfg, "manifest.json", lambda m: {**m, **values})
-    files = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+    config_path = _edited_run(tmp_path, cfg, "manifest.json", edit)
+    files = run_dir_bytes(tmp_path / "run")
     assert main([stage, "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error in {stage}: manifest.json: {next(iter(values))}"), err
+    assert err.startswith(f"error in {stage}: manifest.json: {named}"), err
     assert "Traceback" not in err
     # Refused as it is read, before the stage supersedes any file.
-    assert {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()} == files
+    assert run_dir_bytes(tmp_path / "run") == files
+
+
+@pytest.mark.parametrize("stage", STAGES[1:])
+def test_a_lone_stage_without_a_manifest_is_refused_naming_it(tmp_path, capsys, stage):
+    # Before, each ran to exit 0 and started a manifest whose stages_completed held the
+    # stage alone, though it read what earlier stages wrote.
+    cfg = fixture_config(tmp_path, "run", collapse_method="wsm", representation_method="ctfidf",
+                         k=3)
+    outdir = run_pipeline(cfg)
+    (outdir / "manifest.json").unlink()
+    files = run_dir_bytes(outdir)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert main([stage, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in {stage}: ") and str(outdir / "manifest.json") in err, err
+    assert run_dir_bytes(outdir) == files
 
 
 @pytest.mark.parametrize(
@@ -1270,6 +1355,28 @@ def test_cli_flag_overrides_an_out_of_range_file_value(tmp_path):
     assert main(["run", "--config", str(config_path), "--k", "3"]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["k"] == 3
+
+
+def test_a_second_recording_run_pays_nothing_and_writes_the_same_manifest(tmp_path):
+    cache, outdir = tmp_path / "cache.jsonl", tmp_path / "run"
+    argv = [
+        "run",
+        "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+        "--backend-kind", "mock",
+        "--mock-rules", str(FIXTURES_DIR / "mock_rules.json"),
+        "--cache", str(cache),
+        "--record",
+        "--collapse-method", "pbm",
+        "--representation", "llm",
+        "--k", "5",
+        "--out", str(outdir),
+    ]
+    assert main(argv) == 0
+    recorded, manifest = cache.read_bytes(), (outdir / "manifest.json").read_bytes()
+    assert recorded
+    assert main(argv) == 0
+    assert cache.read_bytes() == recorded
+    assert (outdir / "manifest.json").read_bytes() == manifest
 
 
 def test_cli_missing_config_is_usage_error(tmp_path, capsys):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from memetopics import representation
 from memetopics.collapse import CollapseState
+from memetopics.corpus import _write_json
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
 from memetopics.generation import format_topic_list, parse_topic_list
 from memetopics.llm import LlmGateway
-from memetopics.pipeline import RunConfig, _load_artifact, _write_json, stage_represent
+from memetopics.pipeline import RunConfig, _load_artifact, stage_represent
 from memetopics.representation import build_wordrank_prompt, represent_ctfidf, represent_llm
 
 import represent_oracle
