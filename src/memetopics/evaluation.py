@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Cooccurrence, Corpus, cooccurrence_counts
 from .generation import INAPPROPRIATE, MISCELLANEOUS, _spelled_as
@@ -110,17 +110,27 @@ def coherence(
     per_topic: dict[str, float] = {}
     for rep in usable:
         values = [_npmi(counts, w1, w2, epsilon) for w1, w2 in itertools.combinations(rep.words, 2)]
-        per_topic[rep.topic] = sum(values) / len(values)
+        per_topic[rep.topic] = _mean(values)
 
     return CoherenceReport(
         per_topic_npmi=per_topic,
-        mean_npmi=sum(per_topic.values()) / len(per_topic),
+        mean_npmi=_mean(per_topic.values()),
         diversity=diversity(included),
         epsilon=epsilon,
         k=len(per_topic),
         words_per_topic=max(len(rep.words) for rep in usable),
         excluded=excluded,
     )
+
+
+def _mean(values: Iterable[float]) -> float:
+    """The mean of values, added left to right: the builtin sum adds floats with
+    compensation since Python 3.12, so a report's bytes would depend on the Python."""
+    total, count = 0.0, 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count
 
 
 def diversity(reps: Sequence[TopicRepresentation]) -> float:

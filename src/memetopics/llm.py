@@ -458,6 +458,8 @@ def _read_cache(path: str | None, record: bool) -> _Cache:
     the last record of a hash winning, and, unless recording, hash it for
     LlmGateway.cache_sha256.
 
+    A recording gateway opens the file to write as well, making it if missing,
+    so a path it cannot write raises OSError before any request is sent.
     A record counts once its newline is on disk: an unterminated last line,
     cut short by a crash mid-write, is skipped (and hashed all the same), and
     a recording gateway cuts it so its first append starts a line of its
@@ -467,10 +469,13 @@ def _read_cache(path: str | None, record: bool) -> _Cache:
     index: dict[str, dict] = {}
     if not path:
         return _Cache(index, None, None)
-    try:
-        f = open(path, "r+b" if record else "rb")
-    except FileNotFoundError:
-        return _Cache(index, None, None)
+    if record:
+        f = open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
+    else:
+        try:
+            f = open(path, "rb")
+        except FileNotFoundError:
+            return _Cache(index, None, None)
     line_hashes: list[bytes] = []
     error = None
     with f:

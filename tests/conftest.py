@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,30 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES_DIR
+
+
+# -- one node of a JSON value swapped or deleted ------------------------------
+
+DELETE = object()
+SWAPS = [None, True, 3, 0.5, "x", [], {}, DELETE]
+
+
+def json_nodes(value, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_nodes(child, (*path, key))
+
+
+def mutated(value, path, new):
+    """value with the node at path replaced by new, or deleted."""
+    if not path:
+        return new
+    value = copy.deepcopy(value)
+    parent = reduce(getitem, path[:-1], value)
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return value

@@ -3,22 +3,16 @@
 A bad value in a config file, a demonstrations file or a mock-rules file
 ends `memetopics run` with exit 2 before any directory is made, naming the
 key and the file it came from. No number or boolean is opened as a path.
-A record a lone stage reads back goes through the same rule: a bad one
-ends the stage with exit 1 naming its file, and none loses a document.
+A record a lone stage reads back goes through the same rule; its tests are
+in test_pipeline.py, beside the other read-back checks.
 """
 
-import contextlib
-import copy
-import io
 import json
 import os
-import shutil
 import subprocess
 import sys
-from functools import reduce
-from operator import getitem
 from pathlib import Path
-from typing import Literal, get_args
+from typing import Literal
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +22,8 @@ import memetopics
 from memetopics import BackendConfig, RunConfig
 from memetopics.cli import build_parser, config_from_args, main
 from memetopics.corpus import _hints, _typed
-from memetopics.generation import TopicAssignment, _spelled_as
-from memetopics.pipeline import STAGES
 
-from conftest import FIXTURES_DIR
+from conftest import DELETE, FIXTURES_DIR, SWAPS, json_nodes, mutated
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BUNDLED_DEMOS = Path(memetopics.__file__).parent / "data" / "demonstrations.json"
@@ -243,10 +235,6 @@ def test_typed_refuses_any_other_naming_the_key(value, hint):
 
 # -- one mutated node in any input file ----------------------------------------
 
-DELETE = object()
-SWAPS = [None, True, 3, 0.5, "x", [], {}, DELETE]
-
-
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """The three input files of a mock fixture run, by name: the config,
@@ -272,36 +260,15 @@ def input_files(tmp_path_factory):
     return paths, originals
 
 
-def _nodes(value, path=()):
-    """The path of every node of a JSON value, the root's () first."""
-    yield path
-    if isinstance(value, (dict, list)):
-        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
-            yield from _nodes(child, (*path, key))
-
-
-def _mutated(value, path, new):
-    """value with the node at path replaced by new, or deleted."""
-    if not path:
-        return new
-    value = copy.deepcopy(value)
-    parent = reduce(getitem, path[:-1], value)
-    if new is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = new
-    return value
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, data):
     paths, originals = input_files
     name = data.draw(st.sampled_from(sorted(paths)))
-    path = data.draw(st.sampled_from(list(_nodes(originals[name]))))
+    path = data.draw(st.sampled_from(list(json_nodes(originals[name]))))
     new = data.draw(st.sampled_from(SWAPS))
     for each, original in originals.items():
-        value = _mutated(original, path, new) if each == name else original
+        value = mutated(original, path, new) if each == name else original
         text = "" if value is DELETE else json.dumps(value)
         paths[each].write_text(text, encoding="utf-8")
     args = build_parser().parse_args(["run", "--config", str(paths["config"])])
@@ -321,108 +288,3 @@ def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, data):
         for obj in (cfg, cfg.backend):
             for key, hint in _hints(type(obj)).items():
                 _typed(getattr(obj, key), hint, key)
-
-
-# -- one mutated node or line in any file a lone stage reads back -------------
-
-# Each file a lone stage reads back, and the stage that reads it.
-READ_BACKS = {
-    "assignments.jsonl": "collapse",
-    "clusters.json": "represent",
-    "corpus_processed.jsonl": "collapse",
-    "manifest.json": "collapse",
-    "representations.json": "evaluate",
-}
-DUPLICATE = object()
-PROVENANCES = get_args(_hints(TopicAssignment)["provenance"])
-# The manifest entries a continued run reads; every other entry is only a record.
-MANIFEST_READ = ("stages_completed", "token_usage")
-
-
-@pytest.fixture(scope="module")
-def fixture_run(tmp_path_factory):
-    """A whole fixture wsm run, its config file and the documents of its corpus. A wsm
-    collapse prompts for nothing, so an edit that changes the topics misses no reply."""
-    root = tmp_path_factory.mktemp("read-back")
-    config = root / "cfg.json"
-    data = replay_config(output_dir=str(root / "run"), collapse_method="wsm",
-                         representation_method="ctfidf", k=3)
-    config.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["run", "--config", str(config)]) == 0
-    shutil.copytree(root / "run", root / "whole")
-    lines = (FIXTURES_DIR / "memes50.jsonl").read_text(encoding="utf-8").splitlines()
-    return root, config, {json.loads(line)["id"] for line in lines}
-
-
-def _read_back(path: Path):
-    """A JSON file's value, or a JSONL file's records as a list, one per line."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".jsonl":
-        return [json.loads(line) for line in text.splitlines()]
-    return json.loads(text)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(fixture_run, data):
-    root, config, ids = fixture_run
-    name = data.draw(st.sampled_from(sorted(READ_BACKS)))
-    stage = READ_BACKS[name]
-    original = _read_back(root / "whole" / name)
-    jsonl = name.endswith(".jsonl")
-    path = data.draw(st.sampled_from([p for p in _nodes(original) if p or not jsonl]))
-    node = reduce(getitem, path, original)
-    # Every node can be deleted or swapped for one of another type, and a line duplicated;
-    # an assignment's provenance can be swapped for another, and its topics for ["x"].
-    swaps = [new for new in SWAPS if new is DELETE or type(new) is not type(node)]
-    if jsonl and len(path) == 1:
-        swaps.append(DUPLICATE)
-    if path[1:] == ("provenance",):
-        swaps += [provenance for provenance in PROVENANCES if provenance != node]
-    if path[1:] == ("topics",):
-        swaps.append(["x"])
-    new = data.draw(st.sampled_from(swaps))
-    if new is DUPLICATE:
-        value = [*original[: path[0] + 1], *original[path[0] :]]
-    else:
-        value = _mutated(original, path, new)
-    if jsonl:
-        text = "".join(json.dumps(record) + "\n" for record in value)
-    else:
-        text = "" if value is DELETE else json.dumps(value)
-    shutil.rmtree(root / "run")
-    shutil.copytree(root / "whole", root / "run")
-    (root / "run" / name).write_text(text, encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([stage, "--config", str(config)])
-    assert "Traceback" not in err.getvalue()
-    # A swapped type, a deleted key, line, file or topic is refused; only a list
-    # item may go unnoticed, an id of clusters.json only while every document
-    # still sits in some cluster. Of the manifest only the entries a continued run
-    # reads are checked, and a stage's entry in them may go as a list item may, but
-    # for an entry of stages_completed naming a stage before the one that runs.
-    # A value swapped for another of its type may pass if no document or label is lost.
-    if name == "manifest.json":
-        entry = new is DELETE and len(path) == 2
-        earlier = entry and path[0] == "stages_completed" and path[1] < STAGES.index(stage)
-        refused = not path or path[0] in MANIFEST_READ and (not entry or earlier)
-    else:
-        list_item = len(path) == 2 if name == "clusters.json" else len(path) == 3
-        refused = type(new) is not type(node) and (new is not DELETE or not list_item)
-    if refused:
-        assert code == 1, (name, path, new, err.getvalue())
-    if code == 1:
-        assert name in err.getvalue(), err.getvalue()
-        return
-    assert code == 0, err.getvalue()
-    if stage in ("collapse", "represent"):
-        clusters = json.loads((root / "run" / "clusters.json").read_text(encoding="utf-8"))
-        assert set().union(*clusters.values()) == ids
-    if stage == "collapse":  # each label read back places its document where it merged to
-        merged = {m["source"]: m["target"] for m in _read_back(root / "run" / "merge_log.jsonl")}
-        for assignment in _read_back(root / "run" / "assignments.jsonl"):
-            for label in _spelled_as(assignment["topics"], [*clusters, *merged]):
-                while label in merged:
-                    label = merged[label]
-                assert assignment["doc_id"] in clusters.get(label, ()), (path, new, label)

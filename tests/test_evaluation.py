@@ -2,9 +2,11 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 
+from memetopics import evaluation
 from memetopics.evaluation import coherence, diversity, npmi_pair
 from memetopics.representation import TopicRepresentation
 
@@ -178,6 +180,16 @@ def test_coherence_mean_is_arithmetic_mean():
     report = coherence([rep("t1", ["a", "b"]), rep("t2", ["a", "c"])], corpus)
     values = list(report.per_topic_npmi.values())
     assert report.mean_npmi == pytest.approx(sum(values) / len(values), abs=1e-15)
+
+
+def test_coherence_adds_left_to_right_on_every_python():
+    # Before, the builtin sum made 1.0 of ten 0.1s from Python 3.12 on, and the
+    # fixture reports read other bytes there.
+    corpus = corpus_from_tokens([("d1", ["a", "b"])])
+    reps = [rep(f"t{i}", ["a", "b"]) for i in range(10)]
+    with mock.patch.object(evaluation, "_npmi", lambda *args: 0.1):
+        report = coherence(reps, corpus)
+    assert report.mean_npmi == 0.09999999999999999
 
 
 def test_short_representation_excluded_and_reported():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from memetopics.cli import main
 from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, TokenUsage
 
 from conftest import FIXTURES_DIR
@@ -144,6 +145,21 @@ def test_ok_status_without_a_json_body_is_a_transport_error(chat_server):
     outcome = http_gateway(server.url).complete(exchange("q"))
     assert outcome.status == "transport_error"
     assert len(server.requests) == 1
+
+
+def test_a_recording_run_that_cannot_keep_an_answer_sends_nothing(tmp_path, chat_server, capsys):
+    # Before, generate paid for up to MAX_IN_FLIGHT requests, and the first
+    # append to the cache in a missing directory lost every answer.
+    server = chat_server(echo_query)
+    cache = tmp_path / "missing" / "dir" / "cache.jsonl"
+    code = main(["run", "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+                 "--backend-kind", "http", "--endpoint", server.url, "--model", "test-model",
+                 "--rpm", "1000000", "--cache", str(cache), "--record",
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert server.requests == []
+    assert f"No such file or directory: '{cache}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no run directory, and no cache directory made
 
 
 # -- which runs load the http stack -------------------------------------------
