@@ -166,8 +166,9 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword list file: one word per line, UTF-8, blanks ignored."""
-    with open(path, encoding="utf-8") as f:
+    """Read a stopword list file: one word per line, UTF-8 (a leading byte
+    order mark skipped), blanks ignored."""
+    with open(path, encoding="utf-8-sig") as f:
         return frozenset(line.strip() for line in f if line.strip())
 
 
@@ -272,7 +273,7 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 def _read_csv(path: Path) -> list[tuple[int, dict]]:
     rows = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:  # Excel starts one with a BOM
         reader = csv.DictReader(f)
         if reader.fieldnames is None or not {"id", "caption", "text"} <= set(reader.fieldnames):
             raise CorpusFormatError(f"{path.name}:1: CSV header must include id, caption, text")

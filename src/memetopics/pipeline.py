@@ -3,17 +3,18 @@
 A run executes preprocess -> generate -> collapse -> represent -> evaluate.
 One table, _FLOW, says what each stage reads, the artifact it makes, the
 files it writes and the manifest entries it sets. Each stage writes its
-artifact into the run directory, so a run can be inspected and replayed,
-and hands it to the next stage in memory. This module owns the run
-directory; every file in it is read and written through corpus.py's
-run-file codec. One driver, _run_stages, runs the stages for
-run_pipeline, run_stage and sweep: it alone writes the manifest, and a run
-from stage s first clears what the last run of s and of every later stage
-left (from preprocess, a sweep's output too). One function, _run, serves
-run_pipeline and run_stage: it makes the run's LlmGateway, shared by every
-prompting stage and the source of the cache's hash, and reads back, each
-file through its one check _load_artifact, only what a lone stage needs.
-The manifest carries no timestamps, so identical inputs give identical bytes.
+artifact into the run directory, so a run can be inspected and replayed, and
+hands it to the next stage in memory. This module owns the run directory;
+every file in it is read and written through corpus.py's run-file codec. One
+driver, _run_stages, runs the stages for run_pipeline, run_stage and sweep:
+it alone writes the manifest, and a run from stage s first clears what the
+last run of s and of every later stage left (from preprocess, a sweep's
+output too). One function, _run, serves run_pipeline, run_stage and a
+sweep's root: it makes the run's LlmGateway, shared by every prompting stage
+and the source of the cache's hash, and reads back, each file through its
+one check _load_artifact, only what a lone stage needs. Every fresh
+manifest, a sweep K's included, starts from _fresh_manifest. The manifest
+carries no timestamps, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -494,9 +495,14 @@ def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
         if name not in artifacts:
             artifacts[name] = _load_artifact(outdir, name, artifacts.get("corpus"))
     if fresh:
-        digest = cfg.config_digest(artifacts["input_hashes"])
-        manifest = {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
+        manifest = _fresh_manifest(cfg, artifacts["input_hashes"])
     return _run_stages(cfg, outdir, stages, artifacts, manifest)
+
+
+def _fresh_manifest(cfg: RunConfig, input_hashes: dict) -> dict:
+    """The manifest a run from preprocess, or a sweep's K, starts with."""
+    digest = cfg.config_digest(input_hashes)
+    return {"variant": cfg.variant(), "config": cfg.to_dict(), "config_digest": digest}
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
@@ -532,39 +538,33 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
     """One evaluation per K, reusing a single generation pass and a single
     collapse trajectory.
 
-    Preprocessing and generation are K-independent, so they run once in
-    the sweep root; each K gets its own subdirectory for the collapse,
-    representation, and evaluation stages, which read the root's corpus
-    and assignments in memory. The merge order does not depend on K
-    either, so the K values run in descending order and each collapse
-    continues from the last K whose collapse succeeded. Emits sweep.csv
-    with one row per successful K, in the order given; failures are
-    recorded and the sweep continues. Each K is given once.
+    Preprocessing and generation are K-independent, so they run once, as a
+    run of cfg through _run in the sweep root. Each K gets a subdirectory
+    for the collapse, representation and evaluation stages, which read the
+    root's corpus and assignments in memory, and a fresh manifest of cfg at
+    that K, so its config_digest is run_pipeline's at that K. The merge
+    order does not depend on K either, so the K values run in descending
+    order and each collapse continues from the last K whose collapse
+    succeeded. Emits sweep.csv with one row per successful K, in the order
+    given; failures are recorded and the sweep goes on. Each K is given once.
     """
     _check_k_values(k_values)
     root = Path(cfg.output_dir)
-    sub_cfgs = {k: dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}")) for k in k_values}
-    gateway = LlmGateway(cfg.backend)
-    artifacts = {"gateway": gateway, "input_hashes": cfg.input_hashes(gateway)}
-    _run_stages(cfg, root, ("preprocess", "generate"), artifacts, {})
-
-    reports: dict[int, dict] = {}
+    artifacts = _run(cfg, STAGES[:2])
+    done: dict[int, dict] = {}
     errors: dict[str, str] = {}
-    for k in sorted(sub_cfgs, reverse=True):
-        sub_cfg = sub_cfgs[k]
-        subdir = Path(sub_cfg.output_dir)
+    for k in sorted(k_values, reverse=True):
+        sub_cfg = dataclasses.replace(cfg, k=k, output_dir=str(root / f"k_{k}"))
+        manifest = _fresh_manifest(sub_cfg, artifacts["input_hashes"])
         try:
-            _run_stages(sub_cfg, subdir, ("collapse", "represent", "evaluate"), artifacts, {})
+            _run_stages(sub_cfg, Path(sub_cfg.output_dir), STAGES[2:], artifacts, manifest)
         except PipelineStageError as exc:
             log.warning("sweep point K=%d failed: %s", k, exc.cause)
             errors[str(k)] = str(exc.cause)
         else:
-            reports[k] = artifacts["report"]
-    rows = [
-        {"k": k, "mean_npmi": reports[k]["mean_npmi"], "diversity": reports[k]["diversity"]}
-        for k in k_values
-        if k in reports
-    ]
+            report = artifacts["report"]
+            done[k] = {"k": k, "mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
+    rows = [done[k] for k in k_values if k in done]
 
     table = io.StringIO()
     writer = csv.DictWriter(table, fieldnames=["k", "mean_npmi", "diversity"])

@@ -6,7 +6,8 @@ recorded response cache produced by actually running the prompt-matched
 pipeline against the mock backend. The word-similarity variant is then
 replayed from that cache as a coverage check. Last, five fixture runs are
 made in a temporary directory and the SHA-256 of every file they write goes
-to golden_runs.json, which tests/test_golden_runs.py checks.
+to golden_runs.json, which tests/test_golden_runs.py checks; each path whose
+digest moved, was added or was removed is printed first.
 
 Run from the repository root after changing prompt construction or the
 fixture design:
@@ -192,6 +193,19 @@ def golden_runs(workdir: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
+def moved_digests(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """'<how>: <path>' for each path whose digest moved, was added or was removed."""
+    lines = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in old:
+            lines.append(f"added: {path}")
+        elif path not in new:
+            lines.append(f"removed: {path}")
+        elif old[path] != new[path]:
+            lines.append(f"moved: {path}")
+    return lines
+
+
 def main() -> int:
     with open(CORPUS_FILE, "w", encoding="utf-8") as f:
         for record in build_documents():
@@ -231,6 +245,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = golden_runs(Path(tmp))
+    old = json.loads(GOLDEN_FILE.read_text(encoding="utf-8")) if GOLDEN_FILE.exists() else {}
+    for line in moved_digests(old, digests):  # what an output change moved
+        print(line)
     with open(GOLDEN_FILE, "w", encoding="utf-8") as f:
         json.dump(digests, f, indent=2, sort_keys=True)
         f.write("\n")

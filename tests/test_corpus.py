@@ -126,6 +126,15 @@ def test_load_csv(tmp_path):
     assert corpus.documents[1].caption == "a dog"
 
 
+def test_a_csv_corpus_saved_with_a_byte_order_mark_reads_as_its_text(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF.
+    path = tmp_path / "bom.csv"
+    path.write_text('id,caption,text\na,"a cat","hi"\nb,"a dog","bye"\n', encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    corpus = load_corpus(path, format="csv")
+    assert [doc.id for doc in corpus.documents] == ["a", "b"]
+
+
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "memes.csv"
     path.write_text("id,caption\na,oops\n", encoding="utf-8")
@@ -344,6 +353,13 @@ def test_load_stopwords_file(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("alpha\n\nbeta\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"alpha", "beta"})
+
+
+def test_a_stopword_file_saved_with_a_byte_order_mark_reads_as_its_words(tmp_path):
+    # A mark read as text would make the first word '\ufeffthe', which drops nothing.
+    path = tmp_path / "stop.txt"
+    path.write_text("the\nbeta\n", encoding="utf-8-sig")
+    assert load_stopwords(path) == frozenset({"the", "beta"})
 
 
 def test_top_frequent_words_orders_by_doc_freq():

@@ -8,6 +8,7 @@ change, regenerate the digests with `python tests/fixtures/make_fixtures.py`.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -40,3 +41,11 @@ def test_fixture_runs_match_golden_digests(tmp_path, hash_seed):
     expected = json.loads((FIXTURES_DIR / "golden_runs.json").read_text(encoding="utf-8"))
     assert sorted(got) == sorted(expected)
     assert [path for path in sorted(expected) if got[path] != expected[path]] == []
+
+
+def test_make_fixtures_names_each_path_whose_digest_moved():
+    moved_digests = runpy.run_path(str(FIXTURES_DIR / "make_fixtures.py"))["moved_digests"]
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "b": "9", "d": "4"}
+    assert moved_digests(old, new) == ["moved: b", "removed: c", "added: d"]
+    assert moved_digests(old, dict(old)) == []
