@@ -146,13 +146,18 @@ def main(argv: list[str] | None = None) -> int:
             rows = sweep(cfg, k_values)
             print(f"sweep complete: {len(rows)} of {len(k_values)} K values succeeded")
             print(f"results: {outdir / 'sweep.csv'}")
+            failed = set(k_values) - {row["k"] for row in rows}
+            if failed:
+                print(f"error: sweep failed at K = {sorted(failed)}; the errors are in "
+                      f"{outdir / 'sweep_manifest.json'}", file=sys.stderr)
+                return 1
         else:
             run_stage(cfg, args.command)
             print(f"{args.command} complete: artifacts in {outdir}")
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, LookupError) as exc:
+    except (OSError, ValueError, LookupError) as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

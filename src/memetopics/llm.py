@@ -131,9 +131,11 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        for name, low in (("max_retries", 0), ("requests_per_minute", 1)):
+        for name, low in (("max_tokens", 1), ("max_retries", 0), ("requests_per_minute", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
         if self.kind == "replay" and not self.cache_path:
             raise ValueError("replay backend requires cache_path")
         if self.kind == "replay" and self.record:

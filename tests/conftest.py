@@ -42,6 +42,14 @@ def run_digest(cfg) -> str:
     return cfg.config_digest(cfg.input_hashes(LlmGateway(cfg.backend)))
 
 
+def chat_body(text: str, prompt_tokens: int, completion_tokens: int) -> dict:
+    """A chat-completions reply body: one assistant message, and its token usage."""
+    return {
+        "choices": [{"message": {"role": "assistant", "content": text}}],
+        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
+    }
+
+
 def write_jsonl(path: Path, records: list[dict]) -> Path:
     with open(path, "w", encoding="utf-8") as f:
         for record in records:

@@ -19,7 +19,7 @@ from memetopics.generation import Demonstration, DemonstrationSet, generate_topi
 from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway
 from memetopics.pipeline import RunConfig, stage_represent
 
-from conftest import corpus_from_tokens, mock_backend
+from conftest import chat_body, corpus_from_tokens, mock_backend
 
 OUTCOMES = ("ok", "refusal", "policy", "flaky", "malformed")
 VOCAB = ("cat", "dog", "vote", "tax", "goal", "ball", "rain", "sun")
@@ -28,13 +28,6 @@ POLICY_BODY = {"error": {"code": "content_policy_violation", "message": "blocked
 _TOPIC = re.compile(r"^Topic : '(topic\d+)'$", re.MULTILINE)
 _CAPTION = re.compile(r"Caption: (doc\d+)")
 _WORDS = re.compile(r"^Words : (.+)$", re.MULTILINE)
-
-
-def http_body(text, prompt_tokens, completion_tokens=3):
-    return {
-        "choices": [{"message": {"role": "assistant", "content": text}}],
-        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
-    }
 
 
 class ScriptedServer:
@@ -66,7 +59,7 @@ class ScriptedServer:
                 self.active -= 1
         tokens = 10 + int(tag[-1])
         if outcome == "refusal":
-            return 200, http_body("I cannot help with that.", tokens)
+            return 200, chat_body("I cannot help with that.", tokens, 3)
         if outcome == "policy":
             return 400, POLICY_BODY
         if outcome == "flaky" and first:
@@ -77,8 +70,8 @@ class ScriptedServer:
             # Three candidates, reversed, and one word from no list.
             listed = _WORDS.search(query).group(1).split(", ")
             picks = [item.split(". ", 1)[1] for item in listed[:3]][::-1] + ["zzinvented"]
-            return 200, http_body(repr(picks), tokens, len(picks))
-        return 200, http_body(f"['Label {tag}']", tokens)
+            return 200, chat_body(repr(picks), tokens, len(picks))
+        return 200, chat_body(f"['Label {tag}']", tokens, 3)
 
     def total_calls(self):
         with self._lock:

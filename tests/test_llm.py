@@ -24,7 +24,7 @@ from memetopics.llm import (
 )
 
 from cache_oracle import json_loads_index, sorted_lines_sha256
-from conftest import mock_backend
+from conftest import chat_body, mock_backend
 
 
 def exchange(query="hello", turns=()):
@@ -56,13 +56,6 @@ class CountingTransport:
         return item
 
 
-def http_body(text, prompt_tokens=12, completion_tokens=3):
-    return {
-        "choices": [{"message": {"role": "assistant", "content": text}}],
-        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
-    }
-
-
 class EchoTransport:
     """Transport that answers every query with a list naming it."""
 
@@ -72,7 +65,7 @@ class EchoTransport:
     def __call__(self, url, payload, headers, timeout):
         query = payload["messages"][-1]["content"]
         self.queries.append(query)
-        return 200, http_body(f"['{query}']")
+        return 200, chat_body(f"['{query}']", 12, 3)
 
 
 # -- exchange shape -----------------------------------------------------------
@@ -232,25 +225,6 @@ def test_replay_miss_names_hash(tmp_path):
     assert canonical_request_hash(ex, "m") in str(err.value)
 
 
-def test_replay_requires_cache_path():
-    with pytest.raises(ValueError):
-        BackendConfig(kind="replay")
-
-
-@pytest.mark.parametrize("kind", ["mock", "http"])
-def test_record_requires_a_cache(kind):
-    # Without a cache_path the answers a recording paid for would be lost.
-    with pytest.raises(ValueError, match="record requires cache_path"):
-        BackendConfig(kind=kind, record=True)
-
-
-def test_replay_rejects_record(tmp_path):
-    # A recording replay would hash its cache as output, so replays over
-    # different caches would share a config digest.
-    with pytest.raises(ValueError, match="cannot record"):
-        BackendConfig(kind="replay", cache_path=str(tmp_path / "cache.jsonl"), record=True)
-
-
 def test_cache_entry_shape(tmp_path):
     cache = tmp_path / "cache.jsonl"
     cfg = mock_backend(default="['Z']", cache_path=str(cache), record=True)
@@ -277,7 +251,7 @@ def test_transport_error_is_not_recorded(tmp_path):
     cfg = http_cfg(cache_path=str(cache), record=True)
     failing = LlmGateway(cfg, transport=CountingTransport([(404, "nope")]), sleep=lambda s: None)
     assert failing.complete(exchange("flaky")).status == "transport_error"
-    answering = CountingTransport([(200, http_body("['Later']"))])
+    answering = CountingTransport([(200, chat_body("['Later']", 12, 3))])
     LlmGateway(cfg, transport=answering, sleep=lambda s: None).complete(exchange("flaky"))
 
     entries = [json.loads(line) for line in cache.read_text().splitlines()]
@@ -547,8 +521,8 @@ def test_http_record_then_replay_roundtrip_property(
     elif kind == "refusal":
         text = "I'm sorry, " + text
     response = {
-        "ok": (200, http_body(text, prompt_tokens, completion_tokens)),
-        "refusal": (200, http_body(text, prompt_tokens, completion_tokens)),
+        "ok": (200, chat_body(text, prompt_tokens, completion_tokens)),
+        "refusal": (200, chat_body(text, prompt_tokens, completion_tokens)),
         "policy": (400, POLICY_BODY),
         "http_error": (404, text),
         "transport_raise": OSError(text),
@@ -585,7 +559,7 @@ def http_cfg(**kwargs):
 
 
 def test_http_success_parses_text_and_usage():
-    transport = CountingTransport([(200, http_body("['Sports']"))])
+    transport = CountingTransport([(200, chat_body("['Sports']", 12, 3))])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     outcome = gateway.complete(exchange("a query"))
     assert outcome.status == "ok"
@@ -605,13 +579,13 @@ def test_http_policy_block_is_refused():
 
 
 def test_http_refusal_phrase_in_text():
-    transport = CountingTransport([(200, http_body("I'm sorry, I can't describe that."))])
+    transport = CountingTransport([(200, chat_body("I'm sorry, I can't describe that.", 12, 3))])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     assert gateway.complete(exchange("q")).status == "refused"
 
 
 def test_http_retries_then_succeeds():
-    transport = CountingTransport([(503, "busy"), (200, http_body("ok text"))])
+    transport = CountingTransport([(503, "busy"), (200, chat_body("ok text", 12, 3))])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     outcome = gateway.complete(exchange("q"))
     assert outcome.status == "ok"
@@ -627,13 +601,15 @@ def test_http_exhausted_retries_is_transport_error():
 
 
 def test_http_transport_exception_is_retried():
-    transport = CountingTransport([OSError("boom"), (200, http_body("fine"))])
+    transport = CountingTransport([OSError("boom"), (200, chat_body("fine", 12, 3))])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     assert gateway.complete(exchange("q")).status == "ok"
 
 
 def test_http_answers_a_repeated_request_from_memory():
-    transport = CountingTransport([(200, http_body("['Cats']")), (200, http_body("['Dogs']"))])
+    transport = CountingTransport(
+        [(200, chat_body("['Cats']", 12, 3)), (200, chat_body("['Dogs']", 12, 3))]
+    )
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     texts = [gateway.complete(exchange(q)).text for q in ("cat", "dog", "cat", "dog")]
     assert texts == ["['Cats']", "['Dogs']", "['Cats']", "['Dogs']"]
@@ -642,7 +618,7 @@ def test_http_answers_a_repeated_request_from_memory():
 
 
 def test_http_asks_again_after_a_transport_error():
-    transport = CountingTransport([(404, "nope"), (200, http_body("['Cats']"))])
+    transport = CountingTransport([(404, "nope"), (200, chat_body("['Cats']", 12, 3))])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
     assert gateway.complete(exchange("cat")).status == "transport_error"
     assert gateway.complete(exchange("cat")).text == "['Cats']"
@@ -662,7 +638,7 @@ def test_http_non_retryable_client_error():
     [None, "12", {"prompt_tokens": "n/a"}, {"prompt_tokens": 5, "completion_tokens": [1]}],
 )
 def test_http_unusable_usage_falls_back_to_the_estimate(usage):
-    body = http_body("['Sports']")
+    body = chat_body("['Sports']", 12, 3)
     body["usage"] = usage
     transport = CountingTransport([(200, body)])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
@@ -674,7 +650,7 @@ def test_http_unusable_usage_falls_back_to_the_estimate(usage):
 
 @pytest.mark.parametrize("content", [["Sports"], {"text": "['Sports']"}, 7])
 def test_http_non_string_content_is_a_malformed_body(content):
-    body = http_body("unused")
+    body = chat_body("unused", 12, 3)
     body["choices"][0]["message"]["content"] = content
     transport = CountingTransport([(200, body)])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
@@ -731,7 +707,7 @@ def test_rate_limiter_no_wait_under_limit():
 
 def test_http_calls_pass_through_limiter():
     clock = FakeClock()
-    transport = CountingTransport([(200, http_body(f"reply {i}")) for i in range(4)])
+    transport = CountingTransport([(200, chat_body(f"reply {i}", 12, 3)) for i in range(4)])
     cfg = http_cfg(requests_per_minute=2)
     gateway = LlmGateway(cfg, transport=transport, clock=clock.time, sleep=clock.sleep)
     for i in range(4):

@@ -19,7 +19,7 @@ import pytest
 from memetopics.cli import main
 from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, TokenUsage
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, chat_body
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -49,16 +49,9 @@ class ChatHandler(BaseHTTPRequestHandler):
         pass
 
 
-def completion(text, prompt_tokens=0, completion_tokens=0):
-    return {
-        "choices": [{"message": {"content": text}}],
-        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
-    }
-
-
 def echo_query(payload):
     """A topic list holding the request's query, so replies show their order."""
-    return 200, completion(f"['{payload['messages'][-1]['content']}']", 5, 2)
+    return 200, chat_body(f"['{payload['messages'][-1]['content']}']", 5, 2)
 
 
 class ChatServer(ThreadingHTTPServer):
@@ -115,7 +108,7 @@ def exchange(query):
 
 
 def test_ok_reply_carries_the_server_usage(chat_server):
-    server = chat_server(lambda payload: (200, completion("['Sports']", 40, 3)))
+    server = chat_server(lambda payload: (200, chat_body("['Sports']", 40, 3)))
     outcome = http_gateway(server.url).complete(exchange("a query"))
     assert (outcome.status, outcome.text) == ("ok", "['Sports']")
     assert outcome.token_usage == TokenUsage(40, 3)
@@ -131,7 +124,7 @@ def test_policy_block_in_an_error_status_is_refused(chat_server):
 
 
 def test_server_error_is_retried_once_then_answers(chat_server):
-    replies = iter([(503, {"error": "busy"}), (200, completion("['Cats']", 4, 1))])
+    replies = iter([(503, {"error": "busy"}), (200, chat_body("['Cats']", 4, 1))])
     server = chat_server(lambda payload: next(replies))
     sleeps = []
     outcome = http_gateway(server.url, sleeps=sleeps).complete(exchange("cat"))
