@@ -24,9 +24,9 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Annotated, Iterable, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, _AtLeastOne, _Bound, _typed
 from .ctfidf import ctfidf_from_clusters, idf, top_words
 from .generation import (
     INAPPROPRIATE,
@@ -68,6 +68,7 @@ COLLAPSE_DEMO_CURRENT = "War"
 COLLAPSE_DEMO_ANSWER = "Military"
 
 DEFAULT_WINDOW = 40
+_Window = Annotated[int, _Bound(2)]  # M: the most candidates one prompt-matching step offers
 TOP_WORDS_FOR_SIMILARITY = 20
 # Relative slack between a weight and the bound it must beat before wsm
 # trusts a top set at lower class counts without checking it again.
@@ -132,8 +133,7 @@ class CollapseState:
 def _copy_to_collapse(state: CollapseState, k: int) -> CollapseState:
     """A copy of state to collapse to k >= 1 topics; warns when the state
     holds fewer than k, so that the collapse leaves it as it is."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _typed(k, _AtLeastOne, "k")
     if len(state.topics) < k:
         log.warning("collapse is a no-op: %d topics is fewer than K=%d", len(state.topics), k)
     return state.copy()
@@ -176,8 +176,7 @@ def collapse_pbm(
     reply, or out-of-list answer routes the topic's documents to
     Miscellaneous. Frequencies are recomputed after every step.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    _typed(window, _Window, "window")
     state = _copy_to_collapse(state, k)
     while len(state.topics) > k:
         order = _frequency_order(state)

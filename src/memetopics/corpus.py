@@ -6,7 +6,7 @@ from JSONL or CSV, cleans them into token lists, and exposes the counts
 that the weighting and evaluation stages consume: document frequencies,
 counted once per corpus when first read, and co-occurrences of a chosen
 word set, counted from postings built in one pass over the documents.
-It also holds the package's one run-file codec, JSON reader, type rule and record rule.
+It also holds the package's one run-file codec, JSON reader, type-and-bound rule and record rule.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import functools
 import json
 import os
 import unicodedata
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Iterable, Literal, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Iterable, Literal, Mapping, Union
+from typing import get_args, get_origin, get_type_hints
 
 URL_PREFIXES = ("http://", "https://", "www.")
 USERNAME_PREFIX = "@"
@@ -37,11 +38,26 @@ _KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a n
           dict: "a JSON object", list: "a JSON list"}
 
 
+# Annotated[X, _Bound(low)] admits an X whose value, or length, is at least low (above if strict).
+_Bound = namedtuple("_Bound", "low strict", defaults=[False])
+_AtLeastOne = Annotated[int, _Bound(1)]
+_Positive = Annotated[float, _Bound(0, strict=True)]
+
+
 def _typed(value: object, hint: object, where: str):
     """value checked against the annotation hint (str; bool; int, never a bool; float, an int
     kept as is; X | None; Literal; a class; tuple[X, ...], tuple[str, str], list[X] or
-    frozenset[str], made so from a list, never a string), else a ValueError naming where."""
+    frozenset[str], made so from a list, never a string; Annotated[X, _Bound(low)], an X whose
+    value or length is at least low), else a ValueError naming where."""
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:  # an X, then its bound
+        checked, (low, strict) = _typed(value, args[0], where), args[1]
+        size = len(checked) if (sized := isinstance(checked, tuple | list | frozenset)) else checked
+        if size > low or size == low and not strict:
+            return checked
+        if sized:
+            raise ValueError(f"{where} must hold at least {low}, not {value!r}")
+        raise ValueError(f"{where} must be >{'' if strict else '='} {low}, not {value!r}")
     if origin is Literal:
         if value in args:
             return value
@@ -56,8 +72,9 @@ def _typed(value: object, hint: object, where: str):
             raise ValueError(f"{where} must hold {len(args)} items, not {value!r}")
         if args[0] is not str:
             return origin(_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value))
-        if not all(isinstance(item, str) for item in value):  # one flat scan
-            raise ValueError(f"{where} must hold only strings, not {value!r}")
+        for i, item in enumerate(value):  # one flat scan
+            if not isinstance(item, str):
+                raise ValueError(f"{where}[{i}] must be a string, not {item!r}")
         return origin(value)
     kinds = (int, float) if hint is float else hint
     if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
@@ -65,7 +82,7 @@ def _typed(value: object, hint: object, where: str):
     raise ValueError(f"{where} must be {_KINDS.get(hint, f'a {hint.__name__}')}, not {value!r}")
 
 
-_hints = functools.cache(get_type_hints)  # a class's annotations, resolved once
+_hints = functools.cache(functools.partial(get_type_hints, include_extras=True))  # bounds kept
 
 
 def _check_fields(obj: object) -> None:
@@ -117,13 +134,11 @@ class PreprocessConfig:
 
     stopwords: frozenset[str] = frozenset()
     extra_blocklist: frozenset[str] = frozenset()
-    min_token_len: int = 1
+    min_token_len: _AtLeastOne = 1
     lowercase: bool = True
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
 
 
 @dataclass

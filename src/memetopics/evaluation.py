@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import Cooccurrence, Corpus, cooccurrence_counts
+from .corpus import Cooccurrence, Corpus, _Positive, _typed, cooccurrence_counts
 from .generation import INAPPROPRIATE, MISCELLANEOUS, _spelled_as
 from .representation import TopicRepresentation
 
@@ -76,8 +76,7 @@ def npmi_pair(w1: str, w2: str, corpus: Corpus, epsilon: float = DEFAULT_EPSILON
     Absent words simply contribute zero counts; the smoothing constant
     keeps the result finite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _typed(epsilon, _Positive, "epsilon")
     if corpus.total_docs == 0:
         raise ValueError("corpus is empty")
     return _npmi(cooccurrence_counts(corpus, [w1, w2]), w1, w2, epsilon)
@@ -95,8 +94,7 @@ def coherence(
     cannot form a pair; they are skipped and listed in the report. Reserved
     failure clusters never count.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _typed(epsilon, _Positive, "epsilon")
     reserved = _spelled_as([rep.topic for rep in reps], (MISCELLANEOUS, INAPPROPRIATE))
     included = [rep for rep, r in zip(reps, reserved) if r is None]
     usable = [rep for rep in included if len(rep.words) >= 2]

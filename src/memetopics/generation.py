@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Annotated, Iterable, Literal, Sequence, get_args
 
-from .corpus import _TEXT, Corpus, MemeDocument, _check_fields, _hints, _read_json, _record
+from .corpus import _TEXT, Corpus, MemeDocument, _Bound, _check_fields, _hints, _read_json, _record
 from .llm import BackendConfig, ChatExchange, LlmGateway
 
 MISCELLANEOUS = "Miscellaneous"
@@ -62,12 +62,10 @@ class TopicParseError(ValueError):
 class Demonstration:
     caption: str
     overlay_text: str
-    topics: tuple[str, ...]
+    topics: Annotated[tuple[str, ...], _Bound(1)]
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if not self.topics:
-            raise ValueError("topics must hold at least one topic")
 
 
 @dataclass(frozen=True)

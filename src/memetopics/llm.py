@@ -39,9 +39,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Literal, NamedTuple, TypeVar
+from typing import Annotated, Callable, Iterable, Literal, NamedTuple, TypeVar
 
-from .corpus import _check_fields, _read_json, _typed
+from .corpus import _AtLeastOne, _Bound, _check_fields, _Positive, _read_json, _typed
 
 log = logging.getLogger(__name__)
 
@@ -104,8 +104,8 @@ class ChatExchange:
 @dataclass
 class BackendConfig:
     """How to reach (or fake) the model; each field is checked against its
-    annotation on construction, so mock_rules is a list of [substring,
-    reply] string pairs. kind selects the backend: "http" for a live
+    annotation, bound included, on construction, so mock_rules is a list of
+    [substring, reply] string pairs. kind selects the backend: "http" for a live
     endpoint, "mock" for the scripted rule table, "replay" for the response
     cache alone. With a cache_path every backend serves recorded responses
     first; record=True makes http and mock append each answer to a miss to
@@ -117,25 +117,20 @@ class BackendConfig:
     kind: Literal["http", "mock", "replay"] = "mock"
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model_name: str = "mock-model"
-    max_tokens: int = 256
+    max_tokens: _AtLeastOne = 256
     temperature: float = 0.0
-    max_retries: int = 2
-    requests_per_minute: int = 60
+    max_retries: Annotated[int, _Bound(0)] = 2
+    requests_per_minute: _AtLeastOne = 60
     cache_path: str | None = None
     record: bool = False
     api_key_env: str = "OPENAI_API_KEY"
-    timeout: float = 30.0
+    timeout: _Positive = 30.0
     mock_rules: tuple[tuple[str, str], ...] = ()
     mock_default: str = "[]"
     refusal_phrases: tuple[str, ...] = DEFAULT_REFUSAL_PHRASES
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        for name, low in (("max_tokens", 1), ("max_retries", 0), ("requests_per_minute", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
         if self.kind == "replay" and not self.cache_path:
             raise ValueError("replay backend requires cache_path")
         if self.kind == "replay" and self.record:

@@ -33,9 +33,9 @@ from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
-from .collapse import DEFAULT_WINDOW, CollapseState, collapse_pbm, collapse_wsm
-from .corpus import Corpus, PreprocessConfig, _check_fields, _read_json, _read_jsonl, _record
-from .corpus import _typed, _write_file, _write_json, _write_jsonl
+from .collapse import DEFAULT_WINDOW, CollapseState, _Window, collapse_pbm, collapse_wsm
+from .corpus import Corpus, PreprocessConfig, _AtLeastOne, _check_fields, _Positive, _read_json
+from .corpus import _read_jsonl, _record, _typed, _write_file, _write_json, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -112,8 +112,8 @@ class PipelineStageError(RuntimeError):
 @dataclass
 class RunConfig:
     """Everything a run needs, loadable from one JSON file; each field is
-    checked against its annotation on construction (corpus._typed). The
-    method combinations of the reference setups are labeled "pbm" (prompt
+    checked against its annotation, bound too, on construction (corpus._typed).
+    The method combinations of the reference setups are labeled "pbm" (prompt
     collapse + prompted representation) and "wsm" (word similarity collapse
     + weight-ranked representation); anything else is "custom".
     """
@@ -122,25 +122,20 @@ class RunConfig:
     corpus_format: Literal["jsonl", "csv"] = "jsonl"
     stopwords_path: str | None = None
     extra_blocklist: tuple[str, ...] = ()
-    min_token_len: int = 1
+    min_token_len: _AtLeastOne = 1
     lowercase: bool = True
     demonstrations_path: str | None = None
-    num_demonstrations: int = 8
+    num_demonstrations: _AtLeastOne = 8
     backend: BackendConfig = field(default_factory=BackendConfig)
     collapse_method: Literal["pbm", "wsm"] = "wsm"
-    k: int = 10
-    window: int = DEFAULT_WINDOW
+    k: _AtLeastOne = 10
+    window: _Window = DEFAULT_WINDOW
     representation_method: _Method = "ctfidf"
-    epsilon: float = DEFAULT_EPSILON
+    epsilon: _Positive = DEFAULT_EPSILON
     output_dir: str = "run_output"
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        for name, low in (("k", 1), ("num_demonstrations", 1), ("min_token_len", 1), ("window", 2)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
     def variant(self) -> str:
         if self.collapse_method == "pbm" and self.representation_method == "llm":
@@ -462,7 +457,7 @@ def _check_placed(corpus: Corpus, file: str, doc_ids: Iterable[str]) -> None:
     surplus.subtract(doc.id for doc in corpus.documents)
     for doc_id, n in surplus.items():
         if n:
-            how = "in no cluster, though" if n < 0 else "more often than"
+            how = "nowhere, though" if n < 0 else "more often than"
             raise ValueError(f"{file} places document {doc_id!r} {how} "
                              f"{PROCESSED_CORPUS_FILE} holds it")
 

@@ -444,12 +444,26 @@ def test_state_validation():
     for reserved in ("miscellaneous", "Miscellaneous", "INAPPROPRIATE"):
         with pytest.raises(ValueError, match=f"^'{reserved}' is a reserved cluster name"):
             state_from({"A": {"a"}, reserved: {"b"}})
-    # K and the window are arguments of the collapse, which checks them.
+
+
+# K and the window are arguments of the collapse, which checks them against the
+# annotations of the settings that give them: each call, on a one-topic state,
+# its gateway and corpus, and its ValueError.
+REFUSED_ARGUMENTS = {
+    "pbm k 0": (lambda state, gateway, _: collapse_pbm(state, 0, gateway), "k must be >= 1, not 0"),
+    "wsm k 0": (lambda state, _, corpus: collapse_wsm(state, 0, corpus), "k must be >= 1, not 0"),
+    # A bool is no integer; True once collapsed to K = 1.
+    "wsm k True": (lambda state, _, corpus: collapse_wsm(state, True, corpus),
+                   "k must be an integer, not True"),
+    "pbm window 1": (lambda state, gateway, _: collapse_pbm(state, 1, gateway, window=1),
+                     "window must be >= 2, not 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSED_ARGUMENTS.values(), ids=list(REFUSED_ARGUMENTS))
+def test_a_bad_collapse_argument_is_refused_naming_it(call, message):
     state = state_from({"A": {"a"}})
     gateway = LlmGateway(mock_backend(default="['A']"))
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        collapse_pbm(state, 0, gateway)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        collapse_wsm(state, 0, corpus_from_tokens([("a", ["x"])]))
-    with pytest.raises(ValueError, match="window must be >= 2"):
-        collapse_pbm(state, 1, gateway, window=1)
+    with pytest.raises(ValueError) as refused:
+        call(state, gateway, corpus_from_tokens([("a", ["x"])]))
+    assert str(refused.value) == message

@@ -1,5 +1,6 @@
-"""Every setting takes the JSON type of its annotation, checked by one rule,
-and every bad setting is refused before anything is made.
+"""Every setting takes the JSON type, and the range, of its annotation,
+checked by one rule, and every bad setting is refused before anything is
+made, named by its key path.
 
 USAGE_ERRORS holds one row per refusal of the command line: its argv, the
 input files it writes, and what the error names. Its one runner checks the
@@ -9,7 +10,8 @@ from, and the key or flag it names), no traceback, and no file or directory
 made. REFUSED_SETTINGS holds one row per refusal of a settings constructor
 or `from_dict`, each a ValueError holding the row's fragments. No number or
 boolean is opened as a path. A record a lone stage reads back goes through
-the same type rule; its refusals are `CORRUPTIONS` in test_pipeline.py.
+the same type rule; its refusals are `CORRUPTIONS` in test_pipeline.py. The
+README's "Exit status" paragraph names every bounded setting.
 """
 
 import json
@@ -17,16 +19,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Literal
+from typing import Annotated, Literal, get_origin
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memetopics
 from memetopics import BackendConfig, RunConfig
 from memetopics.cli import build_parser, config_from_args, main
-from memetopics.corpus import PreprocessConfig, _hints, _typed
+from memetopics.corpus import PreprocessConfig, _AtLeastOne, _Bound, _hints, _Positive, _typed
 from memetopics.generation import Demonstration, DemonstrationSet
 from memetopics.llm import load_mock_rules
 
@@ -126,13 +128,15 @@ USAGE_ERRORS = {
         CONFIG_RUN, cfg_json(("backend", "mock_rules_path"), "x"),
         ("cfg.json: backend.mock_rules_path: [Errno 2] No such file",),
     ),
+    # A value out of range, named by its whole path.
     "backend.timeout -1": (CONFIG_RUN, cfg_json(("backend", "timeout"), -1),
-                           ("cfg.json: timeout must be > 0",)),
+                           ("cfg.json: backend.timeout must be > 0, not -1",)),
     # A flag's value out of range, or settings that cannot go together.
     "--epsilon 0": ([*RUN, "--epsilon", "0"], {}, ("epsilon must be > 0",)),
     "--window 1": ([*RUN, "--window", "1"], {}, ("window must be >= 2",)),
-    "--rpm 0": ([*RUN, "--rpm", "0"], {}, ("requests_per_minute must be >= 1",)),
-    "--max-tokens 0": ([*RUN, "--max-tokens", "0"], {}, ("max_tokens must be >= 1",)),
+    "--rpm 0": ([*RUN, "--rpm", "0"], {}, ("backend.requests_per_minute must be >= 1, not 0",)),
+    "--max-tokens 0": ([*RUN, "--max-tokens", "0"], {},
+                       ("backend.max_tokens must be >= 1, not 0",)),
     "--num-demos 0": ([*RUN, "--num-demos", "0"], {}, ("num_demonstrations must be >= 1",)),
     "--min-token-len 0": ([*RUN, "--min-token-len", "0"], {}, ("min_token_len must be >= 1",)),
     # The fixture run takes its demonstrations from the bundled set of 8.
@@ -166,7 +170,13 @@ USAGE_ERRORS = {
     "demo with no topic": (
         [*RUN, "--demos", "input.json"],
         {"input.json": [{"caption": "c", "text": "t", "topics": []}]},
-        ("input.json: topics must hold at least one",),
+        ("input.json: [0].topics must hold at least 1, not []",),
+    ),
+    "second demo with no topic": (
+        [*RUN, "--demos", "input.json", "--num-demos", "2"],
+        {"input.json": [{"caption": "c", "text": "t", "topics": ["Cats"]},
+                        {"caption": "d", "text": "u", "topics": []}]},
+        ("input.json: [1].topics must hold at least 1, not []",),
     ),
     "too few demos": (
         [*RUN, "--demos", "input.json"],
@@ -234,6 +244,11 @@ REFUSED_SETTINGS = {
     "min_token_len 0": (lambda: run_config(min_token_len=0), ("min_token_len must be >= 1",)),
     "requests_per_minute 0": (lambda: BackendConfig(requests_per_minute=0),
                               ("requests_per_minute must be >= 1",)),
+    # from_dict checks a backend key's bound with its path, as it checks its type.
+    "from_dict requests_per_minute 0": (lambda: from_dict(backend={"requests_per_minute": 0}),
+                                        ("backend.requests_per_minute must be >= 1, not 0",)),
+    "Demonstration with no topic": (lambda: Demonstration("c", "t", []),
+                                    ("topics must hold at least 1, not []",)),
     # A request with either fails at every call, far from the setting.
     "timeout 0": (lambda: BackendConfig(timeout=0), ("timeout must be > 0",)),
     "max_tokens 0": (lambda: BackendConfig(max_tokens=0), ("max_tokens must be >= 1",)),
@@ -295,7 +310,7 @@ REFUSED_SETTINGS = {
     "mock rule of one": (lambda: BackendConfig(mock_rules=[["a"]]),
                          ("mock_rules[0] must hold 2 items",)),
     "mock rule with a number": (lambda: BackendConfig(mock_rules=[["a", 3]]),
-                                ("mock_rules[0] must hold only strings",)),
+                                ("mock_rules[0][1] must be a string, not 3",)),
     "mock rules an object": (lambda: BackendConfig(mock_rules={"a": "b"}),
                              ("mock_rules must be a list",)),
 }
@@ -338,6 +353,16 @@ def test_a_number_for_a_path_is_a_usage_error_and_opens_nothing(tmp_path, key, v
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+def test_the_readme_names_every_bound():
+    text = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")
+    status = next(par for par in text.split("\n\n") if par.startswith("Exit status"))
+    bounded = [key for key, hint in _hints(RunConfig).items() if get_origin(hint) is Annotated]
+    bounded += [f"backend.{key}" for key, hint in _hints(BackendConfig).items()
+                if get_origin(hint) is Annotated]
+    assert {"k", "backend.timeout"} <= set(bounded)
+    assert [key for key in bounded if f"`{key}`" not in status] == []
+
+
 def test_an_integer_epsilon_is_kept_as_is_so_its_digest_does_not_move(tmp_path, monkeypatch):
     cfg = RunConfig.from_dict({"corpus_path": "memes.jsonl", "epsilon": 1})
     assert type(cfg.epsilon) is int
@@ -365,6 +390,10 @@ def test_an_integer_epsilon_is_kept_as_is_so_its_digest_does_not_move(tmp_path, 
         ({"a"}, frozenset[str], frozenset({"a"})),
         ([["a", "b"]], tuple[tuple[str, str], ...], (("a", "b"),)),
         (BackendConfig(), BackendConfig, BackendConfig()),
+        (1, _AtLeastOne, 1),
+        (0, Annotated[int, _Bound(0)], 0),
+        (1e-9, _Positive, 1e-9),
+        (["a"], Annotated[tuple[str, ...], _Bound(1)], ("a",)),
     ],
 )
 def test_typed_passes_a_value_of_its_annotation(value, hint, expected):
@@ -390,6 +419,13 @@ def test_typed_passes_a_value_of_its_annotation(value, hint, expected):
         ("a", frozenset[str]),
         (["ab"], tuple[tuple[str, str], ...]),
         ({"kind": "mock"}, BackendConfig),
+        (0, _AtLeastOne),
+        (True, _AtLeastOne),
+        (-1, Annotated[int, _Bound(0)]),
+        (0, _Positive),
+        (-1e-9, _Positive),
+        ([], Annotated[tuple[str, ...], _Bound(1)]),
+        ([1], Annotated[tuple[str, ...], _Bound(1)]),
     ],
 )
 def test_typed_refuses_any_other_naming_the_key(value, hint):
@@ -399,38 +435,59 @@ def test_typed_refuses_any_other_naming_the_key(value, hint):
 
 # -- one mutated node in any input file ----------------------------------------
 
-@pytest.fixture(scope="module")
-def input_files(tmp_path_factory):
-    """The three input files of a mock fixture run, by name: the config,
-    the bundled demonstrations and the fixture mock rules."""
-    root = tmp_path_factory.mktemp("inputs")
-    paths = {name: root / f"{name}.json" for name in ("config", "demos", "rules")}
+def input_originals(root: Path) -> dict:
+    """The three input files of a mock fixture run as JSON values, by name:
+    the config, which names the other two under root, the bundled
+    demonstrations and the fixture mock rules."""
     backend = BackendConfig(kind="mock", model_name="mock-model", refusal_phrases=("i cannot",))
     cfg = RunConfig(
         corpus_path=str(FIXTURES_DIR / "memes50.jsonl"),
         extra_blocklist=("lol",),
-        demonstrations_path=str(paths["demos"]),
+        demonstrations_path=str(root / "demos.json"),
         backend=backend,
         output_dir=str(root / "run"),
     )
     config = json.loads(json.dumps(cfg.to_dict()))
     del config["backend"]["mock_rules"]
-    config["backend"]["mock_rules_path"] = str(paths["rules"])
-    originals = {
+    config["backend"]["mock_rules_path"] = str(root / "rules.json")
+    return {
         "config": config,
         "demos": json.loads(BUNDLED_DEMOS.read_text(encoding="utf-8")),
         "rules": json.loads((FIXTURES_DIR / "mock_rules.json").read_text(encoding="utf-8")),
     }
-    return paths, originals
+
+
+# The path of every node of each input file, which does not depend on root.
+INPUT_NODES = {name: list(json_nodes(value)) for name, value in input_originals(Path()).items()}
+# BackendConfig's rules between two settings, which name the setting they
+# refuse by its field alone.
+BETWEEN_SETTINGS = ("replay backend requires cache_path", "replay backend cannot record",
+                    "record requires cache_path")
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """The paths of the three input files, by name, and their JSON values."""
+    root = tmp_path_factory.mktemp("inputs")
+    return {name: root / f"{name}.json" for name in INPUT_NODES}, input_originals(root)
+
+
+def spelled(path) -> str:
+    """A node's path as _record names it: keys joined by dots, [i] for a list index."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, data):
+@example(node=("config", ("backend", "timeout")), new=-1)
+@example(node=("demos", (1, "topics")), new=[])
+@given(
+    node=st.sampled_from(sorted(INPUT_NODES)).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(INPUT_NODES[name]))),
+    new=st.sampled_from([*SWAPS, 0, -1]),
+)
+def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, node, new):
     paths, originals = input_files
-    name = data.draw(st.sampled_from(sorted(paths)))
-    path = data.draw(st.sampled_from(list(json_nodes(originals[name]))))
-    new = data.draw(st.sampled_from(SWAPS))
+    name, path = node
     for each, original in originals.items():
         value = mutated(original, path, new) if each == name else original
         text = "" if value is DELETE else json.dumps(value)
@@ -445,9 +502,11 @@ def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, data):
             assert exc.filename is not None, message
             return
         assert paths[name].name in message, message
-        keys = [key for key in path if isinstance(key, str)]
-        if keys:
-            assert keys[-1] in message, message
+        if message.endswith(BETWEEN_SETTINGS):
+            path = path[-1:]
+        elif new is DELETE and path and isinstance(path[-1], int):
+            path = path[:-1]  # a list item deleted: the list is refused
+        assert spelled(path) in message, message
     else:
         for obj in (cfg, cfg.backend):
             for key, hint in _hints(type(obj)).items():

@@ -130,8 +130,10 @@ def test_unrelated_document_changes_value_only_through_n():
 
 def test_epsilon_must_be_positive():
     corpus = corpus_from_tokens([("d1", ["x"])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^epsilon must be > 0, not 0\.0$"):
         npmi_pair("x", "x", corpus, epsilon=0.0)
+    with pytest.raises(ValueError, match=r"^epsilon must be > 0, not -1$"):
+        coherence([rep("t", ["x", "y"])], corpus, epsilon=-1)
 
 
 # -- coherence ----------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Every other byte-identity check compares two runs of the same code. This
 one compares against digests recorded once, so a change that moves every
-output alike (a reply parser change, say) shows. After an intended output
-change, regenerate the digests with `python tests/fixtures/make_fixtures.py`.
+output alike (a reply parser change, say) shows. The runs are made in fresh
+interpreters at hash seeds 1 and 2, and once in the test process under its
+own seed. golden_runs.json is the one place the fixture outputs are pinned:
+after an intended output change, regenerate it with
+`python tests/fixtures/make_fixtures.py`.
 """
 
 import json
@@ -28,6 +31,12 @@ Path(sys.argv[2]).write_text(json.dumps(digests), encoding="utf-8")
 """
 
 
+def assert_golden(got: dict) -> None:
+    expected = json.loads((FIXTURES_DIR / "golden_runs.json").read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(expected)
+    assert [path for path in sorted(expected) if got[path] != expected[path]] == []
+
+
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_fixture_runs_match_golden_digests(tmp_path, hash_seed):
     workdir = tmp_path / "work"
@@ -36,11 +45,11 @@ def test_fixture_runs_match_golden_digests(tmp_path, hash_seed):
     paths = [str(SRC_DIR), str(FIXTURES_DIR), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     subprocess.run([sys.executable, "-c", SCRIPT, str(workdir), str(out)], env=env, check=True)
+    assert_golden(json.loads(out.read_text(encoding="utf-8")))
 
-    got = json.loads(out.read_text(encoding="utf-8"))
-    expected = json.loads((FIXTURES_DIR / "golden_runs.json").read_text(encoding="utf-8"))
-    assert sorted(got) == sorted(expected)
-    assert [path for path in sorted(expected) if got[path] != expected[path]] == []
+
+def test_fixture_runs_match_golden_digests_under_this_hash_seed(tmp_path):
+    assert_golden(runpy.run_path(str(FIXTURES_DIR / "make_fixtures.py"))["golden_runs"](tmp_path))
 
 
 def test_make_fixtures_names_each_path_whose_digest_moved():
