@@ -194,14 +194,15 @@ def generate_topics(
     demos: DemonstrationSet,
     backend: BackendConfig | LlmGateway,
 ) -> list[TopicAssignment]:
-    """Prompt once per document and route every outcome.
+    """Prompt once per document and route every answer.
 
-    Refusals become Inappropriate, transport failures and unparseable
-    replies become Miscellaneous, everything else carries its parsed
-    labels, a reserved one renamed RESERVED_COLLISION_LABEL and repeats then
-    removed. The result has exactly one assignment per document, in corpus
-    order. The prompts go out through gateway.map, so over http several
-    are in flight at once; the result is the same as one at a time.
+    Refusals become Inappropriate, unparseable replies (an empty one too)
+    become Miscellaneous, everything else carries its parsed labels, a
+    reserved one renamed RESERVED_COLLISION_LABEL and repeats then removed.
+    The result has exactly one assignment per document, in corpus order; a
+    prompt with no answer raises (llm.TransportError). The prompts go out
+    through gateway.map, so over http several are in flight at once; the
+    result is the same as one at a time.
     """
     # A config gets a gateway of its own. Outside the tests only
     # _record_cache in perfbench/run.py still passes one; once it builds
@@ -212,8 +213,6 @@ def generate_topics(
         outcome = gateway.complete(build_generation_prompt(doc, demos))
         if outcome.status == "refused":
             return TopicAssignment(doc.id, (), "inappropriate")
-        if outcome.status != "ok":
-            return TopicAssignment(doc.id, (), "miscellaneous")
         try:
             labels = parse_topic_list(outcome.text)
         except TopicParseError:

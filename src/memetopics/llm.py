@@ -10,7 +10,8 @@ canonical request hash, so pipelines re-run byte-identically with zero
 network calls. On a miss http and mock answer, and with record=True append
 the answer, so a resumed recording pays only for misses; replay has no live
 fallback and raises ReplayMissError. Without a cache, http still answers a
-request it has sent before from memory.
+request it has sent before from memory. An http request that gets no answer
+raises TransportError, and nothing is kept for it.
 
 A gateway reads its cache file once, line by line: the one pass builds the
 request-hash index and the sorted-line SHA-256 that a run's configuration
@@ -66,6 +67,10 @@ class ReplayMissError(LookupError):
     def __init__(self, digest: str):
         super().__init__(f"no recorded response for request hash {digest}")
         self.digest = digest
+
+
+class TransportError(RuntimeError):
+    """An http request got no answer: retries ran out, or its status or body is not retried."""
 
 
 class TokenUsage(NamedTuple):
@@ -131,25 +136,24 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self)
+        # Named by their paths in a run's config, whose backend this is.
         if self.kind == "replay" and not self.cache_path:
-            raise ValueError("replay backend requires cache_path")
+            raise ValueError("backend.kind 'replay' requires backend.cache_path")
         if self.kind == "replay" and self.record:
             # A replay answers only from the cache, so it has nothing to record.
-            raise ValueError("replay backend cannot record")
+            raise ValueError("backend.kind 'replay' rules out backend.record")
         if self.record and not self.cache_path:
-            raise ValueError("record requires cache_path")
+            raise ValueError("backend.record requires backend.cache_path")
 
 
 @dataclass
 class LlmOutcome:
-    """Result of one completion attempt.
-
-    status "ok" means a nonempty reply came back; whether it parses is the
-    caller's judgement. "refused" marks moderation blocks and
-    "transport_error" exhausted retries.
+    """The model's answer to one request: "ok" with its reply, which may be
+    empty or not parse (the caller's judgement), or "refused" for a
+    moderation block. A request that gets no answer raises TransportError.
     """
 
-    status: str
+    status: Literal["ok", "refused"]
     text: str = ""
     token_usage: TokenUsage = TokenUsage(0, 0)
 
@@ -334,10 +338,7 @@ class LlmGateway:
             raise ReplayMissError(digest)
         ask = self._complete_mock if self.cfg.kind == "mock" else self._complete_http
         outcome = ask(exchange)
-        # Only answers are kept: a transport error is transient, and a
-        # replay must not serve it forever.
-        if outcome.status in ("ok", "refused"):
-            self._keep(digest, exchange, outcome)
+        self._keep(digest, exchange, outcome)
         return outcome
 
     def _loaded_cache(self) -> _Cache:
@@ -385,8 +386,8 @@ class LlmGateway:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        last_error = "no attempt made"
-        for attempt in range(self.cfg.max_retries + 1):
+        attempts = self.cfg.max_retries + 1
+        for attempt in range(attempts):
             if attempt:
                 self._sleep(min(2.0 ** attempt, 30.0))
             self._limiter.acquire()
@@ -398,7 +399,7 @@ class LlmGateway:
                 last_error = f"transport failure: {exc}"
                 log.warning("completion attempt %d failed: %s", attempt + 1, last_error)
                 continue
-            if status == 200 and isinstance(body, dict):
+            if status == 200:
                 return self._parse_http_success(exchange, body)
             if status in (400, 403) and self._is_policy_block(body):
                 return LlmOutcome("refused", "", TokenUsage(0, 0))
@@ -406,16 +407,16 @@ class LlmGateway:
                 last_error = f"HTTP {status}"
                 log.warning("completion attempt %d got %s, retrying", attempt + 1, last_error)
                 continue
-            return LlmOutcome("transport_error", f"HTTP {status}", TokenUsage(0, 0))
-        return LlmOutcome("transport_error", last_error, TokenUsage(0, 0))
+            raise TransportError(f"HTTP {status}, a status that is not retried")
+        raise TransportError(f"no answer after {attempts} attempt(s), the last: {last_error}")
 
-    def _parse_http_success(self, exchange: ChatExchange, body: dict) -> LlmOutcome:
+    def _parse_http_success(self, exchange: ChatExchange, body: object) -> LlmOutcome:
         try:
             text = body["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError):
             text = None
         if not isinstance(text, str):
-            return LlmOutcome("transport_error", "malformed completion body", TokenUsage(0, 0))
+            raise TransportError("HTTP 200 with a body that holds no completion")
         usage = body.get("usage")
         try:
             tokens = TokenUsage(
@@ -425,11 +426,7 @@ class LlmGateway:
             tokens = TokenUsage(0, 0)  # no usable counts: estimated below
         if not tokens.prompt and not tokens.completion:
             tokens = _usage_estimate(exchange, text)
-        if self._is_refusal_text(text):
-            return LlmOutcome("refused", text, tokens)
-        if not text.strip():
-            return LlmOutcome("transport_error", "empty completion", tokens)
-        return LlmOutcome("ok", text, tokens)
+        return LlmOutcome("refused" if self._is_refusal_text(text) else "ok", text, tokens)
 
 
 class _Cache(NamedTuple):
@@ -540,5 +537,6 @@ def load_mock_rules(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read a mock rule table: a JSON list of [substring, reply] pairs, or an
     object with that list under "rules"; else a ValueError naming the file."""
     data = _read_json(path, object)
-    rules = data["rules"] if isinstance(data, dict) and "rules" in data else data
-    return _typed(rules, tuple[tuple[str, str], ...], f"{path}: mock_rules")
+    key = "rules" if isinstance(data, dict) and "rules" in data else "mock_rules"
+    rules = data["rules"] if key == "rules" else data
+    return _typed(rules, tuple[tuple[str, str], ...], f"{path}: {key}")

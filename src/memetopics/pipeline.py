@@ -30,12 +30,12 @@ import shutil
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Annotated, Iterable, Literal, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from .collapse import DEFAULT_WINDOW, CollapseState, _Window, collapse_pbm, collapse_wsm
-from .corpus import Corpus, PreprocessConfig, _AtLeastOne, _check_fields, _Positive, _read_json
-from .corpus import _read_jsonl, _record, _typed, _write_file, _write_json, _write_jsonl
+from .corpus import Corpus, PreprocessConfig, _AtLeastOne, _Bound, _check_fields, _Positive
+from .corpus import _read_json, _read_jsonl, _record, _typed, _write_file, _write_json, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
 from .evaluation import DEFAULT_EPSILON, coherence
 from .generation import (
@@ -523,10 +523,12 @@ def run_stage(cfg: RunConfig, stage: str):
 
 
 def _check_k_values(k_values: Sequence[int]) -> list[int]:
-    """k_values as a list: the check of sweep's K list, which the CLI shares."""
-    if not k_values or min(k_values) < 1 or len(set(k_values)) < len(k_values):
-        raise ValueError(f"k_values must give at least one K, each K once and >= 1, not {k_values}")
-    return list(k_values)
+    """k_values as a list of at least one K, each checked by RunConfig.k's
+    annotation and given once: the check of sweep's K list, which the CLI shares."""
+    k_values = _typed(k_values, Annotated[list[_AtLeastOne], _Bound(1)], "k_values")
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"k_values must give each K once, not {k_values}")
+    return k_values
 
 
 def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import threading
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from memetopics.corpus import Corpus, MemeDocument
-from memetopics.llm import BackendConfig, LlmGateway
+from memetopics.llm import BackendConfig, ChatExchange, LlmGateway, canonical_request_hash
+from memetopics.llm import load_mock_rules
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -48,6 +50,36 @@ def chat_body(text: str, prompt_tokens: int, completion_tokens: int) -> dict:
         "choices": [{"message": {"role": "assistant", "content": text}}],
         "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
     }
+
+
+class RuleServer:
+    """http transport answering as the fixture's mock rule table does, and
+    recording the request hash of every request it receives. fault, when
+    given, is called with the request's number (from 1), its ChatExchange
+    and its attempt (from 1); a reply it returns, or an exception it
+    returns, which is raised, replaces the rule table's answer."""
+
+    def __init__(self, fault=None):
+        self.rules = load_mock_rules(FIXTURES_DIR / "mock_rules.json")
+        self.fault = fault
+        self.hashes = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url, payload, headers, timeout):
+        system, *turns, query = (m["content"] for m in payload["messages"])
+        pairs = tuple(zip(("user", "assistant") * len(turns), turns))
+        exchange = ChatExchange(system=system, turns=pairs, query=query)
+        digest = canonical_request_hash(exchange, payload["model"])
+        with self._lock:
+            self.hashes.append(digest)
+            number, attempt = len(self.hashes), self.hashes.count(digest)
+        faulty = self.fault(number, exchange, attempt) if self.fault else None
+        if isinstance(faulty, Exception):
+            raise faulty
+        if faulty is not None:
+            return faulty
+        reply = next((r for needle, r in self.rules if needle.lower() in query.lower()), "[]")
+        return 200, {"choices": [{"message": {"content": reply}}]}
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -131,6 +131,19 @@ USAGE_ERRORS = {
     # A value out of range, named by its whole path.
     "backend.timeout -1": (CONFIG_RUN, cfg_json(("backend", "timeout"), -1),
                            ("cfg.json: backend.timeout must be > 0, not -1",)),
+    # Settings that cannot go together, each named by its whole path.
+    "backend.record with replay": (
+        CONFIG_RUN, cfg_json(("backend", "record"), True),
+        ("cfg.json: backend.kind 'replay' rules out backend.record",),
+    ),
+    "backend.cache_path missing with replay": (
+        CONFIG_RUN, cfg_json(("backend", "cache_path"), DELETE),
+        ("cfg.json: backend.kind 'replay' requires backend.cache_path",),
+    ),
+    "backend.record without backend.cache_path": (
+        CONFIG_RUN, {"cfg.json": {**REPLAY_CONFIG, "backend": {"kind": "mock", "record": True}}},
+        ("cfg.json: backend.record requires backend.cache_path",),
+    ),
     # A flag's value out of range, or settings that cannot go together.
     "--epsilon 0": ([*RUN, "--epsilon", "0"], {}, ("epsilon must be > 0",)),
     "--window 1": ([*RUN, "--window", "1"], {}, ("window must be >= 2",)),
@@ -144,22 +157,23 @@ USAGE_ERRORS = {
                       ("num_demonstrations is 9, but the bundled set holds 8",)),
     # A recording replay would hash its cache as output, so replays over
     # different caches would share a config digest.
-    "replay --record": ([*RUN, "--record"], {}, ("replay backend cannot record",)),
+    "replay --record": ([*RUN, "--record"], {},
+                        ("backend.kind 'replay' rules out backend.record",)),
     # Recording with nowhere to record to would drop every paid answer.
     "--record without --cache": (
         ["run", "--corpus", REPLAY_CONFIG["corpus_path"], "--backend-kind", "mock",
          "--mock-rules", str(FIXTURES_DIR / "mock_rules.json"), "--record", "--out", "run"],
         {},
-        ("record requires cache_path",),
+        ("backend.record requires backend.cache_path",),
     ),
     "--k-values 0,5": ([*SWEEP, "--k-values", "0,5"], {},
-                       ("--k-values '0,5': ", "each K once and >= 1, not [0, 5]")),
+                       ("--k-values '0,5': k_values[0] must be >= 1, not 0",)),
     "--k-values x": ([*SWEEP, "--k-values", "x"], {},
                      ("--k-values 'x': ", "invalid literal for int()")),
     "--k-values ,": ([*SWEEP, "--k-values", ","], {},
-                     ("--k-values ',': ", "at least one K", "not []")),
+                     ("--k-values ',': k_values must hold at least 1, not []",)),
     "--k-values 5,3,5": ([*SWEEP, "--k-values", "5,3,5"], {},
-                         ("--k-values '5,3,5': ", "each K once and >= 1, not [5, 3, 5]")),
+                         ("--k-values '5,3,5': k_values must give each K once, not [5, 3, 5]",)),
     # A demonstrations or mock-rules file of the wrong shape, named.
     "demos object": ([*RUN, "--demos", "input.json"], {"input.json": {"a": 1}},
                         ("input.json: must hold a JSON list, not dict",)),
@@ -192,6 +206,12 @@ USAGE_ERRORS = {
         [*RUN, "--mock-rules", "input.json", "--backend-kind", "mock"],
         {"input.json": [["a", "b", "c"]]},
         ("input.json: mock_rules[0] must hold 2 items",),
+    ),
+    # A list under "rules" is named by that key.
+    "rules key with a number": (
+        [*RUN, "--mock-rules", "rules.json", "--backend-kind", "mock"],
+        {"rules.json": {"rules": [["a", 3]]}},
+        ("rules.json: rules[0][1] must be a string, not 3",),
     ),
     "rules not JSON": ([*RUN, "--mock-rules", "input.json", "--backend-kind", "mock"],
                        {"input.json": "{"}, ("input.json: invalid JSON",)),
@@ -253,14 +273,14 @@ REFUSED_SETTINGS = {
     "timeout 0": (lambda: BackendConfig(timeout=0), ("timeout must be > 0",)),
     "max_tokens 0": (lambda: BackendConfig(max_tokens=0), ("max_tokens must be >= 1",)),
     "replay without a cache": (lambda: BackendConfig(kind="replay"),
-                               ("replay backend requires cache_path",)),
+                               ("backend.kind 'replay' requires backend.cache_path",)),
     # Without a cache_path the answers a recording paid for would be lost.
     "mock record without a cache": (lambda: BackendConfig(kind="mock", record=True),
-                                    ("record requires cache_path",)),
+                                    ("backend.record requires backend.cache_path",)),
     "http record without a cache": (lambda: BackendConfig(kind="http", record=True),
-                                    ("record requires cache_path",)),
+                                    ("backend.record requires backend.cache_path",)),
     "replay record": (lambda: BackendConfig(kind="replay", cache_path="cache.jsonl", record=True),
-                      ("replay backend cannot record",)),
+                      ("backend.kind 'replay' rules out backend.record",)),
     # tuple() and set() of a string are its characters, and membership in one
     # is a substring test: each string below would be read wrongly, the
     # phrase "i" making "I think ['Politics']" a refusal.
@@ -459,10 +479,6 @@ def input_originals(root: Path) -> dict:
 
 # The path of every node of each input file, which does not depend on root.
 INPUT_NODES = {name: list(json_nodes(value)) for name, value in input_originals(Path()).items()}
-# BackendConfig's rules between two settings, which name the setting they
-# refuse by its field alone.
-BETWEEN_SETTINGS = ("replay backend requires cache_path", "replay backend cannot record",
-                    "record requires cache_path")
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +496,7 @@ def spelled(path) -> str:
 @settings(max_examples=300, deadline=None)
 @example(node=("config", ("backend", "timeout")), new=-1)
 @example(node=("demos", (1, "topics")), new=[])
+@example(node=("config", ("backend", "record")), new=True)
 @given(
     node=st.sampled_from(sorted(INPUT_NODES)).flatmap(
         lambda name: st.tuples(st.just(name), st.sampled_from(INPUT_NODES[name]))),
@@ -502,9 +519,7 @@ def test_one_bad_node_in_any_input_file_is_refused_naming_it(input_files, node, 
             assert exc.filename is not None, message
             return
         assert paths[name].name in message, message
-        if message.endswith(BETWEEN_SETTINGS):
-            path = path[-1:]
-        elif new is DELETE and path and isinstance(path[-1], int):
+        if new is DELETE and path and isinstance(path[-1], int):
             path = path[:-1]  # a list item deleted: the list is refused
         assert spelled(path) in message, message
     else:

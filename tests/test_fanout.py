@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from memetopics import llm
 from memetopics.collapse import CollapseState
 from memetopics.corpus import Corpus
-from memetopics.generation import Demonstration, DemonstrationSet, generate_topics
-from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway
+from memetopics.generation import Demonstration, DemonstrationSet, build_generation_prompt
+from memetopics.generation import generate_topics
+from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, TransportError
+from memetopics.llm import _read_cache, canonical_request_hash
 from memetopics.pipeline import RunConfig, stage_represent
 
 from conftest import chat_body, corpus_from_tokens, mock_backend
@@ -87,13 +89,19 @@ def http_gateway(script, **kwargs):
 
 
 def run_stages(corpus, topics, script, outdir, **backend):
-    """Generate, then represent the given topics, through one gateway."""
+    """Generate, then represent the given topics, through one gateway. Returns
+    what each stage returned and the usage after it, up to the message of the
+    TransportError a stage raised; and the transport."""
     gateway = http_gateway(script, **backend)
-    assignments = generate_topics(corpus, DEMOS, gateway)
-    generated = gateway.total_usage
     cfg = RunConfig(corpus_path="unused", collapse_method="pbm", representation_method="llm")
-    reps, _ = stage_represent(cfg, outdir, corpus, CollapseState(topics=topics), gateway)
-    return assignments, generated, reps, gateway.total_usage, gateway.transport
+    done = []
+    try:
+        done += [generate_topics(corpus, DEMOS, gateway), gateway.total_usage]
+        reps, _ = stage_represent(cfg, outdir, corpus, CollapseState(topics=topics), gateway)
+        done += [reps, gateway.total_usage]
+    except TransportError as exc:
+        done.append(str(exc))
+    return done, gateway.transport
 
 
 entry = st.tuples(st.sampled_from(OUTCOMES), st.integers(0, 3))
@@ -120,21 +128,24 @@ def test_concurrent_stages_equal_a_sequential_run(docs, topic_entries):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cache = tmp / "cache.jsonl"
-        concurrent = run_stages(corpus, topics, script, tmp, cache_path=str(cache), record=True)
+        concurrent, _ = run_stages(corpus, topics, script, tmp, cache_path=str(cache), record=True)
         with mock.patch.object(llm, "MAX_IN_FLIGHT", 1):
-            sequential = run_stages(corpus, topics, script, tmp)
-        assert concurrent[:4] == sequential[:4]
-        assert sequential[4].max_active == 1
+            sequential, server = run_stages(corpus, topics, script, tmp)
+        # A malformed body raises, in both runs for the same stage.
+        assert concurrent == sequential
+        assert server.max_active == 1
 
-        # Malformed bodies are transport errors, which are never recorded.
-        answered = Corpus(
-            [doc for doc in corpus.documents if script[doc.id][0] != "malformed"]
-        )
+        # Only answers are kept, each as a fresh run gets it; a run that
+        # finished kept one for every document.
+        index = _read_cache(str(cache), record=False).index
+        kept = Corpus([doc for doc in corpus.documents if canonical_request_hash(
+            build_generation_prompt(doc, DEMOS), "test-model") in index])
+        assert all(script[doc.id][0] != "malformed" for doc in kept.documents)
         replay = BackendConfig(kind="replay", model_name="test-model", cache_path=str(cache))
-        by_id = {a.doc_id: a for a in concurrent[0]}
-        assert generate_topics(answered, DEMOS, replay) == [
-            by_id[doc.id] for doc in answered.documents
-        ]
+        expected = generate_topics(kept, DEMOS, http_gateway(script))
+        assert generate_topics(kept, DEMOS, replay) == expected
+        if len(concurrent) > 1:
+            assert expected == concurrent[0]
 
 
 def test_concurrent_recording_over_a_filled_cache_pays_only_for_misses(tmp_path):

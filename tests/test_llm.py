@@ -16,7 +16,7 @@ from memetopics.llm import (
     LlmOutcome,
     RateLimiter,
     ReplayMissError,
-    TokenUsage,
+    TransportError,
     _read_cache,
     _usage_estimate,
     canonical_request_hash,
@@ -250,7 +250,9 @@ def test_transport_error_is_not_recorded(tmp_path):
     cache = tmp_path / "cache.jsonl"
     cfg = http_cfg(cache_path=str(cache), record=True)
     failing = LlmGateway(cfg, transport=CountingTransport([(404, "nope")]), sleep=lambda s: None)
-    assert failing.complete(exchange("flaky")).status == "transport_error"
+    with pytest.raises(TransportError, match="HTTP 404"):
+        failing.complete(exchange("flaky"))
+    assert cache.read_text() == ""
     answering = CountingTransport([(200, chat_body("['Later']", 12, 3))])
     LlmGateway(cfg, transport=answering, sleep=lambda s: None).complete(exchange("flaky"))
 
@@ -506,10 +508,13 @@ POLICY_BODY = {"error": {"code": "content_policy_violation", "message": "blocked
 
 
 @settings(max_examples=150, deadline=None)
+@example(query="q", text=" \n", kind="empty", prompt_tokens=0, completion_tokens=0)
 @given(
     query=WIRE_TEXT,
     text=WIRE_TEXT,
-    kind=st.sampled_from(["ok", "refusal", "policy", "http_error", "transport_raise"]),
+    kind=st.sampled_from(
+        ["ok", "empty", "refusal", "policy", "http_error", "malformed", "transport_raise"]
+    ),
     prompt_tokens=st.integers(0, 10_000),
     completion_tokens=st.integers(0, 10_000),
 )
@@ -518,31 +523,36 @@ def test_http_record_then_replay_roundtrip_property(
 ):
     if kind == "ok":
         text = "['" + text + "']"  # nonempty and no refusal phrase
+    elif kind == "empty":
+        text = "".join(filter(str.isspace, text))  # an answer, though no topic parses from it
     elif kind == "refusal":
         text = "I'm sorry, " + text
     response = {
         "ok": (200, chat_body(text, prompt_tokens, completion_tokens)),
+        "empty": (200, chat_body(text, prompt_tokens, completion_tokens)),
         "refusal": (200, chat_body(text, prompt_tokens, completion_tokens)),
         "policy": (400, POLICY_BODY),
         "http_error": (404, text),
+        "malformed": (200, {"choices": []}),
         "transport_raise": OSError(text),
     }[kind]
     ex = exchange(query, turns=DEMO_TURNS[:2])
     with tempfile.TemporaryDirectory() as tmp:
         cache = str(Path(tmp) / "cache.jsonl")
         cfg = http_cfg(cache_path=cache, record=True, max_retries=0)
-        recorded = LlmGateway(
-            cfg, transport=CountingTransport([response]), sleep=lambda s: None
-        ).complete(ex)
+        recording = LlmGateway(cfg, transport=CountingTransport([response]), sleep=lambda s: None)
         replaying = LlmGateway(
             BackendConfig(kind="replay", model_name="test-model", cache_path=cache)
         )
-        if kind in ("http_error", "transport_raise"):
-            assert recorded.status == "transport_error"
+        if kind in ("http_error", "malformed", "transport_raise"):
+            with pytest.raises(TransportError):
+                recording.complete(ex)
             with pytest.raises(ReplayMissError):
                 replaying.complete(ex)
             return
-        assert recorded.status == ("ok" if kind == "ok" else "refused")
+        recorded = recording.complete(ex)
+        assert recorded.status == ("refused" if kind in ("refusal", "policy") else "ok")
+        assert kind == "policy" or recorded.text == text
         replayed = replaying.complete(ex)
         assert isinstance(replayed, LlmOutcome)
         assert replayed == recorded
@@ -595,8 +605,9 @@ def test_http_retries_then_succeeds():
 def test_http_exhausted_retries_is_transport_error():
     transport = CountingTransport([(500, "x"), (500, "x"), (500, "x")])
     gateway = LlmGateway(http_cfg(max_retries=2), transport=transport, sleep=lambda s: None)
-    outcome = gateway.complete(exchange("q"))
-    assert outcome.status == "transport_error"
+    with pytest.raises(TransportError) as raised:
+        gateway.complete(exchange("q"))
+    assert str(raised.value) == "no answer after 3 attempt(s), the last: HTTP 500"
     assert len(transport.calls) == 3  # initial try + 2 retries
 
 
@@ -620,17 +631,21 @@ def test_http_answers_a_repeated_request_from_memory():
 def test_http_asks_again_after_a_transport_error():
     transport = CountingTransport([(404, "nope"), (200, chat_body("['Cats']", 12, 3))])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
-    assert gateway.complete(exchange("cat")).status == "transport_error"
+    with pytest.raises(TransportError):
+        gateway.complete(exchange("cat"))
     assert gateway.complete(exchange("cat")).text == "['Cats']"
     assert len(transport.calls) == 2
 
 
 def test_http_non_retryable_client_error():
-    transport = CountingTransport([(404, "nope")])
-    gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
-    outcome = gateway.complete(exchange("q"))
-    assert outcome.status == "transport_error"
-    assert len(transport.calls) == 1
+    # A 400 or 403 is a refusal only with a policy-error body.
+    for status, body in [(401, {"error": "bad key"}), (404, "nope"), (400, {"error": "bad"}),
+                         (403, "forbidden")]:
+        transport = CountingTransport([(status, body)])
+        gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
+        with pytest.raises(TransportError, match=f"^HTTP {status}, a status that is not retried$"):
+            gateway.complete(exchange("q"))
+        assert len(transport.calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -654,10 +669,9 @@ def test_http_non_string_content_is_a_malformed_body(content):
     body["choices"][0]["message"]["content"] = content
     transport = CountingTransport([(200, body)])
     gateway = LlmGateway(http_cfg(), transport=transport, sleep=lambda s: None)
-    outcome = gateway.complete(exchange("q"))
-    assert outcome == LlmOutcome("transport_error", "malformed completion body", TokenUsage(0, 0))
+    with pytest.raises(TransportError, match="^HTTP 200 with a body that holds no completion$"):
+        gateway.complete(exchange("q"))
     assert len(transport.calls) == 1
-
 
 def test_gateway_accumulates_usage():
     cfg = mock_backend(default="['A']")

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -36,13 +35,7 @@ from memetopics.cli import build_parser, config_from_args, main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
 from memetopics.corpus import _hints
 from memetopics.generation import TopicAssignment, _spelled_as
-from memetopics.llm import (
-    BackendConfig,
-    ChatExchange,
-    LlmGateway,
-    canonical_request_hash,
-    load_mock_rules,
-)
+from memetopics.llm import BackendConfig, LlmGateway, load_mock_rules
 from memetopics.pipeline import (
     STAGES,
     PipelineStageError,
@@ -55,7 +48,8 @@ from memetopics.pipeline import (
 
 import readback_oracle
 from conftest import (
-    DELETE, FIXTURES_DIR, SWAPS, json_nodes, mock_backend, mutated, run_digest, write_jsonl,
+    DELETE, FIXTURES_DIR, SWAPS, RuleServer, json_nodes, mock_backend, mutated, run_digest,
+    write_jsonl,
 )
 
 
@@ -899,25 +893,6 @@ def test_a_run_from_preprocess_keeps_no_output_of_an_earlier_sweep(tmp_path):
     assert {p.name for p in root.iterdir()} == written | mine | {"manifest.json"}
 
 
-class RuleServer:
-    """http transport answering as the fixture's mock rule table does, and
-    recording the request hash of every request it receives."""
-
-    def __init__(self):
-        self.rules = load_mock_rules(FIXTURES_DIR / "mock_rules.json")
-        self.hashes = []
-        self._lock = threading.Lock()
-
-    def __call__(self, url, payload, headers, timeout):
-        system, *turns, query = (m["content"] for m in payload["messages"])
-        pairs = tuple(zip(("user", "assistant") * len(turns), turns))
-        exchange = ChatExchange(system=system, turns=pairs, query=query)
-        with self._lock:
-            self.hashes.append(canonical_request_hash(exchange, payload["model"]))
-        reply = next((r for needle, r in self.rules if needle.lower() in query.lower()), "[]")
-        return 200, {"choices": [{"message": {"content": reply}}]}
-
-
 def test_http_sweep_without_a_cache_sends_each_request_once(tmp_path, monkeypatch):
     server = RuleServer()
     monkeypatch.setattr(llm_mod, "_urllib_transport", server)
@@ -946,6 +921,18 @@ def test_sweep_rejects_bad_k_before_any_work(tmp_path):
     cfg = tiny_config(tmp_path, outdir="sweep")
     with pytest.raises(ValueError):
         sweep(cfg, [2, 0])
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_checks_each_k_by_the_k_annotation_before_any_work(tmp_path):
+    # Before, these passed a `>= 1` check: preprocess and generate ran, and
+    # only the collapse at K = 2.0 was refused.
+    cfg = tiny_config(tmp_path, outdir="sweep")
+    for k_values, message in [([True, 2.0], "k_values[0] must be an integer, not True"),
+                              ([5, 2.0], "k_values[1] must be an integer, not 2.0")]:
+        with pytest.raises(ValueError) as refused:
+            sweep(cfg, k_values)
+        assert str(refused.value) == message
     assert not (tmp_path / "sweep").exists()
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from memetopics.cli import main
 from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, TokenUsage
+from memetopics.llm import TransportError
 
 from conftest import FIXTURES_DIR, chat_body
 
@@ -135,9 +136,28 @@ def test_server_error_is_retried_once_then_answers(chat_server):
 
 def test_ok_status_without_a_json_body_is_a_transport_error(chat_server):
     server = chat_server(lambda payload: (200, b"<html>not json</html>"))
-    outcome = http_gateway(server.url).complete(exchange("q"))
-    assert outcome.status == "transport_error"
+    with pytest.raises(TransportError, match="^HTTP 200 with a body that holds no completion$"):
+        http_gateway(server.url).complete(exchange("q"))
     assert len(server.requests) == 1
+
+
+def test_a_wrong_api_key_fails_generate_naming_the_401_within_one_round_of_requests(
+    tmp_path, chat_server, capsys
+):
+    # Before, all 50 generation requests went out, every meme landed in
+    # Miscellaneous, and represent failed without naming the 401.
+    server = chat_server(lambda payload: (401, {"error": {"message": "Incorrect API key"}}))
+    out = tmp_path / "run"
+    code = main(["run", "--corpus", str(FIXTURES_DIR / "memes50.jsonl"),
+                 "--backend-kind", "http", "--endpoint", server.url, "--model", "test-model",
+                 "--rpm", "1000000", "--collapse-method", "pbm", "--representation", "llm",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error: stage 'generate' failed: HTTP 401" in capsys.readouterr().err
+    assert 1 <= len(server.requests) <= MAX_IN_FLIGHT
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failed_stage"] == "generate"
+    assert not (out / "assignments.jsonl").exists()
 
 
 def test_a_recording_run_that_cannot_keep_an_answer_sends_nothing(tmp_path, chat_server, capsys):
