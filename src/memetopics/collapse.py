@@ -81,8 +81,9 @@ class CollapseState:
 
     topics maps each live label to its member doc ids; misc/inappropriate
     hold the reserved clusters. merge_log records (source, target, method)
-    in execution order and replays to the current state. The state does not
-    know K: each collapse takes it, so one state continues to any smaller K.
+    in execution order; merge is the one step a collapse takes, so the log
+    replays to the current state from from_assignments of the assignments. The
+    state does not know K: each collapse takes it, so one state continues to any smaller K.
     """
 
     topics: dict[str, set[str]]
@@ -105,6 +106,19 @@ class CollapseState:
         if self.inappropriate:
             out[INAPPROPRIATE] = set(self.inappropriate)
         return out
+
+    def merge(self, source: str, target: str, method: str) -> None:
+        """Move live topic source's documents into target, another live topic
+        or Miscellaneous, and log the step; a ValueError refuses any other."""
+        if source not in self.topics:
+            raise ValueError(f"merge source {source!r} is not a live topic")
+        if target == source:
+            raise ValueError(f"topic {source!r} cannot merge into itself")
+        into = self.misc if target == MISCELLANEOUS else self.topics.get(target)
+        if into is None:
+            raise ValueError(f"merge target {target!r} is neither a live topic nor {MISCELLANEOUS}")
+        into.update(self.topics.pop(source))
+        self.merge_log.append((source, target, method))
 
     def copy(self) -> "CollapseState":
         return CollapseState(
@@ -187,12 +201,7 @@ def collapse_pbm(
         if outcome.status == "ok":
             with contextlib.suppress(TopicParseError):
                 target = _spelled_as(parse_topic_list(outcome.text)[:1], candidates)[0]
-        if target is None:
-            state.misc |= state.topics.pop(current)
-            state.merge_log.append((current, MISCELLANEOUS, "pbm"))
-        else:
-            state.topics[target] |= state.topics.pop(current)
-            state.merge_log.append((current, target, "pbm"))
+        state.merge(current, MISCELLANEOUS if target is None else target, "pbm")
     return state
 
 
@@ -500,8 +509,7 @@ def collapse_wsm(state: CollapseState, k: int, corpus: Corpus) -> CollapseState:
             source, target = _merge_orientation(state, *best_pair)
             method = "wsm"
         both_docs = state.topics[source] & state.topics[target]
-        state.topics[target] |= state.topics.pop(source)
-        state.merge_log.append((source, target, method))
+        state.merge(source, target, method)
         if len(state.topics) == k:
             return state
         index.merge(source, target, both_docs)

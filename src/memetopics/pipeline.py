@@ -11,10 +11,11 @@ it alone writes the manifest, and a run from stage s first clears what the
 last run of s and of every later stage left (from preprocess, a sweep's
 output too). One function, _run, serves run_pipeline, run_stage and a
 sweep's root: it makes the run's LlmGateway, shared by every prompting stage
-and the source of the cache's hash, and reads back, each file through its
-one check _load_artifact, only what a lone stage needs. Every fresh
-manifest, a sweep K's included, starts from _fresh_manifest. The manifest
-carries no timestamps, so identical inputs give identical bytes.
+and the source of the cache's hash, and reads back through load_run, the one
+reader of a run directory, only what a lone stage needs; each file has its one
+check in _load_artifact. Every fresh manifest, a sweep K's included, starts
+from _fresh_manifest. The manifest carries no timestamps, so identical inputs
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import logging
 import re
 import shutil
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import Annotated, Iterable, Literal, NamedTuple, Sequence
 
@@ -98,6 +99,19 @@ _FLOW = {
     ),
 }
 STAGES = tuple(_FLOW)
+
+
+# A merge-log line and report.json (CoherenceReport.to_dict() and a digest), every key required.
+_Merge = make_dataclass("_Merge", [("source", str), ("target", str),
+                                   ("method", Literal["pbm", "wsm", "wsm-zero"])])
+_Report = make_dataclass("_Report", [
+    ("mean_npmi", float), ("diversity", float), ("epsilon", float), ("k", int),
+    ("words_per_topic", int), ("per_topic", dict), ("excluded", list[str]),
+    ("estimator", str), ("epsilon_placement", str), ("config_digest", str)])
+
+
+# A run directory read back by load_run: its manifest and its artifacts by name.
+Run = NamedTuple("Run", [("manifest", dict), ("artifacts", dict)])
 
 
 class PipelineStageError(RuntimeError):
@@ -277,8 +291,7 @@ def stage_collapse(
         state = collapse_wsm(state, cfg.k, corpus)
     clusters = {label: sorted(ids) for label, ids in state.clusters().items()}
     _write_json(outdir / CLUSTERS_FILE, clusters)
-    merges = ({"source": s, "target": t, "method": m} for s, t, m in state.merge_log)
-    _write_jsonl(outdir / MERGE_LOG_FILE, merges)
+    _write_jsonl(outdir / MERGE_LOG_FILE, (dataclasses.asdict(_Merge(*m)) for m in state.merge_log))
     targets = [target for _, target, _ in state.merge_log]
     summary = {
         "method": cfg.collapse_method,
@@ -395,11 +408,13 @@ def _run_stages(
     return artifacts
 
 
-def _load_artifact(outdir: Path, name: str, corpus: Corpus | None):
+def _load_artifact(outdir: Path, name: str, corpus: Corpus | None,
+                   state: CollapseState | None = None):
     """The artifact `name`, or the manifest, as the run wrote it into outdir. The one check of
     a file read back, refusing with a ValueError naming the file: an assignment with topics
     exactly when not routed; assignments or clusters that leave out a document of corpus or
-    place another id; representations without one entry per topic of the clusters they load."""
+    place another id; a merge-log line or a report without every key its writer writes;
+    representations without one entry per topic of state."""
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
@@ -418,10 +433,11 @@ def _load_artifact(outdir: Path, name: str, corpus: Corpus | None):
         clusters = {}
         for c, ids in _read_json(outdir / CLUSTERS_FILE).items():
             clusters[c] = set(_typed(ids, tuple[str, ...], f"{CLUSTERS_FILE}: {c!r}"))
-        misc = clusters.pop(MISCELLANEOUS, set())
-        inappropriate = clusters.pop(INAPPROPRIATE, set())
+        misc, inappropriate = (clusters.pop(key, set()) for key in (MISCELLANEOUS, INAPPROPRIATE))
+        merges = [dataclasses.astuple(_record(_Merge, row, f"{MERGE_LOG_FILE}:{n}: "))
+                  for n, row in _read_jsonl(outdir / MERGE_LOG_FILE)]
         try:
-            state = CollapseState(topics=clusters, misc=misc, inappropriate=inappropriate)
+            state = CollapseState(clusters, misc, inappropriate, merges)
         except ValueError as exc:  # a reserved or repeated label
             raise ValueError(f"{CLUSTERS_FILE}: {exc}") from None
         _check_placed(corpus, CLUSTERS_FILE, set().union(misc, inappropriate, *clusters.values()))
@@ -438,16 +454,44 @@ def _load_artifact(outdir: Path, name: str, corpus: Corpus | None):
             for key in TokenUsage._fields:
                 _typed(spent[key], int, f"{where}: {stage}: {key}")
         return manifest
+    if name == "report":
+        report = _read_json(outdir / REPORT_FILE)
+        _record(_Report, report, f"{REPORT_FILE}: ")
+        return report
     reps = []  # the representations
     for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
         entry = {**_typed(entry, dict, where), "topic": topic}  # the file's key names the topic
         reps.append(_record(TopicRepresentation, entry, f"{where}: ", required=["backfilled"]))
-    topics = _load_artifact(outdir, "state", corpus).topics
-    if odd := sorted({rep.topic for rep in reps} ^ topics.keys()):
+    if odd := sorted({rep.topic for rep in reps} ^ state.topics.keys()):
         raise ValueError(f"{REPRESENTATIONS_FILE} and {CLUSTERS_FILE} must hold the same "
                          f"topics, but only one of them holds {odd[0]!r}")
     return reps
+
+
+def load_run(outdir: str | Path, names: Iterable[str] | None = None) -> Run:
+    """The run in outdir read back: its manifest, then the artifacts `names` (by default
+    those of its stages_completed) and what their checks read, each once through
+    _load_artifact in the order of _FLOW, so the corpus first. Refused naming manifest.json
+    unless stages_completed begins with every stage up to the last that makes one of them."""
+    outdir = Path(outdir)
+    manifest = _load_artifact(outdir, "manifest", None)
+    done = manifest["stages_completed"]
+    order = [_FLOW[stage].makes for stage in STAGES]
+    wanted = {_FLOW[stage].makes for stage in done} if names is None else set(names)
+    if "representations" in wanted:
+        wanted.add("state")  # whose topics the representations must hold
+    if wanted - {"report"}:
+        wanted.add("corpus")  # whose documents the other artifacts place
+    last = max(map(order.index, wanted), default=-1)
+    for n, stage in enumerate(STAGES[: last + 1]):
+        if done[n : n + 1] != [stage]:
+            raise ValueError(f"{MANIFEST_FILE}: stages_completed is {done}, so {stage!r} "
+                             f"must complete before {order[last]!r} loads")
+    artifacts: dict = {}
+    for name in filter(wanted.__contains__, order):
+        artifacts[name] = _load_artifact(outdir, name, *map(artifacts.get, ("corpus", "state")))
+    return Run(manifest, artifacts)
 
 
 def _check_placed(corpus: Corpus, file: str, doc_ids: Iterable[str]) -> None:
@@ -463,32 +507,20 @@ def _check_placed(corpus: Corpus, file: str, doc_ids: Iterable[str]) -> None:
 
 
 def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
-    """Run `stages` in cfg.output_dir with one gateway and return the
-    artifacts. Loads the manifest it continues, then what the stages read
-    and do not make, each through _load_artifact and so checked, before
-    anything is deleted. A run from preprocess starts a fresh manifest; any
-    other continues the one on disk once its stages_completed begins with
-    every earlier stage. Inputs are hashed only for a fresh manifest or evaluate.
-    """
+    """Run `stages` in cfg.output_dir with one gateway and return the artifacts. A run
+    from preprocess starts a fresh manifest; any other first loads the manifest it continues
+    and what the stages read and do not make through load_run, before anything is deleted.
+    Inputs are hashed only for a fresh manifest or evaluate."""
     outdir = Path(cfg.output_dir)
     fresh = stages[0] == "preprocess"
-    if not fresh:
-        manifest = _load_artifact(outdir, "manifest", None)
-        done = manifest["stages_completed"]
-        for n, stage in enumerate(STAGES[: STAGES.index(stages[0])]):
-            if done[n : n + 1] != [stage]:
-                raise ValueError(f"{MANIFEST_FILE}: stages_completed is {done}, so {stage!r} "
-                                 f"must complete before {stages[0]!r} runs")
     made = {_FLOW[stage].makes for stage in stages}
-    reads = [name for stage in stages for name in _FLOW[stage].reads if name not in made]
-    gateway = LlmGateway(cfg.backend)
-    artifacts = {"gateway": gateway}
+    reads = {name for stage in stages for name in _FLOW[stage].reads} - made
+    manifest, artifacts = Run({}, {}) if fresh else load_run(
+        outdir, reads - {"gateway", "input_hashes"})  # each made here, not loaded
+    artifacts["gateway"] = gateway = LlmGateway(cfg.backend)
     if fresh or "input_hashes" in reads:
         # The cache's hash comes from the gateway, so the run reads its cache once.
         artifacts["input_hashes"] = cfg.input_hashes(gateway)
-    for name in reads:  # each stage reads the corpus first
-        if name not in artifacts:
-            artifacts[name] = _load_artifact(outdir, name, artifacts.get("corpus"))
     if fresh:
         manifest = _fresh_manifest(cfg, artifacts["input_hashes"])
     return _run_stages(cfg, outdir, stages, artifacts, manifest)

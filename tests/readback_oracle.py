@@ -1,7 +1,7 @@
 """Reference check of the run files a lone stage reads back: problem(files, stage)
-restates plainly what pipeline._load_artifact and pipeline._run require before a
-lone stage continues a run, so that a property test can hold the stage to it both
-ways: it may neither refuse what these rules accept nor accept what they refuse.
+restates plainly what pipeline.load_run requires before a lone stage continues a
+run, so that a property test can hold the stage to it both ways: it may neither
+refuse what these rules accept nor accept what they refuse.
 """
 
 from collections import Counter
@@ -17,6 +17,7 @@ ASSIGNMENT = {"doc_id": str, "topics": [str],
 REPRESENTATION = {"words": [str], "method": ("ctfidf", "llm"), "backfilled": int,
                   "dropped?": int, "fallback?": bool, "topic?": object}
 USAGE = {"prompt": int, "completion": int}
+MERGE = {"source": str, "target": str, "method": ("pbm", "wsm", "wsm-zero")}
 
 
 def fits(value, kind) -> bool:
@@ -75,6 +76,8 @@ def problem(files: dict, stage: str) -> str | None:
             return "a topic is a reserved label, or two topics are the same label"
         if set().union(*clusters.values()) != set(ids):
             return "the clusters do not place each document"
+        if not fits(files["merge_log.jsonl"], [MERGE]):
+            return "a merge-log line is not one collapse writes"
 
     if stage == "evaluate":
         reps = files["representations.json"]

@@ -467,3 +467,34 @@ def test_a_bad_collapse_argument_is_refused_naming_it(call, message):
     with pytest.raises(ValueError) as refused:
         call(state, gateway, corpus_from_tokens([("a", ["x"])]))
     assert str(refused.value) == message
+
+
+# The one step of a collapse, on a state of topics A and B with a document in
+# Miscellaneous: each step it refuses, and its ValueError.
+REFUSED_MERGES = {
+    "source not live": (("Z", "A"), "merge source 'Z' is not a live topic"),
+    "source Miscellaneous": (("Miscellaneous", "A"),
+                             "merge source 'Miscellaneous' is not a live topic"),
+    "target not live": (("A", "Z"), "merge target 'Z' is neither a live topic nor Miscellaneous"),
+    "target spelled otherwise": (("A", "b"),
+                                 "merge target 'b' is neither a live topic nor Miscellaneous"),
+    "target the source": (("A", "A"), "topic 'A' cannot merge into itself"),
+}
+
+
+@pytest.mark.parametrize("step, message", REFUSED_MERGES.values(), ids=list(REFUSED_MERGES))
+def test_a_merge_step_is_refused_unless_a_live_topic_folds_into_another_or_misc(step, message):
+    state = state_from({"A": {"a"}, "B": {"b"}}, misc={"m"})
+    before = state.copy()
+    with pytest.raises(ValueError) as refused:
+        state.merge(*step, "wsm")
+    assert str(refused.value) == message
+    assert state == before
+
+
+def test_a_merge_step_moves_the_documents_and_logs_the_step():
+    state = state_from({"A": {"a"}, "B": {"b", "x"}, "C": {"c", "x"}})
+    state.merge("B", "C", "wsm")
+    state.merge("A", "Miscellaneous", "pbm")
+    assert (state.topics, state.misc) == ({"C": {"b", "c", "x"}}, {"a"})
+    assert state.merge_log == [("B", "C", "wsm"), ("A", "Miscellaneous", "pbm")]

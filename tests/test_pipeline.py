@@ -34,13 +34,14 @@ from memetopics import pipeline as pipeline_mod
 from memetopics.cli import build_parser, config_from_args, main
 from memetopics.collapse import COLLAPSE_QUESTION, CollapseState
 from memetopics.corpus import _hints
-from memetopics.generation import TopicAssignment, _spelled_as
+from memetopics.generation import TopicAssignment
 from memetopics.llm import BackendConfig, LlmGateway, load_mock_rules
 from memetopics.pipeline import (
     STAGES,
     PipelineStageError,
     RunConfig,
     _load_artifact,
+    load_run,
     run_pipeline,
     run_stage,
     sweep,
@@ -614,35 +615,71 @@ def test_running_an_earlier_stage_again_drops_the_later_stages_outputs(tmp_path)
 VOCAB = ("cat", "dog", "vote", "tax", "goal")
 REPLIES = ("['Cats']", "['cats', 'Pets']", "['Politics', 'Money']", "['Miscellaneous']",
            "I cannot help with that.", "no list")
-# What each artifact a lone stage reads back keeps in its file.
+DOCS = st.lists(st.lists(st.sampled_from(VOCAB), max_size=3), max_size=8)
+SCRIPTS = st.lists(st.sampled_from(REPLIES), min_size=len(VOCAB), max_size=len(VOCAB))
+# What each artifact a run writes keeps in its files.
 WRITTEN = {
     "corpus": lambda corpus: corpus.documents,
     "assignments": lambda assignments: assignments,
-    "state": lambda state: (state.topics, state.misc, state.inappropriate),
+    "state": lambda state: (state.topics, state.misc, state.inappropriate, state.merge_log),
     "representations": lambda reps: [(r.topic, r.words, r.method, r.backfilled) for r in reps],
+    "report": lambda report: report,
 }
 
 
+def drawn_config(tmp, docs, replies, methods, k, outdir="run"):
+    """A run of the mock over drawn documents, each reply given to the documents
+    holding one word of VOCAB. Document 0 holds no word of VOCAB, so the mock's
+    default gives it a topic, and two words of each document's own make every
+    topic two words long."""
+    records = [{"id": f"d{i}", "caption": f"d{i}x d{i}y", "text": " ".join(words)}
+               for i, words in enumerate([[], *docs])]
+    return RunConfig(corpus_path=str(write_jsonl(Path(tmp) / "memes.jsonl", records)),
+                     backend=mock_backend(tuple(zip(VOCAB, replies)), default="['Other']"),
+                     collapse_method=methods[0], representation_method=methods[1], k=k,
+                     output_dir=str(Path(tmp) / outdir))
+
+
 @settings(max_examples=40, deadline=None)
-@given(docs=st.lists(st.lists(st.sampled_from(VOCAB), max_size=3), max_size=8),
-       replies=st.lists(st.sampled_from(REPLIES), min_size=len(VOCAB), max_size=len(VOCAB)),
-       methods=st.sampled_from([("wsm", "ctfidf"), ("pbm", "llm"), ("wsm", "llm")]),
-       k=st.integers(1, 3))
+@given(docs=DOCS, replies=SCRIPTS, k=st.integers(1, 3),
+       methods=st.sampled_from([("wsm", "ctfidf"), ("pbm", "llm"), ("wsm", "llm")]))
 def test_each_artifact_a_run_writes_reads_back_equal_to_the_one_it_made(docs, replies, methods, k):
-    # Document 0 holds no word of VOCAB, so the mock's default gives it a topic,
-    # and two words of each document's own make every topic two words long.
     with tempfile.TemporaryDirectory() as tmp:
-        records = [{"id": f"d{i}", "caption": f"d{i}x d{i}y", "text": " ".join(words)}
-                   for i, words in enumerate([[], *docs])]
-        rules = tuple(zip(VOCAB, replies))
-        cfg = RunConfig(corpus_path=str(write_jsonl(Path(tmp) / "memes.jsonl", records)),
-                        backend=mock_backend(rules, default="['Other']"),
-                        collapse_method=methods[0], representation_method=methods[1], k=k,
-                        output_dir=str(Path(tmp) / "run"))
+        cfg = drawn_config(tmp, docs, replies, methods, k)
         made = pipeline_mod._run(cfg, STAGES)
+        read = load_run(cfg.output_dir).artifacts
+        assert read.keys() == WRITTEN.keys()
         for name, kept in WRITTEN.items():
-            read = _load_artifact(Path(cfg.output_dir), name, made["corpus"])
-            assert kept(read) == kept(made[name]), name
+            assert kept(read[name]) == kept(made[name]), name
+
+
+def replayed(assignments, merge_log):
+    """The state the steps of merge_log, each a CollapseState.merge, make of assignments."""
+    state = CollapseState.from_assignments(assignments)
+    for step in merge_log:
+        state.merge(*step)
+    return state
+
+
+@settings(max_examples=25, deadline=None)
+@given(docs=DOCS, replies=SCRIPTS, method=st.sampled_from(["pbm", "wsm"]),
+       k_values=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+def test_the_merge_log_read_back_replays_the_assignments_to_the_state_read_back(
+    docs, replies, method, k_values
+):
+    # A run at the first K, and a sweep over them all: each of its K directories
+    # holds the state of the root's assignments, collapsed from the K before it.
+    methods = (method, "llm" if method == "pbm" else "ctfidf")
+    with tempfile.TemporaryDirectory() as tmp:
+        run = load_run(run_pipeline(drawn_config(tmp, docs, replies, methods, k_values[0])))
+        states = [run.artifacts["state"]]
+        sweep(drawn_config(tmp, docs, replies, methods, 1, "sweep"), k_values)
+        root = load_run(Path(tmp) / "sweep").artifacts
+        for k in k_values:
+            states.append(_load_artifact(Path(tmp, "sweep", f"k_{k}"), "state", root["corpus"]))
+        assert root["assignments"] == run.artifacts["assignments"]
+        for state in states:
+            assert replayed(root["assignments"], state.merge_log) == state
 
 
 def test_a_run_never_counts_document_frequencies(tmp_path):
@@ -1011,9 +1048,13 @@ def value_edit(edit):
     return lambda text: json.dumps(edit(json.loads(text)))
 
 
+def first_line_as(edit):
+    """An edit of a JSONL file's first line, by its JSON value."""
+    return lines_edit(lambda lines: [json.dumps(edit(json.loads(lines[0]))) + "\n", *lines[1:]])
+
+
 def first_line(**values):
-    return lines_edit(lambda lines: [json.dumps({**json.loads(lines[0]), **values}) + "\n",
-                                     *lines[1:]])
+    return first_line_as(lambda record: {**record, **values})
 
 
 def appended(record):
@@ -1145,6 +1186,19 @@ CORRUPTIONS = {
         # The entry's key in the file names its topic, whatever the entry holds.
         "topic keys inside": (each_entry(lambda e: {**e, "topic": "Miscellaneous"}), None),
     },
+    ("wsm", "merge_log.jsonl", "represent"): {
+        "deleted": (lambda _: None,
+                    ("[Errno 2] No such file or directory", "{run}/merge_log.jsonl")),
+        "bogus method": (first_line(method="bogus"), (
+            "merge_log.jsonl:1: method must be one of 'pbm', 'wsm', 'wsm-zero', not 'bogus'",)),
+        "line without target": (
+            first_line_as(lambda m: {key: m[key] for key in ("source", "method")}),
+            ("missing key merge_log.jsonl:1: target",)),
+        "line cut short": (
+            lines_edit(lambda ls: [*ls[:2], ls[2][: len(ls[2]) // 2] + "\n", *ls[3:]]),
+            ("merge_log.jsonl:3: invalid JSON",),
+        ),
+    },
     ("pbm", "clusters.json", "evaluate"): {
         "document deleted": (value_edit(lambda c: {**c, "Health": c["Health"][1:]}),
                              ("clusters.json", "nowhere, though")),
@@ -1155,7 +1209,7 @@ CORRUPTIONS = {
                                              ("manifest.json: stages_completed",)),
         "generate lost from stages_completed and token_usage": (value_edit(_lose_generate), (
             "manifest.json: stages_completed is ['preprocess', 'collapse', 'represent',"
-            " 'evaluate'], so 'generate' must complete before 'evaluate' runs",)),
+            " 'evaluate'], so 'generate' must complete before 'representations' loads",)),
     },
 }
 
@@ -1185,6 +1239,7 @@ READ_BACKS = {
     "clusters.json": "represent",
     "corpus_processed.jsonl": "collapse",
     "manifest.json": "collapse",
+    "merge_log.jsonl": "represent",
     "representations.json": "evaluate",
 }
 DUPLICATE = object()
@@ -1256,13 +1311,34 @@ def test_one_bad_node_or_line_read_back_is_refused_naming_its_file(whole_runs, d
     if stage in ("collapse", "represent"):
         clusters = json.loads((outdir / "clusters.json").read_text(encoding="utf-8"))
         assert set().union(*clusters.values()) == ids
-    if stage == "collapse":  # each label read back places its document where it merged to
-        merged = {m["source"]: m["target"] for m in _read_back(outdir / "merge_log.jsonl")}
-        for assignment in _read_back(outdir / "assignments.jsonl"):
-            for label in _spelled_as(assignment["topics"], [*clusters, *merged]):
-                while label in merged:
-                    label = merged[label]
-                assert assignment["doc_id"] in clusters.get(label, ()), (path, new, label)
+    if stage == "collapse":  # the merge log replays the assignments read back to the clusters
+        loaded = load_run(outdir).artifacts
+        state = loaded["state"]
+        assert replayed(loaded["assignments"], state.merge_log) == state, (path, new)
+
+
+# Every file a run writes, each of which load_run reads back.
+RUN_FILES = sorted({"manifest.json"}.union(*(s.files for s in pipeline_mod._FLOW.values())))
+
+
+@pytest.mark.parametrize("file", RUN_FILES)
+def test_every_file_a_run_writes_has_a_reader(whole_runs, tmp_path, file):
+    # Fails as soon as a stage writes a file that no reader reads.
+    outdir = tmp_path / "run"
+    shutil.copytree(whole_runs["pbm"], outdir)
+    (outdir / file).unlink()
+    with pytest.raises(FileNotFoundError, match=f"/{file}'$"):
+        load_run(outdir)
+
+
+def test_a_report_short_of_a_key_its_writer_writes_is_refused_naming_it(whole_runs, tmp_path):
+    outdir = tmp_path / "run"
+    shutil.copytree(whole_runs["pbm"], outdir)
+    report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+    del report["mean_npmi"]
+    (outdir / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(ValueError, match="^missing key report.json: mean_npmi$"):
+        load_run(outdir)
 
 
 def test_cli_sweep(tmp_path):

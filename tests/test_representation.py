@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from memetopics import representation
 from memetopics.collapse import CollapseState
-from memetopics.corpus import _write_json
 from memetopics.ctfidf import ctfidf_from_clusters, top_words
 from memetopics.generation import format_topic_list, parse_topic_list
 from memetopics.llm import LlmGateway
@@ -214,7 +213,6 @@ def test_representations_roundtrip(tmp_path):
         if method == "llm":
             assert reps[1].backfilled > 0
         fields = [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in reps]
-        # The reader checks the topics against the clusters.json the collapse writes.
-        _write_json(outdir / "clusters.json", {t: sorted(ids) for t, ids in state.topics.items()})
-        loaded = _load_artifact(outdir, "representations", corpus)
+        # The reader checks the topics against those of the state the run loads with them.
+        loaded = _load_artifact(outdir, "representations", corpus, state)
         assert [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in loaded] == fields
