@@ -98,14 +98,11 @@ class CollapseState:
             if first != label:
                 raise ValueError(f"topics {first!r} and {label!r} are the same label")
 
-    def clusters(self) -> dict[str, set[str]]:
-        """All clusters including the reserved ones (when non-empty)."""
-        out: dict[str, set[str]] = {label: set(ids) for label, ids in self.topics.items()}
-        if self.misc:
-            out[MISCELLANEOUS] = set(self.misc)
-        if self.inappropriate:
-            out[INAPPROPRIATE] = set(self.inappropriate)
-        return out
+    def clusters(self) -> dict[str, list[str]]:
+        """clusters.json: every cluster, the reserved ones when non-empty, its ids sorted."""
+        reserved = {MISCELLANEOUS: self.misc, INAPPROPRIATE: self.inappropriate}
+        out = {label: sorted(ids) for label, ids in self.topics.items()}
+        return out | {label: sorted(ids) for label, ids in reserved.items() if ids}
 
     def merge(self, source: str, target: str, method: str) -> None:
         """Move live topic source's documents into target, another live topic

@@ -11,6 +11,7 @@ It also holds the package's one run-file codec, JSON reader, type-and-bound rule
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -180,10 +181,19 @@ def default_stopwords() -> frozenset[str]:
         return load_stopwords(path)
 
 
+@contextlib.contextmanager
+def _decoding(path: str | Path):
+    """Reraise a UnicodeDecodeError of reading path as a ValueError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list file: one word per line, UTF-8 (a leading byte
     order mark skipped), blanks ignored."""
-    with open(path, encoding="utf-8-sig") as f:
+    with open(path, encoding="utf-8-sig") as f, _decoding(path):
         return frozenset(line.strip() for line in f if line.strip())
 
 
@@ -233,7 +243,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
 
 def _read_json(path: str | Path, kind: type = dict):
     """The JSON value in path, a kind (dict, list or object), else a ValueError naming it."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, _decoding(path):
         try:
             data = json.load(f)
         except json.JSONDecodeError as exc:
@@ -248,7 +258,7 @@ def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     a line that is not a JSON object raises a ValueError naming it."""
     name = Path(path).name
     rows = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, _decoding(path):
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -288,7 +298,7 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 def _read_csv(path: Path) -> list[tuple[int, dict]]:
     rows = []
-    with open(path, encoding="utf-8-sig", newline="") as f:  # Excel starts one with a BOM
+    with open(path, encoding="utf-8-sig", newline="") as f, _decoding(path):  # Excel writes a BOM
         reader = csv.DictReader(f)
         if reader.fieldnames is None or not {"id", "caption", "text"} <= set(reader.fieldnames):
             raise CorpusFormatError(f"{path.name}:1: CSV header must include id, caption, text")

@@ -457,8 +457,8 @@ def _read_cache(path: str | None, record: bool) -> _Cache:
     A record counts once its newline is on disk: an unterminated last line,
     cut short by a crash mid-write, is skipped (and hashed all the same), and
     a recording gateway cuts it so its first append starts a line of its
-    own. A malformed line stops the indexing, not the hashing: its error is
-    kept, so it surfaces in the stage that first asks the cache.
+    own. A malformed line stops the indexing, not the hashing: its error, named
+    by file and line, is kept, so it surfaces in the stage that first asks it.
     """
     index: dict[str, dict] = {}
     if not path:
@@ -491,7 +491,9 @@ def _read_cache(path: str | None, record: bool) -> _Cache:
                 digest, response = _parse_record(line)
             # Not JSON, or not an object with a hash and a response.
             except (ValueError, KeyError, TypeError) as exc:
-                error = exc
+                with open(path, "rb") as g:  # so the loop keeps no line number
+                    lineno = g.read(complete_bytes).count(b"\n")
+                error = ValueError(f"{path}:{lineno}: not a cache record ({exc})")
             else:
                 # The request is not kept: a run shares its gateway, so the
                 # index lives as long as the run does.

@@ -12,10 +12,12 @@ last run of s and of every later stage left (from preprocess, a sweep's
 output too). One function, _run, serves run_pipeline, run_stage and a
 sweep's root: it makes the run's LlmGateway, shared by every prompting stage
 and the source of the cache's hash, and reads back through load_run, the one
-reader of a run directory, only what a lone stage needs; each file has its one
-check in _load_artifact. Every fresh manifest, a sweep K's included, starts
-from _fresh_manifest. The manifest carries no timestamps, so identical inputs
-give identical bytes.
+reader of a run directory, only what a lone stage needs. Each file has its one
+check in _load_artifact, against the artifacts its stage read: the collapsed
+state is the merge log replayed on the assignments by the step collapse takes,
+and clusters.json must be its clusters. Every fresh manifest, a sweep K's
+included, starts from _fresh_manifest. The manifest carries no timestamps, so
+identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -253,10 +255,8 @@ def stage_generate(
     cfg: RunConfig, outdir: Path, corpus: Corpus, gateway: LlmGateway
 ) -> tuple[list[TopicAssignment], dict]:
     assignments = generate_topics(corpus, cfg.demonstrations(), gateway)
-    records = (
-        {"doc_id": a.doc_id, "topics": a.topics, "provenance": a.provenance} for a in assignments
-    )
-    _write_jsonl(outdir / ASSIGNMENTS_FILE, records)
+    # vars gives the fields as dataclasses.asdict would, without its deep copy of each value.
+    _write_jsonl(outdir / ASSIGNMENTS_FILE, map(vars, assignments))
     routing = provenance_counts(assignments)
     # A meme can carry several labels, so both counts are reported.
     summary = {
@@ -289,8 +289,7 @@ def stage_collapse(
         state = collapse_pbm(state, cfg.k, gateway, cfg.window)
     else:
         state = collapse_wsm(state, cfg.k, corpus)
-    clusters = {label: sorted(ids) for label, ids in state.clusters().items()}
-    _write_json(outdir / CLUSTERS_FILE, clusters)
+    _write_json(outdir / CLUSTERS_FILE, state.clusters())
     _write_jsonl(outdir / MERGE_LOG_FILE, (dataclasses.asdict(_Merge(*m)) for m in state.merge_log))
     targets = [target for _, target, _ in state.merge_log]
     summary = {
@@ -408,13 +407,15 @@ def _run_stages(
     return artifacts
 
 
-def _load_artifact(outdir: Path, name: str, corpus: Corpus | None,
-                   state: CollapseState | None = None):
-    """The artifact `name`, or the manifest, as the run wrote it into outdir. The one check of
-    a file read back, refusing with a ValueError naming the file: an assignment with topics
-    exactly when not routed; assignments or clusters that leave out a document of corpus or
-    place another id; a merge-log line or a report without every key its writer writes;
-    representations without one entry per topic of state."""
+def _load_artifact(outdir: Path, name: str, read: dict):
+    """The artifact `name`, or the manifest, as the run wrote it into outdir, checked against
+    read, which holds the artifacts its stage read. The one check of a file read back, refusing
+    with a ValueError naming the file: an assignment with topics exactly when not routed;
+    assignments that leave out a document of the corpus or place another id; a merge-log line
+    or a report without every key its writer writes; a merge-log step that CollapseState.merge
+    refuses, the log replayed from CollapseState.from_assignments as collapse took its steps;
+    a clusters.json other than the replayed state's clusters(); representations without one
+    entry per topic of the state."""
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
@@ -427,20 +428,21 @@ def _load_artifact(outdir: Path, name: str, corpus: Corpus | None,
                 must = "empty" if routed else "given"
                 raise ValueError(f"{ASSIGNMENTS_FILE}:{n}: document {a.doc_id!r} is {a.provenance},"
                                  f" so its topics must be {must}, not {list(a.topics)}")
-        _check_placed(corpus, ASSIGNMENTS_FILE, (a.doc_id for a in assignments))
+        _check_placed(read["corpus"], ASSIGNMENTS_FILE, (a.doc_id for a in assignments))
         return assignments
     if name == "state":
-        clusters = {}
-        for c, ids in _read_json(outdir / CLUSTERS_FILE).items():
-            clusters[c] = set(_typed(ids, tuple[str, ...], f"{CLUSTERS_FILE}: {c!r}"))
-        misc, inappropriate = (clusters.pop(key, set()) for key in (MISCELLANEOUS, INAPPROPRIATE))
-        merges = [dataclasses.astuple(_record(_Merge, row, f"{MERGE_LOG_FILE}:{n}: "))
-                  for n, row in _read_jsonl(outdir / MERGE_LOG_FILE)]
-        try:
-            state = CollapseState(clusters, misc, inappropriate, merges)
-        except ValueError as exc:  # a reserved or repeated label
-            raise ValueError(f"{CLUSTERS_FILE}: {exc}") from None
-        _check_placed(corpus, CLUSTERS_FILE, set().union(misc, inappropriate, *clusters.values()))
+        state = CollapseState.from_assignments(read["assignments"])
+        for n, row in _read_jsonl(outdir / MERGE_LOG_FILE):
+            step = dataclasses.astuple(_record(_Merge, row, f"{MERGE_LOG_FILE}:{n}: "))
+            try:
+                state.merge(*step)
+            except ValueError as exc:  # a step the run could not have taken
+                raise ValueError(f"{MERGE_LOG_FILE}:{n}: {exc}") from None
+        clusters, replayed = _read_json(outdir / CLUSTERS_FILE), state.clusters()
+        for label in [*clusters, *replayed]:  # the file's labels first, as it holds them
+            if label not in clusters or label not in replayed or clusters[label] != replayed[label]:
+                raise ValueError(f"{CLUSTERS_FILE} differs at cluster {label!r} from the replay "
+                                 f"of {MERGE_LOG_FILE} on {ASSIGNMENTS_FILE}")
         return state
     if name == "manifest":  # the two entries _run_stages continues, each key required
         manifest = _read_json(outdir / MANIFEST_FILE)
@@ -463,7 +465,7 @@ def _load_artifact(outdir: Path, name: str, corpus: Corpus | None,
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
         entry = {**_typed(entry, dict, where), "topic": topic}  # the file's key names the topic
         reps.append(_record(TopicRepresentation, entry, f"{where}: ", required=["backfilled"]))
-    if odd := sorted({rep.topic for rep in reps} ^ state.topics.keys()):
+    if odd := sorted({rep.topic for rep in reps} ^ read["state"].topics.keys()):
         raise ValueError(f"{REPRESENTATIONS_FILE} and {CLUSTERS_FILE} must hold the same "
                          f"topics, but only one of them holds {odd[0]!r}")
     return reps
@@ -471,18 +473,18 @@ def _load_artifact(outdir: Path, name: str, corpus: Corpus | None,
 
 def load_run(outdir: str | Path, names: Iterable[str] | None = None) -> Run:
     """The run in outdir read back: its manifest, then the artifacts `names` (by default
-    those of its stages_completed) and what their checks read, each once through
-    _load_artifact in the order of _FLOW, so the corpus first. Refused naming manifest.json
-    unless stages_completed begins with every stage up to the last that makes one of them."""
+    those of its stages_completed), each once through _load_artifact in the order of _FLOW
+    and after the artifacts its stage read (the gateway and input hashes are made, not
+    loaded), against which it is checked. Refused naming manifest.json unless
+    stages_completed begins with every stage up to the last that makes one of them."""
     outdir = Path(outdir)
-    manifest = _load_artifact(outdir, "manifest", None)
+    manifest = _load_artifact(outdir, "manifest", {})
     done = manifest["stages_completed"]
     order = [_FLOW[stage].makes for stage in STAGES]
     wanted = {_FLOW[stage].makes for stage in done} if names is None else set(names)
-    if "representations" in wanted:
-        wanted.add("state")  # whose topics the representations must hold
-    if wanted - {"report"}:
-        wanted.add("corpus")  # whose documents the other artifacts place
+    for stage in reversed(STAGES):  # latest first, so what a read artifact reads is read too
+        if _FLOW[stage].makes in wanted:
+            wanted.update(name for name in _FLOW[stage].reads if name in order)
     last = max(map(order.index, wanted), default=-1)
     for n, stage in enumerate(STAGES[: last + 1]):
         if done[n : n + 1] != [stage]:
@@ -490,7 +492,7 @@ def load_run(outdir: str | Path, names: Iterable[str] | None = None) -> Run:
                              f"must complete before {order[last]!r} loads")
     artifacts: dict = {}
     for name in filter(wanted.__contains__, order):
-        artifacts[name] = _load_artifact(outdir, name, *map(artifacts.get, ("corpus", "state")))
+        artifacts[name] = _load_artifact(outdir, name, artifacts)
     return Run(manifest, artifacts)
 
 

@@ -17,15 +17,19 @@ from pathlib import Path
 
 def json_loads_index(path: str | Path) -> dict[str, dict]:
     """Every terminated nonblank line decoded whole, the last record of a
-    hash winning; a malformed line raises."""
+    hash winning; a malformed line raises a ValueError naming the file and
+    the line."""
     index: dict[str, dict] = {}
     with open(path, "rb") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.endswith(b"\n"):
                 break
             if line.strip():
-                entry = json.loads(line)
-                index[entry["hash"]] = entry["response"]
+                try:
+                    entry = json.loads(line)
+                    index[entry["hash"]] = entry["response"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}:{lineno}: not a cache record ({exc})") from None
     return index
 
 

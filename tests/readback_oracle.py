@@ -1,7 +1,9 @@
 """Reference check of the run files a lone stage reads back: problem(files, stage)
 restates plainly what pipeline.load_run requires before a lone stage continues a
 run, so that a property test can hold the stage to it both ways: it may neither
-refuse what these rules accept nor accept what they refuse.
+refuse what these rules accept nor accept what they refuse. The collapsed state
+is checked by a replay of its own: the merge log's steps taken on the assignments
+must give clusters.json.
 """
 
 from collections import Counter
@@ -39,6 +41,27 @@ def _reserved(labels) -> bool:
     return any(label.casefold() in ("miscellaneous", "inappropriate") for label in labels)
 
 
+def replay(assignments, merges) -> dict | None:
+    """clusters.json as a collapse that took the steps merges writes it for assignments, or
+    None for a step it cannot take. Each generated label joins the first label equal to it
+    but for case; each routed document sits in its reserved cluster. A step moves a topic's
+    documents into another topic or Miscellaneous, and the topic is gone."""
+    topics, first = {}, {}
+    reserved = {label: set() for label in RESERVED}
+    for a in assignments:
+        if a["provenance"] != "generated":
+            reserved[a["provenance"].capitalize()].add(a["doc_id"])
+        for label in a["topics"]:
+            topics.setdefault(first.setdefault(label.casefold(), label), set()).add(a["doc_id"])
+    for step in merges:
+        source, target = step["source"], step["target"]
+        into = reserved["Miscellaneous"] if target == "Miscellaneous" else topics.get(target)
+        if source not in topics or target == source or into is None:
+            return None
+        into.update(topics.pop(source))
+    return {label: sorted(ids) for label, ids in {**topics, **reserved}.items() if ids}
+
+
 def problem(files: dict, stage: str) -> str | None:
     """The first rule a lone `stage` finds broken in files, or None when it must run.
     files maps each file's name to its JSON value, a JSONL file's to the list of its
@@ -57,7 +80,7 @@ def problem(files: dict, stage: str) -> str | None:
         return "the corpus lines are not those of a corpus save_processed wrote"
     ids = [doc["id"] for doc in corpus]
 
-    if stage == "collapse":
+    if stage in ("collapse", "represent", "evaluate"):
         assignments = files["assignments.jsonl"]
         if not fits(assignments, [ASSIGNMENT]):
             return "an assignment line is not one generate writes"
@@ -68,16 +91,14 @@ def problem(files: dict, stage: str) -> str | None:
             return "the assignments do not place each document once"
 
     if stage in ("represent", "evaluate"):
-        clusters = files["clusters.json"]
-        if type(clusters) is not dict or not all(fits(c, [str]) for c in clusters.values()):
-            return "clusters.json does not hold lists of ids by label"
-        topics = [label for label in clusters if label not in RESERVED]
-        if _reserved(topics) or len({label.casefold() for label in topics}) < len(topics):
-            return "a topic is a reserved label, or two topics are the same label"
-        if set().union(*clusters.values()) != set(ids):
-            return "the clusters do not place each document"
         if not fits(files["merge_log.jsonl"], [MERGE]):
             return "a merge-log line is not one collapse writes"
+        clusters = replay(assignments, files["merge_log.jsonl"])
+        if clusters is None:
+            return "a merge-log step is not one a collapse can take"
+        if files["clusters.json"] != clusters:
+            return "clusters.json is not the merge log replayed on the assignments"
+        topics = [label for label in clusters if label not in RESERVED]
 
     if stage == "evaluate":
         reps = files["representations.json"]

@@ -429,10 +429,11 @@ def test_collapse_prompt_refuses_a_current_topic_that_is_a_candidate(candidates,
 
 
 def test_clusters_include_reserved():
-    state = state_from({"A": {"a"}}, misc={"m"}, inappropriate={"i"})
-    clusters = state.clusters()
-    assert clusters["Miscellaneous"] == {"m"}
-    assert clusters["Inappropriate"] == {"i"}
+    # What clusters.json holds: each cluster's ids sorted, a reserved one only when non-empty.
+    state = state_from({"B": {"b", "a"}, "A": {"c"}}, misc={"n", "m"}, inappropriate={"i"})
+    assert state.clusters() == {"B": ["a", "b"], "A": ["c"], "Miscellaneous": ["m", "n"],
+                                "Inappropriate": ["i"]}
+    assert state_from({"A": {"a"}}, misc={"m"}).clusters() == {"A": ["a"], "Miscellaneous": ["m"]}
 
 
 def test_state_validation():

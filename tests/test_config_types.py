@@ -72,7 +72,7 @@ def cfg_json(path, value) -> dict:
 
 
 # Each refusal of the command line: its argv, run in a directory holding only
-# the files given (a string is written as is, anything else as its JSON), and
+# the files given (a string or bytes are written as they are, anything else as its JSON), and
 # what the error names, the first fragment right after "configuration error: ".
 USAGE_ERRORS = {
     "no config or corpus": (["run"], {}, ("either --config or --corpus is required",)),
@@ -177,6 +177,10 @@ USAGE_ERRORS = {
     # A demonstrations or mock-rules file of the wrong shape, named.
     "demos object": ([*RUN, "--demos", "input.json"], {"input.json": {"a": 1}},
                         ("input.json: must hold a JSON list, not dict",)),
+    "demos not UTF-8": (
+        [*RUN, "--demos", "input.json"], {"input.json": b'[{"caption": "\xff"}]'},
+        ("input.json: 'utf-8' codec can't decode byte 0xff",),
+    ),
     "demo without text": (
         [*RUN, "--demos", "input.json"], {"input.json": [{"caption": "c", "topics": ["Cats"]}]},
         ("input.json: missing key [0].text",),
@@ -226,6 +230,9 @@ def test_a_bad_setting_is_a_usage_error_before_anything_is_made(
 ):
     monkeypatch.chdir(tmp_path)
     for name, contents in files.items():
+        if isinstance(contents, bytes):
+            Path(name).write_bytes(contents)
+            continue
         text = contents if isinstance(contents, str) else json.dumps(contents)
         Path(name).write_text(text, encoding="utf-8")
     assert main(argv) == 2

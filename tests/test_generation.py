@@ -336,7 +336,7 @@ def test_assignments_roundtrip_file(tmp_path):
     corpus = make_corpus(4)
     assignments, _ = stage_generate(cfg, tmp_path, corpus, LlmGateway(backend))
     assert {a.provenance for a in assignments} == {"generated", "miscellaneous", "inappropriate"}
-    assert _load_artifact(tmp_path, "assignments", corpus) == assignments
+    assert _load_artifact(tmp_path, "assignments", {"corpus": corpus}) == assignments
 
 
 def test_gateway_instance_accepted_directly():

@@ -17,6 +17,8 @@ import sys
 
 import pytest
 
+from memetopics.pipeline import _load_artifact, load_run
+
 from conftest import FIXTURES_DIR
 
 SRC_DIR = FIXTURES_DIR.parent.parent / "src"
@@ -50,6 +52,15 @@ def test_fixture_runs_match_golden_digests(tmp_path, hash_seed):
 
 def test_fixture_runs_match_golden_digests_under_this_hash_seed(tmp_path):
     assert_golden(runpy.run_path(str(FIXTURES_DIR / "make_fixtures.py"))["golden_runs"](tmp_path))
+    # Each golden run reads back whole, and each K of a sweep reads back against its root,
+    # so every merge log, pbm's routes to Miscellaneous too, replays to its clusters.json.
+    for run in sorted((tmp_path / "runs").iterdir()):
+        artifacts = load_run(run).artifacts
+        ks = sorted(run.glob("k_*"))
+        assert len(artifacts) == (2 if ks else 5), run.name
+        for k in ks:
+            for name in ("state", "representations", "report"):
+                artifacts[name] = _load_artifact(k, name, artifacts)
 
 
 def test_make_fixtures_names_each_path_whose_digest_moved():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -293,7 +294,7 @@ def test_replay_rejects_malformed_middle_line(tmp_path):
     # stage that first asks the cache, and in every later call.
     assert gateway.cache_sha256() == sorted_lines_sha256(cache)
     for _ in range(2):
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cache))}:1: not a cache record"):
             gateway.complete(exchange("second"))
 
 

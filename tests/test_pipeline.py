@@ -439,7 +439,7 @@ def test_a_malformed_cache_line_fails_the_generate_stage(tmp_path):
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "generate"
-    assert isinstance(err.value.cause, json.JSONDecodeError)
+    assert str(err.value.cause).startswith(f"{cache}:6: not a cache record (")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["failed_stage"] == "generate"
     assert manifest["stages_completed"] == ["preprocess"]
@@ -668,18 +668,17 @@ def test_the_merge_log_read_back_replays_the_assignments_to_the_state_read_back(
     docs, replies, method, k_values
 ):
     # A run at the first K, and a sweep over them all: each of its K directories
-    # holds the state of the root's assignments, collapsed from the K before it.
+    # holds the state of the root's assignments, collapsed from the K before it, so
+    # it loads against the root's artifacts: its merge log replays them to its clusters.
     methods = (method, "llm" if method == "pbm" else "ctfidf")
     with tempfile.TemporaryDirectory() as tmp:
         run = load_run(run_pipeline(drawn_config(tmp, docs, replies, methods, k_values[0])))
-        states = [run.artifacts["state"]]
         sweep(drawn_config(tmp, docs, replies, methods, 1, "sweep"), k_values)
         root = load_run(Path(tmp) / "sweep").artifacts
-        for k in k_values:
-            states.append(_load_artifact(Path(tmp, "sweep", f"k_{k}"), "state", root["corpus"]))
         assert root["assignments"] == run.artifacts["assignments"]
-        for state in states:
-            assert replayed(root["assignments"], state.merge_log) == state
+        states = {k: _load_artifact(Path(tmp, "sweep", f"k_{k}"), "state", root) for k in k_values}
+        # The sweep's state at the first K is the run's, though collapsed from a larger K.
+        assert WRITTEN["state"](states[k_values[0]]) == WRITTEN["state"](run.artifacts["state"])
 
 
 def test_a_run_never_counts_document_frequencies(tmp_path):
@@ -816,7 +815,7 @@ def cache_without(cache, entry, path):
 
 
 def topics_before_collapse(outdir):
-    assignments = _load_artifact(outdir, "assignments", _load_artifact(outdir, "corpus", None))
+    assignments = load_run(outdir, ["assignments"]).artifacts["assignments"]
     return len(CollapseState.from_assignments(assignments).topics)
 
 
@@ -1008,13 +1007,16 @@ def test_cli_stage_sequence(tmp_path):
     assert (tmp_path / "staged" / "report.json").exists()
 
 
-def run_edited(whole: Path, outdir: Path, stage: str, file: str, text: str | None):
-    """Copy the run directory whole to outdir, give its file the text (None deletes it) and
-    run `memetopics <stage>` there: the exit code, stderr, and every byte of outdir before."""
+def run_edited(whole: Path, outdir: Path, stage: str, file: str, text: str | bytes | None):
+    """Copy the run directory whole to outdir, give its file the text (bytes as they are, None
+    deletes it) and run `memetopics <stage>` there: the exit code, stderr, and every byte of
+    outdir before."""
     shutil.rmtree(outdir, ignore_errors=True)
     shutil.copytree(whole, outdir)
     if text is None:
         (outdir / file).unlink()
+    elif isinstance(text, bytes):
+        (outdir / file).write_bytes(text)
     else:
         (outdir / file).write_text(text, encoding="utf-8")
     config = json.loads((whole / "manifest.json").read_text(encoding="utf-8"))["config"]
@@ -1057,6 +1059,12 @@ def first_line(**values):
     return first_line_as(lambda record: {**record, **values})
 
 
+def not_utf8(text):
+    """The text's bytes with one that no UTF-8 text holds, 0xff, in its middle."""
+    data = text.encode("utf-8")
+    return data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :]
+
+
 def appended(record):
     return lines_edit(lambda lines: [*lines, json.dumps(record) + "\n"])
 
@@ -1077,13 +1085,15 @@ def _lose_generate(manifest):
     return manifest
 
 
+REPLAY_DIFFERS = ("clusters.json differs at cluster %r from the replay of merge_log.jsonl on "
+                  "assignments.jsonl")
 NO_MANIFEST = (lambda _: None, ("[Errno 2] No such file or directory", "{run}/manifest.json"))
 # Single corruptions of whole fixture runs, by (run, file, stage): for each case, an
-# edit of the file's text (None deletes it) and what the stage's refusal names, the
-# first fragment right after "error in <stage>: " and {run} standing for the run
-# directory, or None for an edit the stage accepts. Before these checks, each case
-# of the assignments, the clusters, the representations against the clusters and
-# the manifest ran to exit 0 or failed naming no file, most after deleting files.
+# edit of the file's text (to bytes, or to None, which deletes it) and what the stage's
+# refusal names, the first fragment right after "error in <stage>: " and {run} standing
+# for the run directory, or None for an edit the stage accepts. Before these checks,
+# each case of the assignments, the clusters, the representations against the clusters
+# and the manifest ran to exit 0 or failed naming no file, most after deleting files.
 CORRUPTIONS = {
     ("pbm", "assignments.jsonl", "collapse"): {
         "line cut short": (
@@ -1112,6 +1122,7 @@ CORRUPTIONS = {
                                      ("unknown key assignments.jsonl:51: id",)),
         "topics a string": (first_line(topics="Cats"),
                             ("assignments.jsonl:1: topics", "must be a list, not the string")),
+        "not UTF-8": (not_utf8, ("{run}/assignments.jsonl: 'utf-8' codec can't decode byte 0xff",)),
     },
     ("pbm", "manifest.json", "collapse"): {
         "not JSON": (lambda _: "{", ("{run}/manifest.json: invalid JSON",)),
@@ -1132,23 +1143,33 @@ CORRUPTIONS = {
         "tokens a string": (first_line(tokens="meme"),
                             ("corpus_processed.jsonl:1: tokens", "must be a list, not the string")),
     },
+    # clusters.json must be the clusters of the merge log replayed on the assignments.
     ("wsm", "clusters.json", "represent"): {
         "deleted id": (
             value_edit(lambda c: {**c, "Military": [i for i in c["Military"] if i != "m013"]}),
-            ("clusters.json places document 'm013' nowhere, though",),
+            (REPLAY_DIFFERS % "Military",),
         ),
         "foreign id": (value_edit(lambda c: {**c, "Politics": [*c["Politics"], "zzz"]}),
-                       ("clusters.json", "document 'zzz'")),
+                       (REPLAY_DIFFERS % "Politics",)),
         "reserved label": (value_edit(lambda c: renamed(c, ("Politics",), "miscellaneous")),
-                           ("clusters.json", "'miscellaneous' is a reserved cluster name")),
+                           (REPLAY_DIFFERS % "miscellaneous",)),
         "labels equal but for case": (
             value_edit(lambda c: renamed(c, ("Technology",), "politics")),
-            ("clusters.json", "topics 'Politics' and 'politics' are the same label"),
+            (REPLAY_DIFFERS % "politics",),
         ),
+        "document moved": (
+            value_edit(lambda c: {"Military": [i for i in c["Military"] if i != "m047"],
+                                  "Politics": sorted([*c["Politics"], "m047"]),
+                                  "Technology": c["Technology"]}),
+            (REPLAY_DIFFERS % "Military",),
+        ),
+        "not UTF-8": (not_utf8, ("{run}/clusters.json: 'utf-8' codec can't decode byte 0xff",)),
+        "cluster of null ids": (value_edit(lambda c: {**c, "Sports": None}),
+                                (REPLAY_DIFFERS % "Sports",)),
     },
     ("pbm", "clusters.json", "represent"): {
         "ids a string": (value_edit(lambda c: {**c, min(c): "m001"}),
-                         ("clusters.json", "must be a list, not the string")),
+                         (REPLAY_DIFFERS % "Health",)),
         "not JSON": (lambda _: "{", ("{run}/clusters.json: invalid JSON",)),
         "a list": (lambda _: "[]", ("{run}/clusters.json: must hold a JSON object",)),
     },
@@ -1198,10 +1219,21 @@ CORRUPTIONS = {
             lines_edit(lambda ls: [*ls[:2], ls[2][: len(ls[2]) // 2] + "\n", *ls[3:]]),
             ("merge_log.jsonl:3: invalid JSON",),
         ),
+        # Each step is the one collapse took, replayed on the assignments to clusters.json.
+        "target not a topic": (first_line(target="x"), (
+            "merge_log.jsonl:1: merge target 'x' is neither a live topic nor Miscellaneous",)),
+        "line deleted": (lines_edit(lambda ls: ls[1:]), (REPLAY_DIFFERS % "Politics",)),
+    },
+    ("wsm", "merge_log.jsonl", "evaluate"): {
+        # Health, the last source, folds into Politics, another live topic, not Military.
+        "target another live topic": (
+            lines_edit(lambda ls: [*ls[:-1], ls[-1].replace('"Military"', '"Politics"')]),
+            (REPLAY_DIFFERS % "Military",),
+        ),
     },
     ("pbm", "clusters.json", "evaluate"): {
         "document deleted": (value_edit(lambda c: {**c, "Health": c["Health"][1:]}),
-                             ("clusters.json", "nowhere, though")),
+                             (REPLAY_DIFFERS % "Health",)),
     },
     ("wsm", "manifest.json", "evaluate"): {
         "deleted": NO_MANIFEST,
@@ -1487,6 +1519,50 @@ def test_cli_stage_failure_exit_one(tmp_path, capsys):
     config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert main(["run", "--config", str(config_path)]) == 1
     assert "failed" in capsys.readouterr().err
+
+
+# The fixture replay run in a directory holding its inputs; a later flag wins.
+INPUTS_RUN = ["run", "--corpus", "memes.jsonl", "--backend-kind", "replay", "--model", "mock-model",
+              "--cache", "cache.jsonl", "--collapse-method", "wsm", "--k", "3", "--out", "run"]
+# Input files a run cannot read, by case: the flags that name the file, the file, the edit
+# of its text to the bytes it holds, and what the error names right after "error: ".
+UNREADABLE_INPUTS = {
+    "corpus not UTF-8": ([], "memes.jsonl", not_utf8,
+                         "stage 'preprocess' failed: memes.jsonl: 'utf-8' codec can't decode"),
+    "CSV corpus not UTF-8": (
+        ["--corpus", "memes.csv", "--format", "csv"], "memes.csv",
+        lambda _: b"id,caption,text\na,\xff,t\n",
+        "stage 'preprocess' failed: memes.csv: 'utf-8' codec can't decode",
+    ),
+    "stopwords not UTF-8": (["--stopwords", "stop.txt"], "stop.txt", lambda _: b"the\n\xff\n",
+                            "stage 'preprocess' failed: stop.txt: 'utf-8' codec can't decode"),
+    "cache line cut short": (
+        [], "cache.jsonl",
+        lines_edit(lambda ls: [*ls[:5], ls[5][:40] + "\n", *ls[6:]]),
+        "stage 'generate' failed: cache.jsonl:6: not a cache record (",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "flags, file, edit, named",
+    [pytest.param(*row, id=case) for case, row in UNREADABLE_INPUTS.items()],
+)
+def test_a_run_names_an_input_file_it_cannot_read(
+    tmp_path, monkeypatch, capsys, flags, file, edit, named
+):
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(FIXTURES_DIR / "memes50.jsonl", "memes.jsonl")
+    shutil.copyfile(FIXTURES_DIR / "replay_cache.jsonl", "cache.jsonl")
+    path = Path(file)
+    data = edit(path.read_text(encoding="utf-8") if path.exists() else "")
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    before = path.read_bytes()
+    assert main([*INPUTS_RUN, *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err, err
+    assert "Traceback" not in err
+    assert path.read_bytes() == before
 
 
 words = st.text(max_size=6)

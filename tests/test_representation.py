@@ -214,5 +214,5 @@ def test_representations_roundtrip(tmp_path):
             assert reps[1].backfilled > 0
         fields = [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in reps]
         # The reader checks the topics against those of the state the run loads with them.
-        loaded = _load_artifact(outdir, "representations", corpus, state)
+        loaded = _load_artifact(outdir, "representations", {"state": state})
         assert [(rep.topic, rep.words, rep.method, rep.backfilled) for rep in loaded] == fields
