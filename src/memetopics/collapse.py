@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Annotated, Iterable, Sequence
 
 from .corpus import Corpus, _AtLeastOne, _Bound, _typed
-from .ctfidf import ctfidf_from_clusters, idf, top_words
+from .ctfidf import _grouped, ctfidf_from_clusters, idf, top_words
 from .generation import (
     INAPPROPRIATE,
     MISCELLANEOUS,
@@ -214,12 +214,12 @@ class _WordSimilarityIndex:
     """What collapse_wsm keeps across merges, so that a merge costs what it
     changed rather than a rebuild of the c-TF-IDF table and every top set.
 
-    Per class: its term counts, and its words grouped by df, each group in
-    (-tf, word) order. Words of equal df have equal idf, so that is their
-    weight order whatever the class count C is, and the class's top-n set
-    is a prefix of every group; `kept` counts the top words of each group.
-    `holds_to` is the lowest class count down to which the top set is known
-    to stay the top set, while the class's groups do not change.
+    Per class: the c-TF-IDF table, kept current as classes merge. Its df
+    groups order each class's words by weight whatever the class count C
+    is, so the class's top-n set, top_words of the table, is a prefix of
+    every group; `kept` counts the top words of each group. `holds_to` is
+    the lowest class count down to which the top set is known to stay the
+    top set, while the class's groups do not change.
 
     Across classes: which classes hold each word (`holders`) and have it
     in their top set (`top_holders`), the shared top-word count of every
@@ -228,38 +228,22 @@ class _WordSimilarityIndex:
     """
 
     def __init__(self, topics: dict[str, set[str]], corpus: Corpus, top_n: int):
-        table = ctfidf_from_clusters(topics, corpus)
+        self.table = ctfidf_from_clusters(topics, corpus)
         self.corpus = corpus
         self.top_n = top_n
-        self.class_tf = table.class_tf
-        self.df = table.df
-        self.num_classes = table.num_classes
         self.holders: dict[str, list[str]] = {}
-        for label, counts in self.class_tf.items():
+        for label, counts in self.table.class_tf.items():
             for word in counts:
                 self.holders.setdefault(word, []).append(label)
-        self.groups: dict[str, dict[int, list[str]]] = {}
         self.kept: dict[str, Counter[int]] = {}
         self.top: dict[str, set[str]] = {}
         self.top_holders: dict[str, list[str]] = {}
         self.shared: dict[tuple[str, str], int] = {}
         self.heap: list[tuple[float, str, str]] = []
         self.holds_to: dict[str, int] = {}
-        idf_at = [idf(n, self.num_classes) for n in range(self.num_classes + 1)]
-        for label in table.classes:
-            self.groups[label] = self._grouped(label)
-            top = set(top_words(table, label, top_n))
-            self.kept[label] = Counter(self.df[word] for word in top)
-            self._set_top(label, top)
-            self.holds_to[label] = self._holds_down_to(label, idf_at)
-
-    def _grouped(self, label: str) -> dict[int, list[str]]:
-        """The class's words by df, each group in (-tf, word) order."""
-        tf, df = self.class_tf[label], self.df
-        groups: dict[int, list[str]] = {}
-        for word in sorted(tf, key=lambda w: (-tf[w], w)):
-            groups.setdefault(df[word], []).append(word)
-        return groups
+        for label in self.table.classes:
+            self._set_top(label, self._recut(label))
+            self.holds_to[label] = self._holds_down_to(label)
 
     def best_pair(self) -> tuple[str, str] | None:
         """The (a, b) pair, a < b, of highest similarity; ties go to the
@@ -284,17 +268,20 @@ class _WordSimilarityIndex:
         and re-cut only if the check fails.
         """
         self._set_top(source, set())
-        del self.top[source], self.groups[source], self.kept[source], self.holds_to[source]
-        self.num_classes -= 1
-        source_tf = self.class_tf.pop(source)
-        merged = self.class_tf[target]
+        del self.top[source], self.kept[source], self.holds_to[source]
+        table = self.table
+        table.classes.remove(source)
+        del table.groups[source]
+        table.num_classes -= 1
+        source_tf = table.class_tf.pop(source)
+        merged = table.class_tf[target]
         check, recut = set(), {target}
         for word, count in source_tf.items():
             holders = self.holders[word]
             holders.remove(source)
             if word in merged:
-                old_df = self.df[word]
-                self.df[word] = old_df - 1
+                old_df = table.df[word]
+                table.df[word] = old_df - 1
                 for label in holders:
                     if label != target:
                         outcome = self._move(label, word, old_df)
@@ -307,19 +294,18 @@ class _WordSimilarityIndex:
         for doc_id in both_docs:
             for token in self.corpus.document(doc_id).tokens:
                 merged[token] -= 1
-        self.groups[target] = self._grouped(target)
+        table.groups[target] = _grouped(merged, table.df)
 
-        idf_at = [idf(n, self.num_classes) for n in range(self.num_classes + 1)]
-        for label in self.groups:
+        for label in table.classes:
             if label in recut:
                 holds_to = None
-            elif label in check or self.num_classes < self.holds_to[label]:
-                holds_to = self._holds_down_to(label, idf_at)
+            elif label in check or table.num_classes < self.holds_to[label]:
+                holds_to = self._holds_down_to(label)
             else:
                 continue
             if holds_to is None:
-                self._set_top(label, self._recut(label, idf_at))
-                holds_to = self._holds_down_to(label, idf_at)
+                self._set_top(label, self._recut(label))
+                holds_to = self._holds_down_to(label)
             self.holds_to[label] = holds_to
 
     def _move(self, label: str, word: str, old_df: int) -> str | None:
@@ -335,7 +321,7 @@ class _WordSimilarityIndex:
         group at any class count: its tf is at least theirs, on equal tf
         its word sorts first, and its idf is now the larger.
         """
-        tf, groups, kept = self.class_tf[label], self.groups[label], self.kept[label]
+        tf, groups, kept = self.table.class_tf[label], self.table.groups[label], self.kept[label]
         group = groups[old_df]
         group.remove(word)
         if not group:
@@ -353,10 +339,10 @@ class _WordSimilarityIndex:
             return "recut"
         return "check" if at == k else None
 
-    def _holds_down_to(self, label: str, idf_at: list[float]) -> int | None:
-        """None if the class's top set is not its top set at the class
-        count idf_at was computed for. Otherwise the lowest class count down
-        to which it provably stays so, while the class's groups are unchanged.
+    def _holds_down_to(self, label: str) -> int | None:
+        """None if the class's top set is not its top set at the current
+        class count. Otherwise the lowest class count down to which it
+        provably stays so, while the class's groups are unchanged.
 
         At the current count the worst kept word must beat the best
         left-out word, ties broken by word. As the count falls, a group's
@@ -366,21 +352,21 @@ class _WordSimilarityIndex:
         word of lower df, since every weight falls with the count. A
         relative margin keeps rounding out of the bound.
         """
-        tf, kept = self.class_tf[label], self.kept[label]
+        tf, kept, num_classes = self.table.class_tf[label], self.kept[label], self.table.num_classes
         worst_kept = best_left = None
         tails: list[tuple[int, int, float]] = []
         heads: dict[int, float] = {}
-        for n, group in self.groups[label].items():
-            k = kept[n]
+        for n, group in self.table.groups[label].items():
+            k, factor = kept[n], idf(n, num_classes)
             if k:
                 word = group[k - 1]
-                weight = tf[word] * idf_at[n]
+                weight = tf[word] * factor
                 tails.append((tf[word], n, weight))
                 if worst_kept is None or (-weight, word) > worst_kept:
                     worst_kept = (-weight, word)
             if k < len(group):
                 word = group[k]
-                weight = heads[n] = tf[word] * idf_at[n]
+                weight = heads[n] = tf[word] * factor
                 if best_left is None or (-weight, word) < best_left:
                     best_left = (-weight, word)
         if worst_kept is None or best_left is None:
@@ -399,27 +385,15 @@ class _WordSimilarityIndex:
             bound = max(rivals) * (1.0 + _WEIGHT_MARGIN)
             # The smallest class count c at which count * idf(n, c) > bound.
             c = max(n, math.ceil((1 + n) * math.expm1(bound / count)) - 1)
-            while c <= self.num_classes and count * idf(n, c) <= bound:
+            while c <= num_classes and count * idf(n, c) <= bound:
                 c += 1
             lowest = max(lowest, c)
         return lowest
 
-    def _recut(self, label: str, idf_at: list[float]) -> set[str]:
-        """The class's top-n words, by a k-way merge of its df groups."""
-        tf, groups = self.class_tf[label], self.groups[label]
-        fronts = [(-(tf[group[0]] * idf_at[n]), group[0], n, 0) for n, group in groups.items()]
-        heapq.heapify(fronts)
-        top: set[str] = set()
-        kept: Counter[int] = Counter()
-        while fronts and len(top) < self.top_n:
-            _, word, n, i = heapq.heappop(fronts)
-            top.add(word)
-            kept[n] = i + 1
-            group = groups[n]
-            if i + 1 < len(group):
-                nxt = group[i + 1]
-                heapq.heappush(fronts, (-(tf[nxt] * idf_at[n]), nxt, n, i + 1))
-        self.kept[label] = kept
+    def _recut(self, label: str) -> set[str]:
+        """The class's top-n words, and how many of them each df group keeps."""
+        top = set(top_words(self.table, label, self.top_n))
+        self.kept[label] = Counter(self.table.df[word] for word in top)
         return top
 
     def _set_top(self, label: str, words: set[str]) -> None:

@@ -253,6 +253,7 @@ class LlmGateway:
         self._usage_lock = threading.Lock()
         self._cache: _Cache | None = None
         self.total_usage = TokenUsage(0, 0)
+        self._mock_rules = [(needle.lower(), reply) for needle, reply in cfg.mock_rules]
 
     # -- public API ---------------------------------------------------------
 
@@ -313,8 +314,8 @@ class LlmGateway:
     def _complete_mock(self, exchange: ChatExchange) -> LlmOutcome:
         query = exchange.query.lower()
         reply = self.cfg.mock_default
-        for needle, scripted in self.cfg.mock_rules:
-            if needle.lower() in query:
+        for needle, scripted in self._mock_rules:
+            if needle in query:
                 reply = scripted
                 break
         if self._is_refusal_text(reply):

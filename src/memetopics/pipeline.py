@@ -471,16 +471,19 @@ def _load_artifact(outdir: Path, name: str, read: dict):
     return reps
 
 
-def load_run(outdir: str | Path, names: Iterable[str] | None = None) -> Run:
+def load_run(outdir: str | Path, names: Sequence[str] | None = None) -> Run:
     """The run in outdir read back: its manifest, then the artifacts `names` (by default
     those of its stages_completed), each once through _load_artifact in the order of _FLOW
     and after the artifacts its stage read (the gateway and input hashes are made, not
-    loaded), against which it is checked. Refused naming manifest.json unless
-    stages_completed begins with every stage up to the last that makes one of them."""
+    loaded), against which it is checked. names must be a list of artifacts a stage makes.
+    Refused naming manifest.json unless stages_completed begins with every stage up to the
+    last that makes one of them."""
     outdir = Path(outdir)
+    order = [_FLOW[stage].makes for stage in STAGES]
+    if names is not None:
+        names = _typed(names, list[Literal[tuple(order)]], "names")
     manifest = _load_artifact(outdir, "manifest", {})
     done = manifest["stages_completed"]
-    order = [_FLOW[stage].makes for stage in STAGES]
     wanted = {_FLOW[stage].makes for stage in done} if names is None else set(names)
     for stage in reversed(STAGES):  # latest first, so what a read artifact reads is read too
         if _FLOW[stage].makes in wanted:
@@ -518,7 +521,7 @@ def _run(cfg: RunConfig, stages: Sequence[str]) -> dict:
     made = {_FLOW[stage].makes for stage in stages}
     reads = {name for stage in stages for name in _FLOW[stage].reads} - made
     manifest, artifacts = Run({}, {}) if fresh else load_run(
-        outdir, reads - {"gateway", "input_hashes"})  # each made here, not loaded
+        outdir, sorted(reads - {"gateway", "input_hashes"}))  # each made here, not loaded
     artifacts["gateway"] = gateway = LlmGateway(cfg.backend)
     if fresh or "input_hashes" in reads:
         # The cache's hash comes from the gateway, so the run reads its cache once.

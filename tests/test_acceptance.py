@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from memetopics.collapse import CollapseState, collapse_pbm, collapse_wsm
+from memetopics.ctfidf import idf
 from memetopics.evaluation import coherence, diversity, npmi_pair
 from memetopics.generation import TopicAssignment, generate_topics, DemonstrationSet
 from memetopics.llm import BackendConfig, LlmGateway, load_mock_rules
@@ -22,9 +23,8 @@ from memetopics.representation import TopicRepresentation
 
 from conftest import FIXTURES_DIR, corpus_from_tokens, mock_backend, run_digest, write_jsonl
 
-from test_ctfidf import direct_weights
 from test_evaluation import brute_force_coherence
-from topic_helpers import build_ctfidf, topic_similarity
+from topic_helpers import build_ctfidf, direct_weights, topic_similarity
 
 
 @contextmanager
@@ -78,7 +78,7 @@ def test_class_weighting_matches_brute_force():
             expected = direct_weights(clusters, corpus)
             for cls, words in expected.items():
                 for word, value in words.items():
-                    got = table.weights[cls][word]
+                    got = table.class_tf[cls][word] * idf(table.df[word], table.num_classes)
                     assert math.isclose(got, value, rel_tol=1e-12), (trial, cls, word)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -4,37 +4,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memetopics.ctfidf import ctfidf_from_clusters, top_words
+from memetopics.ctfidf import ctfidf_from_clusters, idf, top_words
 from memetopics.generation import TopicAssignment
 
 from conftest import corpus_from_tokens
-from topic_helpers import build_ctfidf
+from topic_helpers import build_ctfidf, direct_top_words, direct_weights
 
 LOG2 = math.log(2.0)
 
 
-def direct_weights(clusters, corpus):
-    """Independent brute-force weighting: list concatenation and .count(),
-    no shared code with the implementation."""
-    classes = sorted(clusters)
-    num_classes = len(classes)
-    tokens_by_id = {doc.id: list(doc.tokens) for doc in corpus.documents}
-    class_docs = {}
-    for cls in classes:
-        merged = []
-        for doc_id in sorted(clusters[cls]):
-            merged.extend(tokens_by_id[doc_id])
-        class_docs[cls] = merged
-    vocab = sorted({w for toks in class_docs.values() for w in toks})
-    df = {w: sum(1 for cls in classes if w in class_docs[cls]) for w in vocab}
-    return {
-        cls: {
-            w: class_docs[cls].count(w) * math.log(1 + (1 + num_classes) / (1 + df[w]))
-            for w in set(class_docs[cls])
-        }
-        for cls in classes
-    }
+def weight(table, cls, word):
+    """A word's weight in a class, read off the table by the module's formula."""
+    return table.class_tf[cls][word] * idf(table.df[word], table.num_classes)
 
 
 def random_clustered_corpus(rng, max_classes=5, max_words=30):
@@ -58,9 +42,9 @@ def random_clustered_corpus(rng, max_classes=5, max_words=30):
 def assert_tables_match(table, expected, rel_tol=1e-12):
     assert sorted(table.classes) == sorted(expected)
     for cls in expected:
-        assert set(table.weights[cls]) == set(expected[cls])
+        assert set(table.class_tf[cls]) == set(expected[cls])
         for word, value in expected[cls].items():
-            assert table.weights[cls][word] == pytest.approx(value, rel=rel_tol)
+            assert weight(table, cls, word) == pytest.approx(value, rel=rel_tol)
 
 
 # -- hand-evaluated weights ---------------------------------------------------
@@ -70,14 +54,14 @@ def test_single_class_weight_is_tf_log2():
     corpus = corpus_from_tokens([("d1", ["x", "x", "x", "y"])])
     table = ctfidf_from_clusters({"only": {"d1"}}, corpus)
     # C=1 and x present in the class: weight = tf * ln(1 + 2/2) = tf * ln 2
-    assert table.weights["only"]["x"] == pytest.approx(3 * LOG2, rel=1e-12)
-    assert table.weights["only"]["y"] == pytest.approx(1 * LOG2, rel=1e-12)
+    assert weight(table, "only", "x") == pytest.approx(3 * LOG2, rel=1e-12)
+    assert weight(table, "only", "y") == pytest.approx(1 * LOG2, rel=1e-12)
 
 
 def test_absent_word_has_no_weight():
     corpus = corpus_from_tokens([("d1", ["x"]), ("d2", ["y"])])
     table = ctfidf_from_clusters({"a": {"d1"}, "b": {"d2"}}, corpus)
-    assert "y" not in table.weights["a"]
+    assert all("y" not in group for group in table.groups["a"].values())
     assert table.class_tf["a"].get("y", 0) == 0
 
 
@@ -87,8 +71,8 @@ def test_word_in_all_three_classes():
     )
     table = ctfidf_from_clusters({"a": {"d1"}, "b": {"d2"}, "c": {"d3"}}, corpus)
     # C=3, df(x)=3, tf=2 in class a: weight = 2 * ln(1 + 4/4) = 2 ln 2
-    assert table.weights["a"]["x"] == pytest.approx(2 * LOG2, rel=1e-12)
-    assert table.weights["a"]["x"] == pytest.approx(1.3863, abs=1e-4)
+    assert weight(table, "a", "x") == pytest.approx(2 * LOG2, rel=1e-12)
+    assert weight(table, "a", "x") == pytest.approx(1.3863, abs=1e-4)
 
 
 def test_matches_direct_evaluation_on_random_corpora():
@@ -106,15 +90,15 @@ def test_matches_direct_evaluation_on_random_corpora():
 def test_weight_proportional_to_tf():
     corpus = corpus_from_tokens([("d1", ["x"] * 5), ("d2", ["x"] * 2)])
     table = ctfidf_from_clusters({"a": {"d1"}, "b": {"d2"}}, corpus)
-    ratio = table.weights["a"]["x"] / table.weights["b"]["x"]
+    ratio = weight(table, "a", "x") / weight(table, "b", "x")
     assert ratio == pytest.approx(5 / 2, rel=1e-12)
 
 
 def test_idf_factor_shared_across_classes():
     corpus = corpus_from_tokens([("d1", ["x", "x", "x"]), ("d2", ["x"])])
     table = ctfidf_from_clusters({"a": {"d1"}, "b": {"d2"}}, corpus)
-    idf_a = table.weights["a"]["x"] / table.class_tf["a"]["x"]
-    idf_b = table.weights["b"]["x"] / table.class_tf["b"]["x"]
+    idf_a = weight(table, "a", "x") / table.class_tf["a"]["x"]
+    idf_b = weight(table, "b", "x") / table.class_tf["b"]["x"]
     assert idf_a == pytest.approx(idf_b, rel=1e-15)
 
 
@@ -180,5 +164,31 @@ def test_ranking_consistent_with_weights():
     table = ctfidf_from_clusters(clusters, corpus)
     for cls in table.classes:
         ranked = top_words(table, cls, 30)
-        weights = [table.weights[cls][w] for w in ranked]
+        weights = [weight(table, cls, w) for w in ranked]
         assert weights == sorted(weights, reverse=True)
+
+
+@st.composite
+def clustered_corpora(draw):
+    """(clusters, corpus, k): a vocabulary of at most four words, so that
+    weights tie, documents that may carry no tokens, and k from 1 to past
+    the vocabulary."""
+    vocab = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    docs = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5), min_size=1, max_size=8))
+    doc_ids = [f"d{i}" for i in range(len(docs))]
+    clusters = {
+        f"class{c}": draw(st.sets(st.sampled_from(doc_ids), min_size=1, max_size=4))
+        for c in range(draw(st.integers(1, 5)))
+    }
+    k = draw(st.integers(1, len(vocab) + 2))
+    return clusters, corpus_from_tokens(list(zip(doc_ids, docs))), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_corpora())
+def test_top_words_equal_the_brute_force_ranking(drawn):
+    clusters, corpus, k = drawn
+    table = ctfidf_from_clusters(clusters, corpus)
+    expected = direct_weights(clusters, corpus)
+    for cls in table.classes:
+        assert top_words(table, cls, k) == direct_top_words(expected[cls], k)

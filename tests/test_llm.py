@@ -175,6 +175,31 @@ def test_mock_first_matching_rule_wins():
     assert LlmGateway(cfg).complete(exchange("specific")).text == "['First']"
 
 
+def linear_scan(rules, default, query):
+    """The mock backend's rule match as a plain loop: the reply of the first
+    rule whose needle, lowercased, occurs in the lowercased query."""
+    for needle, reply in rules:
+        if needle.lower() in query.lower():
+            return reply
+    return default
+
+
+# Needles drawn from a few characters overlap, nest and repeat, and may be
+# empty; "İ" lowercases to two characters, "i" and a combining dot.
+MOCK_ALPHABET = "abAB İi"
+
+
+@settings(max_examples=200, deadline=None)
+@given(needles=st.lists(st.text(MOCK_ALPHABET, max_size=3), max_size=6),
+       queries=st.lists(st.text(MOCK_ALPHABET, max_size=8), min_size=1, max_size=5))
+@example(needles=["aİ", "i", ""], queries=["AİB", "I", "b"])
+def test_mock_replies_equal_a_linear_scan_of_the_rules(needles, queries):
+    rules = [(needle, f"['R{i}']") for i, needle in enumerate(needles)]
+    gateway = LlmGateway(mock_backend(rules=rules, default="['D']"))
+    for query in queries:
+        assert gateway.complete(exchange(query)).text == linear_scan(rules, "['D']", query)
+
+
 def test_mock_scripted_refusal_detected():
     cfg = mock_backend(rules=[("nasty", "I cannot help with that request.")])
     outcome = LlmGateway(cfg).complete(exchange("something nasty here"))

@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1371,6 +1372,17 @@ def test_a_report_short_of_a_key_its_writer_writes_is_refused_naming_it(whole_ru
     (outdir / "report.json").write_text(json.dumps(report), encoding="utf-8")
     with pytest.raises(ValueError, match="^missing key report.json: mean_npmi$"):
         load_run(outdir)
+
+
+@pytest.mark.parametrize("names,message", [
+    ("state", "names must be a list, not the string 'state'"),
+    (["state", "bogus"], "names[1] must be one of 'corpus', 'assignments', 'state', "
+                         "'representations', 'report', not 'bogus'"),
+    (["gateway"], "names[0] must be one of 'corpus', "),
+])
+def test_load_run_refuses_names_that_are_not_a_list_of_artifacts(whole_runs, names, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_run(whole_runs["pbm"], names)
 
 
 def test_cli_sweep(tmp_path):

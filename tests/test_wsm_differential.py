@@ -22,10 +22,11 @@ from memetopics.collapse import (
     _WordSimilarityIndex,
     collapse_wsm,
 )
-from memetopics.ctfidf import ctfidf_from_clusters, top_words
+from memetopics.ctfidf import ctfidf_from_clusters
 
 import wsm_oracle
 from conftest import corpus_from_tokens
+from topic_helpers import direct_top_words, direct_weights
 
 # Mixed case, so the byte order of labels differs from their casefolded order.
 LABELS = ("Alpha", "beta", "Gamma", "delta", "Eps", "zeta", "Eta", "theta", "Iota", "kappa")
@@ -97,13 +98,12 @@ def test_index_merges_keep_fresh_top_sets(inputs, data):
 
 
 def assert_index_is_fresh(index, live, corpus, top_n):
-    """The index holds what a fresh table over the live topics gives."""
-    fresh = ctfidf_from_clusters(live, corpus)
-    assert index.class_tf == fresh.class_tf
-    assert index.df == fresh.df
-    assert index.num_classes == fresh.num_classes
+    """The index holds the table a fresh build over the live topics gives,
+    df groups and classes included, and each class's brute-force top set."""
+    assert index.table == ctfidf_from_clusters(live, corpus)
+    weights = direct_weights(live, corpus)
     for label in live:
-        assert index.top[label] == set(top_words(fresh, label, top_n))
+        assert index.top[label] == set(direct_top_words(weights[label], top_n))
 
 
 def ladder_state(seed):

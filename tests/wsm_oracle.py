@@ -1,7 +1,9 @@
 """Reference word-similarity collapse for differential tests.
 
-This is the original collapse_wsm: it rebuilds the whole c-TF-IDF table and
-scores every topic pair on every merge. It is slow but plainly follows the
+This is the original collapse_wsm: it weighs every word of every topic by
+brute force (topic_helpers.direct_weights, no code shared with
+memetopics.ctfidf), ranks each topic's words by a full sort and scores
+every topic pair on every merge. It is slow but plainly follows the
 definition, so the incremental collapse in memetopics.collapse must match
 it merge for merge.
 """
@@ -17,9 +19,8 @@ from memetopics.collapse import (
     _merge_orientation,
 )
 from memetopics.corpus import Corpus
-from memetopics.ctfidf import ctfidf_from_clusters, top_words
 
-from topic_helpers import topic_similarity
+from topic_helpers import direct_top_words, direct_weights, topic_similarity
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +33,7 @@ def collapse_wsm(
 ) -> CollapseState:
     """Word-similarity collapse to k topics.
 
-    Re-derives the c-TF-IDF table after every merge (merging changes the
+    Re-derives every c-TF-IDF weight after every merge (merging changes the
     class documents, hence the word sets), merges the highest-similarity
     pair, and stops at K topics. Nothing is routed to Miscellaneous here;
     if no pair shares any word, the two least frequent topics merge and the
@@ -43,8 +44,8 @@ def collapse_wsm(
         log.warning("collapse is a no-op: %d topics is fewer than K=%d", len(state.topics), k)
         return state
     while len(state.topics) > k:
-        table = ctfidf_from_clusters(state.topics, corpus)
-        word_sets = {label: top_words(table, label, top_n_words) for label in state.topics}
+        weights = direct_weights(state.topics, corpus)
+        word_sets = {label: direct_top_words(weights[label], top_n_words) for label in state.topics}
         labels = sorted(state.topics)
         best_sim = 0.0
         best_pair: tuple[str, str] | None = None
