@@ -227,10 +227,9 @@ class _WordSimilarityIndex:
     against those counts when they reach the front.
     """
 
-    def __init__(self, topics: dict[str, set[str]], corpus: Corpus, top_n: int):
+    def __init__(self, topics: dict[str, set[str]], corpus: Corpus):
         self.table = ctfidf_from_clusters(topics, corpus)
         self.corpus = corpus
-        self.top_n = top_n
         self.holders: dict[str, list[str]] = {}
         for label, counts in self.table.class_tf.items():
             for word in counts:
@@ -391,8 +390,8 @@ class _WordSimilarityIndex:
         return lowest
 
     def _recut(self, label: str) -> set[str]:
-        """The class's top-n words, and how many of them each df group keeps."""
-        top = set(top_words(self.table, label, self.top_n))
+        """The class's top-n words, n = TOP_WORDS_FOR_SIMILARITY, and how many each group keeps."""
+        top = set(top_words(self.table, label, TOP_WORDS_FOR_SIMILARITY))
         self.kept[label] = Counter(self.table.df[word] for word in top)
         return top
 
@@ -469,7 +468,7 @@ def collapse_wsm(state: CollapseState, k: int, corpus: Corpus) -> CollapseState:
     state = _copy_to_collapse(state, k)
     if len(state.topics) <= k:
         return state
-    index = _WordSimilarityIndex(state.topics, corpus, TOP_WORDS_FOR_SIMILARITY)
+    index = _WordSimilarityIndex(state.topics, corpus)
     while True:
         best_pair = index.best_pair()
         if best_pair is None:

@@ -48,8 +48,8 @@ _Positive = Annotated[float, _Bound(0, strict=True)]
 def _typed(value: object, hint: object, where: str):
     """value checked against the annotation hint (str; bool; int, never a bool; float, an int
     kept as is; X | None; Literal; a class; tuple[X, ...], tuple[str, str], list[X] or
-    frozenset[str], made so from a list, never a string; Annotated[X, _Bound(low)], an X whose
-    value or length is at least low), else a ValueError naming where."""
+    frozenset[str], made so from a list, never a string; dict[K, V]; Annotated[X, _Bound(low)],
+    an X whose value or length is at least low), else a ValueError naming where."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:  # an X, then its bound
         checked, (low, strict) = _typed(value, args[0], where), args[1]
@@ -65,6 +65,9 @@ def _typed(value: object, hint: object, where: str):
         raise ValueError(f"{where} must be one of {', '.join(map(repr, args))}, not {value!r}")
     if origin in (Union, UnionType):  # X | None
         return None if value is None and NoneType in args else _typed(value, args[0], where)
+    if origin is dict:
+        return {_typed(key, args[0], f"{where}: key"): _typed(item, args[1], f"{where}[{key!r}]")
+                for key, item in _typed(value, dict, where).items()}
     if origin in _LISTS:
         if isinstance(value, str) or not isinstance(value, _LISTS[origin]):
             shown = f"the string {value!r}" if isinstance(value, str) else repr(value)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Literal, Sequence
 
 from .corpus import Cooccurrence, Corpus, _Positive, _typed, cooccurrence_counts
 from .generation import INAPPROPRIATE, MISCELLANEOUS, _spelled_as
@@ -25,40 +25,27 @@ from .representation import TopicRepresentation
 
 DEFAULT_EPSILON = 1e-6
 
-# CoherenceReport.to_dict writes both into every report: how probabilities
-# are estimated and where the smoothing constant enters the formula.
-COOCCURRENCE_ESTIMATOR = "boolean-document"
-EPSILON_PLACEMENT = "ratio-terms-and-normalizer"
-
 
 @dataclass
 class CoherenceReport:
-    """Per-topic and aggregate coherence plus diversity for one topic set."""
+    """Per-topic and aggregate coherence plus diversity for one topic set, and how it was
+    estimated: report.json's keys, beside the run's config_digest."""
 
-    per_topic_npmi: dict[str, float]
+    per_topic: dict[str, float]
     mean_npmi: float
     diversity: float
     epsilon: float
     k: int
     words_per_topic: int
-    excluded: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_npmi": self.mean_npmi,
-            "diversity": self.diversity,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "words_per_topic": self.words_per_topic,
-            "per_topic": dict(sorted(self.per_topic_npmi.items())),
-            "excluded": sorted(self.excluded),
-            "estimator": COOCCURRENCE_ESTIMATOR,
-            "epsilon_placement": EPSILON_PLACEMENT,
-        }
+    excluded: list[str]
+    estimator: Literal["boolean-document"]
+    epsilon_placement: Literal["ratio-terms-and-normalizer"]
 
 
 def _npmi(counts: Cooccurrence, w1: str, w2: str, epsilon: float) -> float:
     total = counts.total_docs
+    if total == 0:  # the one check npmi_pair and coherence share
+        raise ValueError("corpus is empty")
     p1 = counts.count(w1) / total
     p2 = counts.count(w2) / total
     p12 = counts.pair(w1, w2) / total
@@ -77,8 +64,6 @@ def npmi_pair(w1: str, w2: str, corpus: Corpus, epsilon: float = DEFAULT_EPSILON
     keeps the result finite.
     """
     _typed(epsilon, _Positive, "epsilon")
-    if corpus.total_docs == 0:
-        raise ValueError("corpus is empty")
     return _npmi(cooccurrence_counts(corpus, [w1, w2]), w1, w2, epsilon)
 
 
@@ -111,13 +96,15 @@ def coherence(
         per_topic[rep.topic] = _mean(values)
 
     return CoherenceReport(
-        per_topic_npmi=per_topic,
+        per_topic=per_topic,
         mean_npmi=_mean(per_topic.values()),
         diversity=diversity(included),
         epsilon=epsilon,
         k=len(per_topic),
         words_per_topic=max(len(rep.words) for rep in usable),
-        excluded=excluded,
+        excluded=sorted(excluded),
+        estimator="boolean-document",
+        epsilon_placement="ratio-terms-and-normalizer",
     )
 
 

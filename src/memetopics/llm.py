@@ -16,7 +16,7 @@ raises TransportError, and nothing is kept for it.
 A gateway reads its cache file once, line by line: the one pass builds the
 request-hash index and the sorted-line SHA-256 that a run's configuration
 digest records (LlmGateway.cache_sha256). Of each record it decodes only
-the response; the request stays undecoded bytes.
+the response, checked into an LlmOutcome; the request stays undecoded bytes.
 
 A stage that prompts once per item fans its calls out through
 LlmGateway.map: over http up to MAX_IN_FLIGHT requests run at once, with
@@ -76,6 +76,19 @@ class TransportError(RuntimeError):
 class TokenUsage(NamedTuple):
     prompt: int
     completion: int
+
+
+def _token_usage(data: object, where: str) -> TokenUsage:
+    """The token count in data, its file form TokenUsage._asdict(): exactly prompt and
+    completion, each an integer, else a ValueError naming where. The one reader of a count."""
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be a JSON object, not {data!r}")
+    if data.keys() != set(TokenUsage._fields):
+        raise ValueError(f"{where} must hold prompt and completion, not {data}")
+    for key in TokenUsage._fields:
+        if type(data[key]) is not int:
+            raise ValueError(f"{where}: {key} must be an integer, not {data[key]!r}")
+    return TokenUsage(**data)
 
 
 @dataclass(frozen=True)
@@ -146,12 +159,12 @@ class BackendConfig:
             raise ValueError("backend.record requires backend.cache_path")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LlmOutcome:
     """The model's answer to one request: "ok" with its reply, which may be
     empty or not parse (the caller's judgement), or "refused" for a
     moderation block. A request that gets no answer raises TransportError.
-    """
+    Frozen: a cache hit hands out the instance the cache holds."""
 
     status: Literal["ok", "refused"]
     text: str = ""
@@ -176,13 +189,10 @@ def _shared_tail(system: str, turns: tuple[tuple[str, str], ...]) -> bytes:
     return ("," + blob[1:]).encode("ascii")
 
 
-def _approx_tokens(text: str) -> int:
-    return len(text.split())
-
-
 def _usage_estimate(exchange: ChatExchange, reply: str) -> TokenUsage:
-    prompt = sum(_approx_tokens(m["content"]) for m in exchange.messages())
-    return TokenUsage(prompt=prompt, completion=_approx_tokens(reply))
+    """The whitespace-separated words of the messages and of the reply."""
+    prompt = sum(len(m["content"].split()) for m in exchange.messages())
+    return TokenUsage(prompt, len(reply.split()))
 
 
 class RateLimiter:
@@ -263,10 +273,7 @@ class LlmGateway:
         else:
             outcome = self._complete_mock(exchange)
         with self._usage_lock:
-            self.total_usage = TokenUsage(
-                self.total_usage.prompt + outcome.token_usage.prompt,
-                self.total_usage.completion + outcome.token_usage.completion,
-            )
+            self.total_usage = TokenUsage(*map(sum, zip(self.total_usage, outcome.token_usage)))
         return outcome
 
     def cache_sha256(self) -> str | None:
@@ -318,9 +325,8 @@ class LlmGateway:
             if needle in query:
                 reply = scripted
                 break
-        if self._is_refusal_text(reply):
-            return LlmOutcome("refused", reply, _usage_estimate(exchange, reply))
-        return LlmOutcome("ok", reply, _usage_estimate(exchange, reply))
+        status = "refused" if self._is_refusal_text(reply) else "ok"
+        return LlmOutcome(status, reply, _usage_estimate(exchange, reply))
 
     # -- response cache -----------------------------------------------------
 
@@ -330,11 +336,9 @@ class LlmGateway:
         if cache.error is not None:
             raise cache.error
         with self._cache_lock:
-            response = cache.index.get(digest)
-        if response is not None:
-            usage = response.get("usage", {})
-            tokens = TokenUsage(usage.get("prompt", 0), usage.get("completion", 0))
-            return LlmOutcome(response["status"], response["text"], tokens)
+            outcome = cache.index.get(digest)
+        if outcome is not None:
+            return outcome
         if self.cfg.kind == "replay":
             raise ReplayMissError(digest)
         ask = self._complete_mock if self.cfg.kind == "mock" else self._complete_http
@@ -352,17 +356,17 @@ class LlmGateway:
     def _keep(self, digest: str, exchange: ChatExchange, outcome: LlmOutcome) -> None:
         """Add one answer to the index and, when recording, to the cache file,
         under one lock, so the index serves the answer a later replay will."""
-        usage = {"prompt": outcome.token_usage.prompt, "completion": outcome.token_usage.completion}
+        usage = outcome.token_usage._asdict()
         response = {"status": outcome.status, "text": outcome.text, "usage": usage}
         with self._cache_lock:
-            if self.cfg.record and self.cfg.cache_path:
+            if self.cfg.record:
                 turns = [[role, content] for role, content in exchange.turns]
                 request = {"system": exchange.system, "turns": turns, "query": exchange.query}
                 entry = {"hash": digest, "model": self.cfg.model_name, "request": request,
                          "response": response}
                 with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
                     f.write(json.dumps(entry, sort_keys=True, ensure_ascii=True) + "\n")
-            self._cache.index[digest] = response
+            self._cache.index[digest] = outcome
 
     # -- http ---------------------------------------------------------------
 
@@ -431,11 +435,11 @@ class LlmGateway:
 
 
 class _Cache(NamedTuple):
-    """What one pass over a cache file found: the responses by request hash,
+    """What one pass over a cache file found: the outcomes by request hash,
     the hash of its lines (None when recording), and the error of its first
     malformed record, which every call through the cache raises."""
 
-    index: dict[str, dict]
+    index: dict[str, LlmOutcome]
     sha256: str | None
     error: Exception | None
 
@@ -458,10 +462,11 @@ def _read_cache(path: str | None, record: bool) -> _Cache:
     A record counts once its newline is on disk: an unterminated last line,
     cut short by a crash mid-write, is skipped (and hashed all the same), and
     a recording gateway cuts it so its first append starts a line of its
-    own. A malformed line stops the indexing, not the hashing: its error, named
-    by file and line, is kept, so it surfaces in the stage that first asks it.
+    own. A malformed line, one whose response _outcome refuses too, stops the
+    indexing, not the hashing: its error, named by file and line, is kept, so
+    it surfaces in the stage that first asks it.
     """
-    index: dict[str, dict] = {}
+    index: dict[str, LlmOutcome] = {}
     if not path:
         return _Cache(index, None, None)
     if record:
@@ -490,15 +495,14 @@ def _read_cache(path: str | None, record: bool) -> _Cache:
                 continue
             try:
                 digest, response = _parse_record(line)
-            # Not JSON, or not an object with a hash and a response.
+                # The request is not kept: a run shares its gateway, so the
+                # index lives as long as the run does.
+                index[digest] = _outcome(response)
+            # Not JSON, not an object with a hash and a response, or a response that is no outcome.
             except (ValueError, KeyError, TypeError) as exc:
                 with open(path, "rb") as g:  # so the loop keeps no line number
                     lineno = g.read(complete_bytes).count(b"\n")
                 error = ValueError(f"{path}:{lineno}: not a cache record ({exc})")
-            else:
-                # The request is not kept: a run shares its gateway, so the
-                # index lives as long as the run does.
-                index[digest] = response
     sha256 = None if record else hashlib.sha256(b"".join(sorted(line_hashes))).hexdigest()
     return _Cache(index, sha256, error)
 
@@ -534,6 +538,19 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
                 return line[len(_RECORD_HEAD) : _HASH_END].decode("ascii"), response
     entry = json.loads(line)
     return entry["hash"], entry["response"]
+
+
+def _outcome(response: object) -> LlmOutcome:
+    """The LlmOutcome in a cache line's response: exactly status ("ok" or "refused"), text (a
+    string) and usage (a token count), else a ValueError. Hand-checked: it runs once a line."""
+    if type(response) is not dict or response.keys() != {"status", "text", "usage"}:
+        raise ValueError(f"response must hold status, text and usage, not {response!r}")
+    status, text = response["status"], response["text"]
+    if status != "ok" and status != "refused":
+        raise ValueError(f"response: status must be one of 'ok', 'refused', not {status!r}")
+    if type(text) is not str:
+        raise ValueError(f"response: text must be a string, not {text!r}")
+    return LlmOutcome(status, text, _token_usage(response["usage"], "response: usage"))
 
 
 def load_mock_rules(path: str | Path) -> tuple[tuple[str, str], ...]:

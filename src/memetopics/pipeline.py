@@ -40,7 +40,7 @@ from .collapse import DEFAULT_WINDOW, CollapseState, _Window, collapse_pbm, coll
 from .corpus import Corpus, PreprocessConfig, _AtLeastOne, _Bound, _check_fields, _Positive
 from .corpus import _read_json, _read_jsonl, _record, _typed, _write_file, _write_json, _write_jsonl
 from .ctfidf import ctfidf_from_clusters
-from .evaluation import DEFAULT_EPSILON, coherence
+from .evaluation import DEFAULT_EPSILON, CoherenceReport, coherence
 from .generation import (
     INAPPROPRIATE,
     MISCELLANEOUS,
@@ -50,7 +50,7 @@ from .generation import (
     generate_topics,
     provenance_counts,
 )
-from .llm import BackendConfig, LlmGateway, TokenUsage, load_mock_rules
+from .llm import BackendConfig, LlmGateway, TokenUsage, _token_usage, load_mock_rules
 from .representation import TopicRepresentation, _Method, represent_ctfidf, represent_llm
 
 log = logging.getLogger(__name__)
@@ -103,13 +103,9 @@ _FLOW = {
 STAGES = tuple(_FLOW)
 
 
-# A merge-log line and report.json (CoherenceReport.to_dict() and a digest), every key required.
+# A merge-log line, every key required.
 _Merge = make_dataclass("_Merge", [("source", str), ("target", str),
                                    ("method", Literal["pbm", "wsm", "wsm-zero"])])
-_Report = make_dataclass("_Report", [
-    ("mean_npmi", float), ("diversity", float), ("epsilon", float), ("k", int),
-    ("words_per_topic", int), ("per_topic", dict), ("excluded", list[str]),
-    ("estimator", str), ("epsilon_placement", str), ("config_digest", str)])
 
 
 # A run directory read back by load_run: its manifest and its artifacts by name.
@@ -333,11 +329,11 @@ def stage_evaluate(
     corpus: Corpus,
     representations: list[TopicRepresentation],
     input_hashes: dict,
-) -> tuple[dict, dict]:
-    report = coherence(representations, corpus, epsilon=cfg.epsilon).to_dict()
-    report["config_digest"] = cfg.config_digest(input_hashes)
-    _write_json(outdir / REPORT_FILE, report)
-    metrics = {"mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
+) -> tuple[CoherenceReport, dict]:
+    report = coherence(representations, corpus, epsilon=cfg.epsilon)
+    digest = cfg.config_digest(input_hashes)
+    _write_json(outdir / REPORT_FILE, {**vars(report), "config_digest": digest})
+    metrics = {"mean_npmi": report.mean_npmi, "diversity": report.diversity}
     return report, {"metrics": metrics}
 
 
@@ -399,8 +395,7 @@ def _run_stages(
         artifacts[_FLOW[stage].makes] = artifact
         manifest["stages_completed"].append(stage)
         if gateway is not None:
-            after = gateway.total_usage
-            usage = TokenUsage(after.prompt - before.prompt, after.completion - before.completion)
+            usage = TokenUsage(*(now - then for now, then in zip(gateway.total_usage, before)))
             manifest["token_usage"][stage] = usage._asdict()
         manifest.update(entries)
         _write_json(outdir / MANIFEST_FILE, manifest)
@@ -412,10 +407,11 @@ def _load_artifact(outdir: Path, name: str, read: dict):
     read, which holds the artifacts its stage read. The one check of a file read back, refusing
     with a ValueError naming the file: an assignment with topics exactly when not routed;
     assignments that leave out a document of the corpus or place another id; a merge-log line
-    or a report without every key its writer writes; a merge-log step that CollapseState.merge
-    refuses, the log replayed from CollapseState.from_assignments as collapse took its steps;
-    a clusters.json other than the replayed state's clusters(); representations without one
-    entry per topic of the state."""
+    without every key its writer writes; a merge-log step that CollapseState.merge refuses,
+    the log replayed from CollapseState.from_assignments as collapse took its steps; a
+    clusters.json other than the replayed state's clusters(); representations without one
+    entry per topic of the state; a report.json other than CoherenceReport's fields and a
+    config_digest. A token count is read by llm._token_usage."""
     if name == "corpus":
         return corpus_mod.load_processed(outdir / PROCESSED_CORPUS_FILE)
     if name == "assignments":
@@ -451,15 +447,12 @@ def _load_artifact(outdir: Path, name: str, read: dict):
         where = f"{MANIFEST_FILE}: token_usage"
         for stage, spent in _typed(manifest.get("token_usage"), dict, where).items():
             _typed(stage, Literal[STAGES], f"{where}: key")
-            if sorted(_typed(spent, dict, f"{where}: {stage}")) != sorted(TokenUsage._fields):
-                raise ValueError(f"{where}: {stage} must hold prompt and completion, not {spent}")
-            for key in TokenUsage._fields:
-                _typed(spent[key], int, f"{where}: {stage}: {key}")
+            _token_usage(spent, f"{where}: {stage}")
         return manifest
-    if name == "report":
+    if name == "report":  # a CoherenceReport's fields and the run's config_digest
         report = _read_json(outdir / REPORT_FILE)
-        _record(_Report, report, f"{REPORT_FILE}: ")
-        return report
+        _typed(report.pop("config_digest", None), str, f"{REPORT_FILE}: config_digest")
+        return _record(CoherenceReport, report, f"{REPORT_FILE}: ")
     reps = []  # the representations
     for topic, entry in sorted(_read_json(outdir / REPRESENTATIONS_FILE).items()):
         where = f"{REPRESENTATIONS_FILE}: topic {topic!r}"
@@ -597,7 +590,7 @@ def sweep(cfg: RunConfig, k_values: Sequence[int]) -> list[dict]:
             errors[str(k)] = str(exc.cause)
         else:
             report = artifacts["report"]
-            done[k] = {"k": k, "mean_npmi": report["mean_npmi"], "diversity": report["diversity"]}
+            done[k] = {"k": k, "mean_npmi": report.mean_npmi, "diversity": report.diversity}
     rows = [done[k] for k in k_values if k in done]
 
     table = io.StringIO()

@@ -5,7 +5,8 @@ which decoded every record whole with json.loads, and the configuration
 digest's hash of the file's sorted lines, which read the file a second
 time. They are slow but plainly follow the definitions, so the one-pass
 reader in memetopics.llm must build the same index, raise the same error,
-and take the same hash.
+and take the same hash. The index holds each response as the outcome that
+outcome() below spells out the rule for.
 """
 
 from __future__ import annotations
@@ -14,12 +15,36 @@ import hashlib
 import json
 from pathlib import Path
 
+from memetopics.llm import LlmOutcome, TokenUsage
 
-def json_loads_index(path: str | Path) -> dict[str, dict]:
-    """Every terminated nonblank line decoded whole, the last record of a
-    hash winning; a malformed line raises a ValueError naming the file and
-    the line."""
-    index: dict[str, dict] = {}
+
+def outcome(response: object) -> LlmOutcome:
+    """The response rule, one check at a time, each failure a ValueError: an
+    object with the keys status, text and usage and no other; a status of
+    "ok" or "refused"; a string text; and a usage object with the keys
+    prompt and completion and no other, each an integer but not a bool."""
+    if not isinstance(response, dict) or sorted(response) != ["status", "text", "usage"]:
+        raise ValueError(f"response must hold status, text and usage, not {response!r}")
+    status, text, usage = response["status"], response["text"], response["usage"]
+    if status not in ("ok", "refused"):
+        raise ValueError(f"response: status must be one of 'ok', 'refused', not {status!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"response: text must be a string, not {text!r}")
+    if not isinstance(usage, dict):
+        raise ValueError(f"response: usage must be a JSON object, not {usage!r}")
+    if sorted(usage) != ["completion", "prompt"]:
+        raise ValueError(f"response: usage must hold prompt and completion, not {usage}")
+    for key in ("prompt", "completion"):
+        if isinstance(usage[key], bool) or not isinstance(usage[key], int):
+            raise ValueError(f"response: usage: {key} must be an integer, not {usage[key]!r}")
+    return LlmOutcome(status, text, TokenUsage(usage["prompt"], usage["completion"]))
+
+
+def json_loads_index(path: str | Path) -> dict[str, LlmOutcome]:
+    """Every terminated nonblank line decoded whole and its response checked by
+    outcome(), the last record of a hash winning; a malformed line raises a
+    ValueError naming the file and the line."""
+    index: dict[str, LlmOutcome] = {}
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.endswith(b"\n"):
@@ -27,7 +52,7 @@ def json_loads_index(path: str | Path) -> dict[str, dict]:
             if line.strip():
                 try:
                     entry = json.loads(line)
-                    index[entry["hash"]] = entry["response"]
+                    index[entry["hash"]] = outcome(entry["response"])
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: not a cache record ({exc})") from None
     return index

@@ -131,8 +131,8 @@ def test_npmi_coherence_matches_brute_force():
             per_topic, mean = brute_force_coherence(reps, corpus, 1e-6)
             assert abs(report.mean_npmi - mean) < 1e-9
             for topic, value in per_topic.items():
-                assert abs(report.per_topic_npmi[topic] - value) < 1e-9
-                assert -1.0 <= report.per_topic_npmi[topic] <= 1.0
+                assert abs(report.per_topic[topic] - value) < 1e-9
+                assert -1.0 <= report.per_topic[topic] <= 1.0
             for w1 in reps[0].words[:3]:
                 for w2 in reps[0].words[:3]:
                     assert -1.0 <= npmi_pair(w1, w2, corpus) <= 1.0

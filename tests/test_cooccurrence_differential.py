@@ -39,9 +39,9 @@ def test_coherence_equals_the_oracle_and_stays_in_bounds(corpus, topics):
     oracle_counts = cooccurrence_oracle.cooccurrence_counts
     with mock.patch.object(evaluation, "cooccurrence_counts", oracle_counts):
         oracle = coherence(reps, corpus)
-    assert report.per_topic_npmi == oracle.per_topic_npmi
+    assert report.per_topic == oracle.per_topic
     assert report.mean_npmi == oracle.mean_npmi
-    assert all(-1.0 <= value <= 1.0 for value in report.per_topic_npmi.values())
+    assert all(-1.0 <= value <= 1.0 for value in report.per_topic.values())
     pairs = [(w1, w2) for words in topics for w1 in words for w2 in words]
     assert all(-1.0 <= npmi_pair(w1, w2, corpus) <= 1.0 for w1, w2 in pairs)
 

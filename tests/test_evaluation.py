@@ -174,13 +174,13 @@ def test_coherence_matches_oracle_on_random_corpora():
         per_topic, mean = brute_force_coherence(reps, corpus, 1e-6)
         assert report.mean_npmi == pytest.approx(mean, abs=1e-9)
         for topic, value in per_topic.items():
-            assert report.per_topic_npmi[topic] == pytest.approx(value, abs=1e-9)
+            assert report.per_topic[topic] == pytest.approx(value, abs=1e-9)
 
 
 def test_coherence_mean_is_arithmetic_mean():
     corpus = corpus_from_tokens([("d1", ["a", "b"]), ("d2", ["c"]), ("d3", ["a", "c"])])
     report = coherence([rep("t1", ["a", "b"]), rep("t2", ["a", "c"])], corpus)
-    values = list(report.per_topic_npmi.values())
+    values = list(report.per_topic.values())
     assert report.mean_npmi == pytest.approx(sum(values) / len(values), abs=1e-15)
 
 
@@ -199,7 +199,7 @@ def test_short_representation_excluded_and_reported():
     reps = [rep("usable", ["a", "b"]), rep("stub", ["a"])]
     report = coherence(reps, corpus)
     assert report.excluded == ["stub"]
-    assert "stub" not in report.per_topic_npmi
+    assert "stub" not in report.per_topic
     assert report.k == 1
 
 
@@ -207,7 +207,31 @@ def test_reserved_clusters_excluded_by_default():
     corpus = corpus_from_tokens([("d1", ["a", "b", "x", "y"])])
     reps = [rep("Real", ["a", "b"]), rep("Miscellaneous", ["x", "y"])]
     report = coherence(reps, corpus)
-    assert list(report.per_topic_npmi) == ["Real"]
+    assert list(report.per_topic) == ["Real"]
+
+
+def test_excluded_topics_are_sorted_when_the_report_is_built():
+    corpus = corpus_from_tokens([("d1", ["a", "b"])])
+    reps = [rep("zeta", ["a"]), rep("usable", ["a", "b"]), rep("Alpha", []), rep("beta", ["b"])]
+    assert coherence(reps, corpus).excluded == ["Alpha", "beta", "zeta"]
+
+
+def test_an_empty_corpus_is_refused_alike_by_npmi_pair_and_coherence():
+    # Before, coherence divided by the corpus size and raised ZeroDivisionError.
+    empty = corpus_from_tokens([])
+    with pytest.raises(ValueError, match="^corpus is empty$"):
+        npmi_pair("a", "b", empty)
+    with pytest.raises(ValueError, match="^corpus is empty$"):
+        coherence([rep("t", ["a", "b"])], empty)
+
+
+def test_coherence_counts_through_the_module_global():
+    # A wrapper set on evaluation.cooccurrence_counts (as a tracer sets one) sees the call.
+    corpus = corpus_from_tokens([("d1", ["a", "b"]), ("d2", ["a"])])
+    with mock.patch.object(evaluation, "cooccurrence_counts",
+                           wraps=evaluation.cooccurrence_counts) as counted:
+        coherence([rep("t", ["a", "b"])], corpus)
+    assert counted.call_count == 1
 
 
 def test_coherence_needs_a_usable_representation():
@@ -219,10 +243,9 @@ def test_coherence_needs_a_usable_representation():
 def test_report_declares_estimator_and_epsilon():
     corpus = corpus_from_tokens([("d1", ["a", "b"])])
     report = coherence([rep("t", ["a", "b"])], corpus, epsilon=1e-6)
-    payload = report.to_dict()
-    assert payload["epsilon"] == 1e-6
-    assert payload["estimator"] == "boolean-document"
-    assert payload["epsilon_placement"]
+    assert report.epsilon == 1e-6
+    assert report.estimator == "boolean-document"
+    assert report.epsilon_placement == "ratio-terms-and-normalizer"
 
 
 # -- diversity ----------------------------------------------------------------

@@ -433,6 +433,40 @@ RECORD_TEXT = st.lists(
     max_size=6,
 ).map("".join)
 RECORD_HASHES = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
+RESPONSES = st.fixed_dictionaries(
+    {"status": st.sampled_from(["ok", "refused"]), "text": RECORD_TEXT,
+     "usage": st.fixed_dictionaries({"prompt": st.integers(0, 99),
+                                     "completion": st.integers(0, 99)})}
+)
+# What a response's keys may wrongly hold: a status no answer has, text that
+# is no string, and usage that is no token count (its draws include valid ones).
+WRONG_VALUES = {
+    "status": st.sampled_from(["transport_error", "OK", "", None, 1, ["ok"]]),
+    "text": st.one_of(st.none(), st.integers(), st.lists(RECORD_TEXT, max_size=1)),
+    "usage": st.one_of(
+        st.none(), st.integers(), st.lists(st.integers(0, 9), max_size=2),
+        st.dictionaries(st.sampled_from(["prompt", "completion", "total"]),
+                        st.one_of(st.integers(0, 9), st.booleans(), st.floats(0, 9),
+                                  st.sampled_from(["many", "1"]), st.none()), max_size=3),
+    ),
+}
+
+
+@st.composite
+def wrong_responses(draw):
+    """A response as _keep writes it, wrong in one way: a key lost, a key
+    added, or one key's value drawn from WRONG_VALUES."""
+    response = draw(RESPONSES)
+    how = draw(st.sampled_from(["lost", "added", *WRONG_VALUES]))
+    if how == "lost":
+        del response[draw(st.sampled_from(sorted(response)))]
+    elif how == "added":
+        response[draw(st.sampled_from(["extra", "Status", "hash", "response"]))] = 1
+    else:
+        response[how] = draw(WRONG_VALUES[how])
+    return response
+
+
 RECORD_FIELDS = st.fixed_dictionaries(
     {
         # Mostly the hex hashes the gateway writes, repeated so that a later
@@ -443,15 +477,8 @@ RECORD_FIELDS = st.fixed_dictionaries(
             {"query": RECORD_TEXT, "system": RECORD_TEXT, "turns": st.lists(
                 st.lists(RECORD_TEXT, min_size=2, max_size=2), max_size=2)}
         ),
-        # A number too, whose every prefix is a number.
-        "response": st.one_of(
-            st.fixed_dictionaries(
-                {"status": st.sampled_from(["ok", "refused"]), "text": RECORD_TEXT,
-                 "usage": st.fixed_dictionaries({"prompt": st.integers(0, 99),
-                                                 "completion": st.integers(0, 99)})}
-            ),
-            st.integers(100, 10**6),
-        ),
+        # An answer, a response of a wrong shape, or a number, whose every prefix is a number.
+        "response": st.one_of(RESPONSES, wrong_responses(), st.integers(100, 10**6)),
     }
 )
 # Keys that sort before "hash", between it and "response", and after it,
@@ -486,6 +513,9 @@ CACHE_LINES = st.lists(
 )
 
 
+OK_RESPONSE = {"status": "ok", "text": "['A']", "usage": {"completion": 1, "prompt": 2}}
+
+
 def cache_record(response, **extra):
     request = {"query": 'q "response": 1}', "system": "s", "turns": []}
     record = {"hash": RECORD_HASHES[0], "model": "m", "request": request, "response": response}
@@ -500,6 +530,11 @@ def cache_record(response, **extra):
 @example(lines=[(cache_record(123456), True, "cut", 2)])
 @example(lines=[(cache_record("b", zzz={"response": 2}), False, "whole", 0)])
 @example(lines=[(cache_record(100, zzz={"response": ""}), False, "cut", 1)])
+# An answer that a key follows, and an answer whose usage is no token count.
+@example(lines=[(cache_record(OK_RESPONSE, zzz={"response": 2}), False, "whole", 0)])
+@example(lines=[(cache_record(OK_RESPONSE), True, "whole", 0),
+                (cache_record({**OK_RESPONSE, "usage": {"prompt": True, "completion": 1}}),
+                 True, "whole", 0)])
 def test_one_pass_cache_read_equals_the_json_loads_index_and_the_sorted_lines_hash(lines):
     blob = b""
     for record, ensure_ascii, damage, cut in lines:

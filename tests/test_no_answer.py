@@ -141,7 +141,7 @@ def test_a_run_that_finishes_replays_from_its_cache_and_one_that_fails_names_its
             assert manifest["failed_stage"] == exc.stage
             loaded = _read_cache(cache, record=False)
             assert loaded.error is None
-            assert {response["status"] for response in loaded.index.values()} <= {"ok", "refused"}
+            assert {outcome.status for outcome in loaded.index.values()} <= {"ok", "refused"}
         else:
             replay = BackendConfig(kind="replay", model_name="mock-model", cache_path=cache)
             run_pipeline(dataclasses.replace(cfg, backend=replay, output_dir=str(root / "replay")))

@@ -507,7 +507,7 @@ def test_stages_chain_individually(tmp_path):
     reps = run_stage(cfg, "represent")
     assert len(reps) == 2
     report = run_stage(cfg, "evaluate")
-    assert "mean_npmi" in report
+    assert report == load_run(cfg.output_dir, ["report"]).artifacts["report"]
     # One stage at a time leaves the manifest of a whole run.
     staged = manifest_path.read_bytes()
     run_pipeline(cfg)
@@ -1092,9 +1092,11 @@ NO_MANIFEST = (lambda _: None, ("[Errno 2] No such file or directory", "{run}/ma
 # Single corruptions of whole fixture runs, by (run, file, stage): for each case, an
 # edit of the file's text (to bytes, or to None, which deletes it) and what the stage's
 # refusal names, the first fragment right after "error in <stage>: " and {run} standing
-# for the run directory, or None for an edit the stage accepts. Before these checks,
-# each case of the assignments, the clusters, the representations against the clusters
-# and the manifest ran to exit 0 or failed naming no file, most after deleting files.
+# for the run directory, or None for an edit the stage accepts. A file that no stage
+# reads back has stage None: load_run refuses it, its message starting with the first
+# fragment. Before these checks, each case of the assignments, the clusters, the
+# representations against the clusters and the manifest ran to exit 0 or failed naming
+# no file, most after deleting files, and load_run took each case of the report.
 CORRUPTIONS = {
     ("pbm", "assignments.jsonl", "collapse"): {
         "line cut short": (
@@ -1244,13 +1246,29 @@ CORRUPTIONS = {
             "manifest.json: stages_completed is ['preprocess', 'collapse', 'represent',"
             " 'evaluate'], so 'generate' must complete before 'representations' loads",)),
     },
+    # report.json holds a CoherenceReport's fields and the run's config_digest.
+    ("pbm", "report.json", None): {
+        "per-topic value a string": (
+            value_edit(lambda r: {**r, "per_topic": {**r["per_topic"], "Health": "high"}}),
+            ("report.json: per_topic['Health'] must be a number, not 'high'",)),
+        "another estimator": (value_edit(lambda r: {**r, "estimator": "anything"}), (
+            "report.json: estimator must be one of 'boolean-document', not 'anything'",)),
+        "config_digest deleted": (
+            value_edit(lambda r: {k: v for k, v in r.items() if k != "config_digest"}),
+            ("report.json: config_digest must be a string, not None",)),
+        "excluded a string": (value_edit(lambda r: {**r, "excluded": "Health"}),
+                              ("report.json: excluded must be a list, not the string 'Health'",)),
+        # JSON writes a whole-number float with its point, but a number is a number.
+        "per-topic value an integer": (
+            value_edit(lambda r: {**r, "per_topic": {**r["per_topic"], "Health": 0}}), None),
+    },
 }
 
 
 @pytest.mark.parametrize(
     "run, file, stage, edit, named",
     [pytest.param(*key, *row, id=f"{key[2]}: {key[1]} {case}")
-     for key, rows in CORRUPTIONS.items() for case, row in rows.items()],
+     for key, rows in CORRUPTIONS.items() if key[2] for case, row in rows.items()],
 )
 def test_a_lone_stage_refuses_a_run_file_it_cannot_trust(
     whole_runs, tmp_path, run, file, stage, edit, named
@@ -1264,6 +1282,26 @@ def test_a_lone_stage_refuses_a_run_file_it_cannot_trust(
     assert code == 0, err
     for name in pipeline_mod._FLOW[stage].files:  # written as the whole run wrote it
         assert (outdir / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "run, file, edit, named",
+    [pytest.param(run, file, *row, id=f"load_run: {file} {case}")
+     for (run, file, stage), rows in CORRUPTIONS.items() if stage is None
+     for case, row in rows.items()],
+)
+def test_load_run_refuses_a_run_file_no_stage_reads_back(whole_runs, tmp_path, run, file, edit,
+                                                        named):
+    outdir = tmp_path / "run"
+    shutil.copytree(whole_runs[run], outdir)
+    (outdir / file).write_text(edit((outdir / file).read_text(encoding="utf-8")), encoding="utf-8")
+    if named is None:
+        assert load_run(outdir).artifacts.keys() == set(WRITTEN)
+        return
+    with pytest.raises(ValueError) as refused:
+        load_run(outdir)
+    message = str(refused.value)
+    assert message.startswith(named[0]) and all(fragment in message for fragment in named)
 
 
 # Each file a lone stage reads back, and the stage that reads it.
@@ -1533,6 +1571,12 @@ def test_cli_stage_failure_exit_one(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def first_response_as(edit):
+    """An edit of a cache file's first response, by its JSON value."""
+    return first_line_as(lambda record: {**record, "response": edit(record["response"])})
+
+
+NOT_AN_OUTCOME = "stage 'generate' failed: cache.jsonl:1: not a cache record ("
 # The fixture replay run in a directory holding its inputs; a later flag wins.
 INPUTS_RUN = ["run", "--corpus", "memes.jsonl", "--backend-kind", "replay", "--model", "mock-model",
               "--cache", "cache.jsonl", "--collapse-method", "wsm", "--k", "3", "--out", "run"]
@@ -1553,6 +1597,25 @@ UNREADABLE_INPUTS = {
         lines_edit(lambda ls: [*ls[:5], ls[5][:40] + "\n", *ls[6:]]),
         "stage 'generate' failed: cache.jsonl:6: not a cache record (",
     ),
+    # The first cache line's response no outcome: before, the first ran to exit 0 with a
+    # meme labelled, the next four failed naming no file, and the last ran to exit 0.
+    "cache response a transport error": (
+        [], "cache.jsonl", first_response_as(lambda r: {**r, "status": "transport_error"}),
+        NOT_AN_OUTCOME),
+    "cache response without status": (
+        [], "cache.jsonl", first_response_as(lambda r: {"text": r["text"], "usage": r["usage"]}),
+        NOT_AN_OUTCOME),
+    "cache response text a number": (
+        [], "cache.jsonl", first_response_as(lambda r: {**r, "text": 3}), NOT_AN_OUTCOME),
+    "cache response usage null": (
+        [], "cache.jsonl", first_response_as(lambda r: {**r, "usage": None}), NOT_AN_OUTCOME),
+    "cache response usage not counted": (
+        [], "cache.jsonl",
+        first_response_as(lambda r: {**r, "usage": {"prompt": "many", "completion": 1}}),
+        NOT_AN_OUTCOME),
+    "cache response with another key": (
+        [], "cache.jsonl", first_response_as(lambda r: {**r, "error": "HTTP 503"}),
+        NOT_AN_OUTCOME),
 }
 
 

@@ -88,13 +88,14 @@ def test_index_merges_keep_fresh_top_sets(inputs, data):
     assume(len(topics) >= 2)
     corpus, _ = build(docs, topics)
     live = {label: set(ids) for label, ids in topics.items()}
-    index = _WordSimilarityIndex(live, corpus, top_n)
-    while len(live) > 1:
-        source, target = data.draw(st.permutations(sorted(live)))[:2]
-        both_docs = live[source] & live[target]
-        live[target] |= live.pop(source)
-        index.merge(source, target, both_docs)
-        assert_index_is_fresh(index, live, corpus, top_n)
+    with mock.patch.object(collapse_mod, "TOP_WORDS_FOR_SIMILARITY", top_n):
+        index = _WordSimilarityIndex(live, corpus)
+        while len(live) > 1:
+            source, target = data.draw(st.permutations(sorted(live)))[:2]
+            both_docs = live[source] & live[target]
+            live[target] |= live.pop(source)
+            index.merge(source, target, both_docs)
+            assert_index_is_fresh(index, live, corpus, top_n)
 
 
 def assert_index_is_fresh(index, live, corpus, top_n):
@@ -140,7 +141,7 @@ def test_ladder_states_match_full_rebuild(seed):
     }
     # Top sets along the whole trajectory, not only the merges they decide.
     live = {label: set(ids) for label, ids in topics.items()}
-    index = _WordSimilarityIndex(live, corpus, TOP_N)
+    index = _WordSimilarityIndex(live, corpus)
     for source, target, _ in expected[1].merge_log[:-1]:
         both_docs = live[source] & live[target]
         live[target] |= live.pop(source)
