@@ -37,7 +37,7 @@ from .generation import (
     format_topic_list,
     parse_topic_list,
 )
-from .llm import ChatExchange, LlmGateway
+from .llm import ChatExchange, LlmGateway, PromptPrefix
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +155,17 @@ def _frequency_order(state: CollapseState) -> list[str]:
     return sorted(state.topics, key=lambda label: (-len(state.topics[label]), label))
 
 
+def _render_collapse(topic_list: Sequence[str], topic: str) -> str:
+    numbered = "\n".join(f"{i}. {label}" for i, label in enumerate(topic_list, start=1))
+    return f"Topics:\n{numbered}\n\nCurrent topic : {topic}\n\n{COLLAPSE_QUESTION}"
+
+
+_COLLAPSE_PREFIX = PromptPrefix(COLLAPSE_SYSTEM, (
+    ("user", _render_collapse(COLLAPSE_DEMO_CANDIDATES, COLLAPSE_DEMO_CURRENT)),
+    ("assistant", format_topic_list([COLLAPSE_DEMO_ANSWER])),
+))
+
+
 def build_collapse_prompt(candidates: Sequence[str], current: str) -> ChatExchange:
     """Merge prompt: numbered candidate topics, the current topic, and the
     fixed question, preceded by one demonstration pair."""
@@ -162,18 +173,7 @@ def build_collapse_prompt(candidates: Sequence[str], current: str) -> ChatExchan
         raise ValueError("candidate list must not be empty")
     if _spelled_as([current], candidates)[0] is not None:
         raise ValueError(f"current topic {current!r} must not appear in the candidate list")
-
-    def render(topic_list: Sequence[str], topic: str) -> str:
-        numbered = "\n".join(f"{i}. {label}" for i, label in enumerate(topic_list, start=1))
-        return f"Topics:\n{numbered}\n\nCurrent topic : {topic}\n\n{COLLAPSE_QUESTION}"
-
-    turns = (
-        ("user", render(COLLAPSE_DEMO_CANDIDATES, COLLAPSE_DEMO_CURRENT)),
-        ("assistant", format_topic_list([COLLAPSE_DEMO_ANSWER])),
-    )
-    return ChatExchange(
-        system=COLLAPSE_SYSTEM, turns=turns, query=render(candidates, current)
-    )
+    return ChatExchange(_COLLAPSE_PREFIX, _render_collapse(candidates, current))
 
 
 def collapse_pbm(

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Annotated, Iterable, Literal, Sequence, get_args
 
 from .corpus import _TEXT, Corpus, MemeDocument, _Bound, _check_fields, _hints, _read_json, _record
-from .llm import BackendConfig, ChatExchange, LlmGateway
+from .llm import BackendConfig, ChatExchange, LlmGateway, PromptPrefix
 
 MISCELLANEOUS = "Miscellaneous"
 INAPPROPRIATE = "Inappropriate"
@@ -80,15 +80,13 @@ class DemonstrationSet:
             raise ValueError("a demonstration set needs at least one demonstration")
 
     @cached_property
-    def turns(self) -> tuple[tuple[str, str], ...]:
-        """The demonstrations as user/assistant turns, built once and shared
-        by every prompt."""
-        turns: list[tuple[str, str]] = []
-        for demo in self.items:
-            query = GENERATION_USER_TEMPLATE.format(caption=demo.caption, text=demo.overlay_text)
-            turns.append(("user", query))
-            turns.append(("assistant", format_topic_list(demo.topics)))
-        return tuple(turns)
+    def prefix(self) -> PromptPrefix:
+        """The system message and the demonstrations as user/assistant turns,
+        built once and shared by every prompt."""
+        return PromptPrefix(GENERATION_SYSTEM, tuple(turn for demo in self.items for turn in (
+            ("user", GENERATION_USER_TEMPLATE.format(caption=demo.caption, text=demo.overlay_text)),
+            ("assistant", format_topic_list(demo.topics)),
+        )))
 
     def take(self, n: int) -> "DemonstrationSet":
         """First n demonstrations, for ablations over the demonstration count."""
@@ -131,7 +129,7 @@ def build_generation_prompt(doc: MemeDocument, demos: DemonstrationSet) -> ChatE
     """Few-shot exchange for one meme: system rules, the demonstration pairs,
     then the meme's own caption/text as the final user turn."""
     query = GENERATION_USER_TEMPLATE.format(caption=doc.caption, text=doc.overlay_text)
-    return ChatExchange(system=GENERATION_SYSTEM, turns=demos.turns, query=query)
+    return ChatExchange(demos.prefix, query)
 
 
 def _trim(label: str) -> str:

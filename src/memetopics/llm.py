@@ -1,9 +1,9 @@
 """Chat-completion gateway with http, mock, and replay backends.
 
-All prompting stages talk to one interface: build a ChatExchange, call
-LlmGateway.complete(), get an LlmOutcome. The http backend speaks the common
-chat-completions JSON wire shape with retry and a sliding-window rate
-limit; the mock backend answers from a substring rule table.
+All prompting stages talk to one interface: build a ChatExchange of a stage's
+PromptPrefix and a query, call LlmGateway.complete(), get an LlmOutcome. The
+http backend speaks the common chat-completions JSON wire shape with retry
+and a sliding-window rate limit; the mock backend answers from a rule table.
 
 Any backend with a cache_path reads through that response cache, keyed by a
 canonical request hash, so pipelines re-run byte-identically with zero
@@ -30,7 +30,6 @@ them on first use, so a run that sends nothing starts without them.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -38,7 +37,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, Callable, Iterable, Literal, NamedTuple, TypeVar
 
@@ -92,31 +91,40 @@ def _token_usage(data: object, where: str) -> TokenUsage:
 
 
 @dataclass(frozen=True)
-class ChatExchange:
-    """System message, demonstration turns, and the final user query.
-
-    turns alternate user/assistant starting with user, i.e. demonstrations
-    come in complete pairs.
-    """
+class PromptPrefix:
+    """What a stage's requests share: the system message and the demonstration
+    turns, in user/assistant pairs. Checked once, where it is built, which also
+    encodes hash_tail, the `,"system":...,"turns":[...]}` tail of the request
+    hash's blob, and counts words, the sum of each message's whitespace-separated
+    words; neither takes part in equality or repr."""
 
     system: str
     turns: tuple[tuple[str, str], ...] = ()
-    query: str = ""
+    hash_tail: bytes = field(init=False, repr=False, compare=False)
+    words: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for i, (role, _content) in enumerate(self.turns):
-            expected = "user" if i % 2 == 0 else "assistant"
-            if role != expected:
-                raise ValueError(f"turn {i} must have role {expected!r}, got {role!r}")
-        if len(self.turns) % 2 != 0:
-            raise ValueError("demonstration turns must come in complete user/assistant pairs")
+        roles = tuple(role for role, _content in self.turns)
+        if roles != ("user", "assistant") * (len(roles) // 2):
+            raise ValueError(f"demonstration turns must be user/assistant pairs, not {roles}")
+        blob = json.dumps({"system": self.system, "turns": self.turns},
+                          sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        object.__setattr__(self, "hash_tail", ("," + blob[1:]).encode("ascii"))
+        texts = (self.system, *(content for _role, content in self.turns))
+        object.__setattr__(self, "words", sum(len(text.split()) for text in texts))
+
+
+@dataclass(frozen=True)
+class ChatExchange:
+    """One request: its stage's shared prefix, then the final user query."""
+
+    prefix: PromptPrefix
+    query: str
 
     def messages(self) -> list[dict[str, str]]:
-        """Wire-shape messages array: system, demonstrations, query."""
-        msgs = [{"role": "system", "content": self.system}]
-        msgs.extend({"role": role, "content": content} for role, content in self.turns)
-        msgs.append({"role": "user", "content": self.query})
-        return msgs
+        """Wire-shape messages array: system, demonstrations, query, as fresh dicts."""
+        turns = (("system", self.prefix.system), *self.prefix.turns, ("user", self.query))
+        return [{"role": role, "content": content} for role, content in turns]
 
 
 @dataclass
@@ -175,24 +183,12 @@ def canonical_request_hash(exchange: ChatExchange, model_name: str) -> str:
     """Stable hex digest of (system, turns, query, model) across runs and platforms:
     the SHA-256 of their sorted-key, compact, ASCII-only JSON object."""
     head = f'{{"model":{json.dumps(model_name)},"query":{json.dumps(exchange.query)}'
-    digest = hashlib.sha256(head.encode("ascii"))
-    digest.update(_shared_tail(exchange.system, exchange.turns))
-    return digest.hexdigest()
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_tail(system: str, turns: tuple[tuple[str, str], ...]) -> bytes:
-    """The `,"system":...,"turns":[...]}` tail of the hash blob, encoded; a
-    stage's prompts share it."""
-    payload = {"system": system, "turns": [[role, content] for role, content in turns]}
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    return ("," + blob[1:]).encode("ascii")
+    return hashlib.sha256(head.encode("ascii") + exchange.prefix.hash_tail).hexdigest()
 
 
 def _usage_estimate(exchange: ChatExchange, reply: str) -> TokenUsage:
-    """The whitespace-separated words of the messages and of the reply."""
-    prompt = sum(len(m["content"].split()) for m in exchange.messages())
-    return TokenUsage(prompt, len(reply.split()))
+    """Whitespace-separated words of each message, the prefix's counted once, and of the reply."""
+    return TokenUsage(exchange.prefix.words + len(exchange.query.split()), len(reply.split()))
 
 
 class RateLimiter:
@@ -360,8 +356,8 @@ class LlmGateway:
         response = {"status": outcome.status, "text": outcome.text, "usage": usage}
         with self._cache_lock:
             if self.cfg.record:
-                turns = [[role, content] for role, content in exchange.turns]
-                request = {"system": exchange.system, "turns": turns, "query": exchange.query}
+                prefix = exchange.prefix
+                request = {"system": prefix.system, "turns": prefix.turns, "query": exchange.query}
                 entry = {"hash": digest, "model": self.cfg.model_name, "request": request,
                          "response": response}
                 with open(self.cfg.cache_path, "a", encoding="utf-8") as f:
@@ -444,8 +440,9 @@ class _Cache(NamedTuple):
     error: Exception | None
 
 
-# A record as LlmGateway._keep writes it starts with its 64-digit hex hash
-# and ends with its response: json.dumps sorts the keys.
+# A record as LlmGateway._keep writes it starts with its hash, 64 lowercase
+# hex digits, and ends with its response: json.dumps sorts the keys.
+_HEX_DIGITS = b"0123456789abcdef"
 _HASH_KEY = b'"hash": '
 _RECORD_HEAD = b"{" + _HASH_KEY + b'"'
 _HASH_END = len(_RECORD_HEAD) + 64
@@ -517,14 +514,14 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
     holds none, so it is the top-level one, taken when its value runs to
     the record's closing brace. (The last one may be nested in a key after
     response, and a cut record can end in that key's brace.) Other lines,
-    such as one with a key after response or a torn record that a later
-    append continued, are decoded whole and raise if malformed. The
-    request's bytes go unchecked.
+    such as one with a key after response, a torn record that a later
+    append continued or a hash that is not 64 lowercase hex digits, are
+    decoded whole and raise if malformed. The request's bytes go unchecked.
     """
     if (
         line.startswith(_RECORD_HEAD)
         and line[_HASH_END : _HASH_END + 3] == b'", '
-        and line[len(_RECORD_HEAD) : _HASH_END].isalnum()
+        and not line[len(_RECORD_HEAD) : _HASH_END].strip(_HEX_DIGITS)
         and line.endswith(b"}\n")
         and line.count(_HASH_KEY) == 1
     ):
@@ -537,7 +534,10 @@ def _parse_record(line: bytes) -> tuple[str, dict]:
             else:
                 return line[len(_RECORD_HEAD) : _HASH_END].decode("ascii"), response
     entry = json.loads(line)
-    return entry["hash"], entry["response"]
+    digest = entry["hash"]
+    if type(digest) is not str or len(digest) != 64 or digest.strip(_HEX_DIGITS.decode()):
+        raise ValueError(f"hash must be 64 lowercase hex digits, not {digest!r}")
+    return digest, entry["response"]
 
 
 def _outcome(response: object) -> LlmOutcome:

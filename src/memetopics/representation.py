@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 from .ctfidf import CtfidfTable, top_words
 from .generation import TopicParseError, _spelled_as, _unique_labels
 from .generation import format_topic_list, parse_topic_list
-from .llm import ChatExchange, LlmGateway
+from .llm import ChatExchange, LlmGateway, PromptPrefix
 
 _Method = Literal["ctfidf", "llm"]  # the routes to a representation, a run's representation_method
 
@@ -88,22 +88,24 @@ def represent_ctfidf(table: CtfidfTable, topic: str) -> TopicRepresentation:
     return TopicRepresentation(topic=topic, words=words, method="ctfidf")
 
 
+def _render_wordrank(topic: str, words: Sequence[str]) -> str:
+    numbered = ", ".join(f"{i}. {w}" for i, w in enumerate(words, start=1))
+    return f"Topic : '{topic}'\nWords : {numbered}\n\n{WORDRANK_QUESTION}"
+
+
+_WORDRANK_PREFIX = PromptPrefix(WORDRANK_SYSTEM, (
+    ("user", _render_wordrank(WORDRANK_DEMO_TOPIC, WORDRANK_DEMO_WORDS)),
+    ("assistant", format_topic_list(WORDRANK_DEMO_ANSWER)),
+))
+
+
 def build_wordrank_prompt(topic: str, candidates: Sequence[str]) -> ChatExchange:
     """Word-ranking prompt: the topic, its numbered candidate words (most
     heavily weighted first), and the fixed question, after one worked
     example."""
     if not 1 <= len(candidates) <= CANDIDATE_POOL_SIZE:
         raise ValueError(f"candidate list must hold 1..{CANDIDATE_POOL_SIZE} words")
-
-    def render(t: str, words: Sequence[str]) -> str:
-        numbered = ", ".join(f"{i}. {w}" for i, w in enumerate(words, start=1))
-        return f"Topic : '{t}'\nWords : {numbered}\n\n{WORDRANK_QUESTION}"
-
-    turns = (
-        ("user", render(WORDRANK_DEMO_TOPIC, WORDRANK_DEMO_WORDS)),
-        ("assistant", format_topic_list(WORDRANK_DEMO_ANSWER)),
-    )
-    return ChatExchange(system=WORDRANK_SYSTEM, turns=turns, query=render(topic, candidates))
+    return ChatExchange(_WORDRANK_PREFIX, _render_wordrank(topic, candidates))
 
 
 def represent_llm(topic: str, table: CtfidfTable, gateway: LlmGateway) -> TopicRepresentation:

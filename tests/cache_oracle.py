@@ -5,14 +5,16 @@ which decoded every record whole with json.loads, and the configuration
 digest's hash of the file's sorted lines, which read the file a second
 time. They are slow but plainly follow the definitions, so the one-pass
 reader in memetopics.llm must build the same index, raise the same error,
-and take the same hash. The index holds each response as the outcome that
-outcome() below spells out the rule for.
+and take the same hash. The index is keyed by hashes that request_hash()
+below spells out the rule for, and holds each response as the outcome that
+outcome() does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from memetopics.llm import LlmOutcome, TokenUsage
@@ -40,10 +42,17 @@ def outcome(response: object) -> LlmOutcome:
     return LlmOutcome(status, text, TokenUsage(usage["prompt"], usage["completion"]))
 
 
+def request_hash(value: object) -> str:
+    """The hash rule: a string of 64 lowercase hex digits, else a ValueError."""
+    if not isinstance(value, str) or re.fullmatch("[0-9a-f]{64}", value) is None:
+        raise ValueError(f"hash must be 64 lowercase hex digits, not {value!r}")
+    return value
+
+
 def json_loads_index(path: str | Path) -> dict[str, LlmOutcome]:
-    """Every terminated nonblank line decoded whole and its response checked by
-    outcome(), the last record of a hash winning; a malformed line raises a
-    ValueError naming the file and the line."""
+    """Every terminated nonblank line decoded whole, its hash checked by
+    request_hash() and its response by outcome(), the last record of a hash
+    winning; a malformed line raises a ValueError naming the file and the line."""
     index: dict[str, LlmOutcome] = {}
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
@@ -52,7 +61,8 @@ def json_loads_index(path: str | Path) -> dict[str, LlmOutcome]:
             if line.strip():
                 try:
                     entry = json.loads(line)
-                    index[entry["hash"]] = outcome(entry["response"])
+                    digest = request_hash(entry["hash"])
+                    index[digest] = outcome(entry["response"])
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: not a cache record ({exc})") from None
     return index

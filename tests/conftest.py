@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from memetopics.corpus import Corpus, MemeDocument
-from memetopics.llm import BackendConfig, ChatExchange, LlmGateway, canonical_request_hash
+from memetopics.llm import BackendConfig, ChatExchange, LlmGateway, PromptPrefix
+from memetopics.llm import canonical_request_hash
 from memetopics.llm import load_mock_rules
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -68,7 +69,7 @@ class RuleServer:
     def __call__(self, url, payload, headers, timeout):
         system, *turns, query = (m["content"] for m in payload["messages"])
         pairs = tuple(zip(("user", "assistant") * len(turns), turns))
-        exchange = ChatExchange(system=system, turns=pairs, query=query)
+        exchange = ChatExchange(PromptPrefix(system, pairs), query)
         digest = canonical_request_hash(exchange, payload["model"])
         with self._lock:
             self.hashes.append(digest)

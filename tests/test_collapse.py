@@ -41,11 +41,13 @@ def doc_multiset(state):
 
 def test_collapse_prompt_demo_pair():
     ex = build_collapse_prompt(["Military", "Healthcare"], "Skirmish")
-    demo_user, demo_answer = ex.turns
+    demo_user, demo_answer = ex.prefix.turns
     assert demo_user[1].startswith("Topics:\n1. Military")
     assert "Current topic : War" in demo_user[1]
     assert demo_answer == ("assistant", "['Military']")
-    assert "without providing any topics that are not included" in ex.system
+    assert "without providing any topics that are not included" in ex.prefix.system
+    # The prefix is built once, with the module, and shared by every merge prompt.
+    assert build_collapse_prompt(["Sports"], "Football").prefix is ex.prefix
 
 
 def test_collapse_prompt_single_candidate():

@@ -17,7 +17,8 @@ from memetopics.collapse import CollapseState
 from memetopics.corpus import Corpus
 from memetopics.generation import Demonstration, DemonstrationSet, build_generation_prompt
 from memetopics.generation import generate_topics
-from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, TransportError
+from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, PromptPrefix
+from memetopics.llm import TransportError
 from memetopics.llm import _read_cache, canonical_request_hash
 from memetopics.pipeline import RunConfig, stage_represent
 
@@ -181,7 +182,7 @@ def test_a_raising_call_stops_new_calls_and_the_earliest_item_raises():
     calls_at_failure = []
 
     def fn(i):
-        gateway.complete(ChatExchange(system="s", query=f"Caption: doc{i}"))
+        gateway.complete(ChatExchange(PromptPrefix("s"), f"Caption: doc{i}"))
         if i in (5, 9, 30):
             calls_at_failure.append(gateway.transport.total_calls())
             raise ValueError(i)

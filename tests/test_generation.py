@@ -46,18 +46,18 @@ DOC = MemeDocument(id="d1", caption="a man at a desk", overlay_text="mondays, am
 def test_eight_demos_give_sixteen_turns_plus_query():
     demos = make_demos(8)
     ex = build_generation_prompt(DOC, demos)
-    assert len(ex.turns) == 16
+    assert len(ex.prefix.turns) == 16
     assert ex.query.startswith("Please list the high-level topics")
-    # The demonstration turns are built once per set and shared.
+    # The prefix is built once per set and shared.
     other = MemeDocument(id="d2", caption="a dog", overlay_text="woof")
-    assert build_generation_prompt(other, demos).turns is ex.turns
+    assert build_generation_prompt(other, demos).prefix is ex.prefix
 
 
 def test_single_demo_structure():
     ex = build_generation_prompt(DOC, make_demos(1))
-    assert len(ex.turns) == 2
-    assert ex.turns[0][0] == "user"
-    assert ex.turns[1] == ("assistant", "['Topic0']")
+    assert len(ex.prefix.turns) == 2
+    assert ex.prefix.turns[0][0] == "user"
+    assert ex.prefix.turns[1] == ("assistant", "['Topic0']")
 
 
 def test_prompt_layout_carries_caption_text_and_topics_lines():
@@ -65,7 +65,7 @@ def test_prompt_layout_carries_caption_text_and_topics_lines():
     assert "Meme's Image Caption: a man at a desk" in ex.query
     assert "Meme's Superimposed Text: mondays, am i right" in ex.query
     assert ex.query.rstrip().endswith("Topics:")
-    assert "unique topics solely" in ex.system
+    assert "unique topics solely" in ex.prefix.system
 
 
 def test_empty_overlay_still_renders():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from memetopics.llm import (
     ChatExchange,
     LlmGateway,
     LlmOutcome,
+    PromptPrefix,
     RateLimiter,
     ReplayMissError,
     TransportError,
@@ -29,7 +31,7 @@ from conftest import chat_body, mock_backend
 
 
 def exchange(query="hello", turns=()):
-    return ChatExchange(system="be helpful", turns=turns, query=query)
+    return ChatExchange(PromptPrefix("be helpful", turns), query)
 
 
 DEMO_TURNS = (
@@ -74,9 +76,9 @@ class EchoTransport:
 
 def test_turns_must_alternate_starting_with_user():
     with pytest.raises(ValueError):
-        ChatExchange(system="s", turns=(("assistant", "a"),), query="q")
+        PromptPrefix("s", (("assistant", "a"),))
     with pytest.raises(ValueError):
-        ChatExchange(system="s", turns=(("user", "u"),), query="q")  # incomplete pair
+        PromptPrefix("s", (("user", "u"),))  # incomplete pair
 
 
 def test_messages_wire_shape():
@@ -84,6 +86,37 @@ def test_messages_wire_shape():
     messages = ex.messages()
     assert [m["role"] for m in messages] == ["system", "user", "assistant", "user"]
     assert messages[-1]["content"] == "q"
+    # Each call builds fresh dicts, so a transport that edits them leaves the prefix as it was.
+    messages[1]["content"] = "edited"
+    assert ex.messages()[1]["content"] == "first question"
+    assert ex.prefix.turns == DEMO_TURNS[:2]
+
+
+def test_a_prefix_compares_by_system_and_turns_alone():
+    prefix = PromptPrefix("s", DEMO_TURNS)
+    assert prefix == PromptPrefix("s", DEMO_TURNS)
+    assert hash(prefix) == hash(PromptPrefix("s", DEMO_TURNS))
+    assert repr(prefix) == f"PromptPrefix(system='s', turns={DEMO_TURNS!r})"
+
+
+# Every character str.split() splits on, the ASCII separators \x1c-\x1f, \x85,
+# no-break and ideographic spaces among them.
+SPLIT_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+SPLIT_TEXT = st.text(st.one_of(st.sampled_from(SPLIT_WHITESPACE), st.characters()), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    system=SPLIT_TEXT,
+    pairs=st.lists(st.tuples(SPLIT_TEXT, SPLIT_TEXT), max_size=3),
+    query=SPLIT_TEXT,
+    reply=SPLIT_TEXT,
+)
+def test_usage_estimate_equals_the_per_message_word_sum(system, pairs, query, reply):
+    turns = tuple(turn for q, a in pairs for turn in (("user", q), ("assistant", a)))
+    ex = ChatExchange(PromptPrefix(system, turns), query)
+    per_message = sum(len(m["content"].split()) for m in ex.messages())
+    assert _usage_estimate(ex, reply) == (per_message, len(reply.split()))
 
 
 # -- canonical hash -----------------------------------------------------------
@@ -111,8 +144,8 @@ def json_dumps_request_hash(exchange: ChatExchange, model_name: str) -> str:
     of the whole request. Every recorded cache is keyed by it."""
     payload = {
         "model": model_name,
-        "system": exchange.system,
-        "turns": [[role, content] for role, content in exchange.turns],
+        "system": exchange.prefix.system,
+        "turns": [[role, content] for role, content in exchange.prefix.turns],
         "query": exchange.query,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
@@ -120,10 +153,9 @@ def json_dumps_request_hash(exchange: ChatExchange, model_name: str) -> str:
 
 
 def test_hash_of_a_fixed_exchange_is_pinned():
+    turns = (("user", 'Caption: a cat "naps"\n'), ("assistant", "['Cats']"))
     pinned = ChatExchange(
-        system="Tag the meme.",
-        turns=(("user", 'Caption: a cat "naps"\n'), ("assistant", "['Cats']")),
-        query="Caption: caf\u00e9 \u2603 back\\slash\ttab \x00",
+        PromptPrefix("Tag the meme.", turns), "Caption: caf\u00e9 \u2603 back\\slash\ttab \x00"
     )
     expected = "0923e0280867d86fd430cc9e20d12fce2dc3165e1532e2d5eb36ffc0d0da4c83"
     assert canonical_request_hash(pinned, "gpt-3.5-turbo") == expected
@@ -145,7 +177,7 @@ tricky_text = st.text(
 )
 def test_hash_equals_the_json_dumps_form(model, system, pairs, query):
     turns = tuple(turn for q, a in pairs for turn in (("user", q), ("assistant", a)))
-    ex = ChatExchange(system=system, turns=turns, query=query)
+    ex = ChatExchange(PromptPrefix(system, turns), query)
     assert canonical_request_hash(ex, model) == json_dumps_request_hash(ex, model)
 
 
@@ -467,11 +499,19 @@ def wrong_responses(draw):
     return response
 
 
+# Hashes the hash rule refuses: no string, upper case, a digit short or over, or not hex.
+BAD_HASHES = st.one_of(
+    st.integers(), st.none(), st.lists(st.sampled_from(RECORD_HASHES), max_size=1),
+    st.sampled_from(RECORD_HASHES).map(str.upper),
+    st.sampled_from(RECORD_HASHES).map(lambda h: h[:63]),
+    st.sampled_from(RECORD_HASHES).map(lambda h: h + "0"),
+    st.sampled_from(RECORD_HASHES).map(lambda h: "g" + h[1:]),
+)
 RECORD_FIELDS = st.fixed_dictionaries(
     {
         # Mostly the hex hashes the gateway writes, repeated so that a later
-        # record of a hash replaces an earlier one.
-        "hash": st.one_of(st.sampled_from(RECORD_HASHES), RECORD_TEXT),
+        # record of a hash replaces an earlier one; else one the rule refuses.
+        "hash": st.one_of(*[st.sampled_from(RECORD_HASHES)] * 3, BAD_HASHES, RECORD_TEXT),
         "model": RECORD_TEXT,
         "request": st.fixed_dictionaries(
             {"query": RECORD_TEXT, "system": RECORD_TEXT, "turns": st.lists(
@@ -535,6 +575,10 @@ def cache_record(response, **extra):
 @example(lines=[(cache_record(OK_RESPONSE), True, "whole", 0),
                 (cache_record({**OK_RESPONSE, "usage": {"prompt": True, "completion": 1}}),
                  True, "whole", 0)])
+# Hashes the rule refuses that sit where the fast path reads one: upper case, and not hex.
+@example(lines=[(cache_record(OK_RESPONSE), True, "whole", 0),
+                (cache_record(OK_RESPONSE, hash=RECORD_HASHES[1].upper()), True, "whole", 0)])
+@example(lines=[(cache_record(OK_RESPONSE, hash="g" * 64), True, "whole", 0)])
 def test_one_pass_cache_read_equals_the_json_loads_index_and_the_sorted_lines_hash(lines):
     blob = b""
     for record, ensure_ascii, damage, cut in lines:

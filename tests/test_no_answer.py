@@ -116,7 +116,7 @@ def test_a_run_that_finishes_replays_from_its_cache_and_one_that_fails_names_its
     faults, max_retries
 ):
     def fault(number, exchange, attempt):
-        kind = faults.get((exchange.system, zlib.crc32(exchange.query.encode()) % SLOTS))
+        kind = faults.get((exchange.prefix.system, zlib.crc32(exchange.query.encode()) % SLOTS))
         if kind is None or kind in FIRST_ATTEMPT_ONLY and attempt > 1:
             return None
         return FAULTS[kind]()

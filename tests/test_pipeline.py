@@ -1576,7 +1576,7 @@ def first_response_as(edit):
     return first_line_as(lambda record: {**record, "response": edit(record["response"])})
 
 
-NOT_AN_OUTCOME = "stage 'generate' failed: cache.jsonl:1: not a cache record ("
+NOT_A_RECORD = "stage 'generate' failed: cache.jsonl:1: not a cache record ("
 # The fixture replay run in a directory holding its inputs; a later flag wins.
 INPUTS_RUN = ["run", "--corpus", "memes.jsonl", "--backend-kind", "replay", "--model", "mock-model",
               "--cache", "cache.jsonl", "--collapse-method", "wsm", "--k", "3", "--out", "run"]
@@ -1601,21 +1601,29 @@ UNREADABLE_INPUTS = {
     # meme labelled, the next four failed naming no file, and the last ran to exit 0.
     "cache response a transport error": (
         [], "cache.jsonl", first_response_as(lambda r: {**r, "status": "transport_error"}),
-        NOT_AN_OUTCOME),
+        NOT_A_RECORD),
     "cache response without status": (
         [], "cache.jsonl", first_response_as(lambda r: {"text": r["text"], "usage": r["usage"]}),
-        NOT_AN_OUTCOME),
+        NOT_A_RECORD),
     "cache response text a number": (
-        [], "cache.jsonl", first_response_as(lambda r: {**r, "text": 3}), NOT_AN_OUTCOME),
+        [], "cache.jsonl", first_response_as(lambda r: {**r, "text": 3}), NOT_A_RECORD),
     "cache response usage null": (
-        [], "cache.jsonl", first_response_as(lambda r: {**r, "usage": None}), NOT_AN_OUTCOME),
+        [], "cache.jsonl", first_response_as(lambda r: {**r, "usage": None}), NOT_A_RECORD),
     "cache response usage not counted": (
         [], "cache.jsonl",
         first_response_as(lambda r: {**r, "usage": {"prompt": "many", "completion": 1}}),
-        NOT_AN_OUTCOME),
+        NOT_A_RECORD),
     "cache response with another key": (
         [], "cache.jsonl", first_response_as(lambda r: {**r, "error": "HTTP 503"}),
-        NOT_AN_OUTCOME),
+        NOT_A_RECORD),
+    # The first cache line's hash not 64 lowercase hex digits: before, each loaded under a
+    # key no request has, and the replay failed naming the request's hash, not the line.
+    "cache hash a number": ([], "cache.jsonl", first_line(hash=5), NOT_A_RECORD),
+    "cache hash in upper case": (
+        [], "cache.jsonl", first_line_as(lambda r: {**r, "hash": r["hash"].upper()}),
+        NOT_A_RECORD),
+    "cache hash a digit short": (
+        [], "cache.jsonl", first_line_as(lambda r: {**r, "hash": r["hash"][:63]}), NOT_A_RECORD),
 }
 
 

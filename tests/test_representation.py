@@ -58,10 +58,12 @@ def test_ctfidf_representation_unknown_topic():
 
 def test_wordrank_prompt_demo_includes_listed_answer_word():
     ex = build_wordrank_prompt("sports", ["ball", "goal"])
-    demo_user, demo_answer = ex.turns
+    demo_user, demo_answer = ex.prefix.turns
     assert "tracetogether" in demo_user[1]
     assert "tracetogether" in demo_answer[1]
     assert "Topic : 'technology'" in demo_user[1]
+    # The prefix is built once, with the module, and shared by every word-ranking prompt.
+    assert build_wordrank_prompt("music", ["song"]).prefix is ex.prefix
 
 
 def test_wordrank_prompt_enumerates_hundred_candidates():

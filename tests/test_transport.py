@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from memetopics.cli import main
-from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, TokenUsage
+from memetopics.llm import MAX_IN_FLIGHT, BackendConfig, ChatExchange, LlmGateway, PromptPrefix
+from memetopics.llm import TokenUsage
 from memetopics.llm import TransportError
 
 from conftest import FIXTURES_DIR, chat_body
@@ -102,7 +103,7 @@ def http_gateway(url, sleeps=None, **kwargs):
 
 
 def exchange(query):
-    return ChatExchange(system="sys", query=query)
+    return ChatExchange(PromptPrefix("sys"), query)
 
 
 # -- the real transport -------------------------------------------------------
@@ -211,12 +212,12 @@ print(json.dumps([name for name in modules if name in sys.modules]))
 # which NETWORK_MODULES are loaded.
 HTTP_MAP = """
 import json, sys
-from memetopics.llm import BackendConfig, ChatExchange, LlmGateway
+from memetopics.llm import BackendConfig, ChatExchange, LlmGateway, PromptPrefix
 
 url, n, modules = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
 gateway = LlmGateway(BackendConfig(kind="http", endpoint=url, model_name="test-model",
                                    requests_per_minute=1_000_000, timeout=10.0))
-outcomes = gateway.map(gateway.complete, [ChatExchange(system="sys", query=f"q{i}")
+outcomes = gateway.map(gateway.complete, [ChatExchange(PromptPrefix("sys"), f"q{i}")
                                           for i in range(n)])
 print(json.dumps({"texts": [o.text for o in outcomes],
                   "loaded": [name for name in modules if name in sys.modules]}))
